@@ -48,6 +48,7 @@ from .protocol import (
     EnsemblePredictor,
     FineTuneConfig,
     OptimizerSettings,
+    Recipe,
     RunRecord,
     SweepResult,
     build_variants,

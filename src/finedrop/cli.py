@@ -12,8 +12,16 @@ blank lines allowed); explicit flags override file values. Recognized keys
 and defaults match the corresponding flags: data, start, out,
 recipes=erm,dropout90, lrs=1e-3,5e-4, wds=1e-4,5e-5,1e-5, seeds=0,1,2,
 splits=all, iterations=1000, batch_size=32, checkpoint_interval (T//33),
-holdout=0.2, head_lr_mult=1, parallel=1, pool_seeds=false. Unknown keys
-are rejected.
+holdout=0.2, head_lr_mult=1, parallel=1, pool_seeds=false. Unknown keys,
+values that do not parse, split indices out of range and repeated splits,
+seeds or recipes are rejected (exit 2) before any training starts.
+
+Recipes (see protocol.Recipe) are tokens joined by '+': "erm" means
+dropout 0, "dropoutNN" sets the rate in percent and "headlrN" the head
+learning-rate multiplier. A recipe without a headlrN token trains with the
+--head-lr-mult value (sweep) or flag (finetune). `finetune` labels its run
+with the recipe its --dropout and --head-lr-mult flags spell out, and
+trains at exactly those values.
 """
 
 from __future__ import annotations
@@ -39,8 +47,16 @@ from .datasets import (
 )
 from .errors import FinedropError, RunError, ValidationError
 from .models import checkpoint_from_model, load_checkpoint, new_residual_model, write_checkpoint
-from .protocol import FineTuneConfig, OptimizerSettings, pretrain, run_sweep
+from .protocol import FineTuneConfig, OptimizerSettings, Recipe, pretrain, run_sweep
 from .report import build_report, load_results, write_report
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return value in ("1", "true", "yes")
+
 
 _CONFIG_KEYS = {
     "data": str,
@@ -57,7 +73,7 @@ _CONFIG_KEYS = {
     "holdout": float,
     "head_lr_mult": float,
     "parallel": int,
-    "pool_seeds": lambda v: v.lower() in ("1", "true", "yes"),
+    "pool_seeds": _parse_bool,
 }
 
 
@@ -73,12 +89,13 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_list(text: str, convert, what: str) -> list:
+    try:
+        return [convert(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"{what} must be a comma list of {convert.__name__} values, got {text!r}"
+        ) from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -96,7 +113,10 @@ def parse_config_file(path: str) -> dict:
                 raise ValidationError(
                     f"{path}:{line_no}: unknown key {key!r} (known: {sorted(_CONFIG_KEYS)})"
                 )
-            values[key] = _CONFIG_KEYS[key](value)
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError:
+                raise ValidationError(f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
     return values
 
 
@@ -110,7 +130,7 @@ def cmd_gen_data(args) -> int:
     if args.task == "redundant":
         ds = gen_redundant_features(args.n_features, args.n_samples, args.label_noise, args.seed)
         if args.missing:
-            ood = make_missing_feature_env(ds, _parse_ints(args.missing))
+            ood = make_missing_feature_env(ds, _parse_list(args.missing, int, "--missing"))
             ds = EnvDataset(
                 np.vstack([ds.features, ood.features]),
                 np.concatenate([ds.labels, ood.labels]),
@@ -169,15 +189,6 @@ def _load_start(args, dataset) -> "object":
     return load_checkpoint(args.start)
 
 
-def _recipe_name(dropout: float, head_lr_mult: float) -> str:
-    parts = []
-    if dropout > 0:
-        parts.append(f"dropout{dropout * 100:g}")
-    if head_lr_mult != 1.0:
-        parts.append(f"headlr{head_lr_mult:g}")
-    return "+".join(parts) if parts else "erm"
-
-
 def cmd_finetune(args) -> int:
     dataset = load_dataset(args.data)
     start = _load_start(args, dataset)
@@ -187,24 +198,17 @@ def cmd_finetune(args) -> int:
         args.test_env,
         args.holdout,
     )
-    cfg = FineTuneConfig(
-        dropout_rate=args.dropout,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        head_lr_mult=args.head_lr_mult,
-        total_iterations=args.iterations,
-        batch_size=args.batch_size,
-        checkpoint_interval=args.checkpoint_interval,
-        seed=args.seed,
-    )
-    recipe = _recipe_name(args.dropout, args.head_lr_mult)
-    result = run_sweep(start, [split], [(args.lr, args.weight_decay)], [recipe], [args.seed],
+    cfg = FineTuneConfig(head_lr_mult=args.head_lr_mult, total_iterations=args.iterations,
+                         batch_size=args.batch_size, checkpoint_interval=args.checkpoint_interval)
+    # the label carries a headlr token only when the multiplier is not the default 1
+    recipe = Recipe(args.dropout, None if args.head_lr_mult == 1.0 else args.head_lr_mult)
+    result = run_sweep(start, [split], [(args.lr, args.weight_decay)], [recipe.name], [args.seed],
                        base_cfg=cfg)
     out = _resolve_out(args.out)
     result.save(out)
     best = result.runs[0].best.checkpoint
     write_checkpoint(best, os.path.join(out, "best.ckpt"))
-    print(f"recipe={recipe} iid={result.runs[0].best_iid_val_acc:.4f} "
+    print(f"recipe={recipe.name} iid={result.runs[0].best_iid_val_acc:.4f} "
           f"ood={result.runs[0].ood_acc:.4f} out={out}")
     return 0
 
@@ -226,41 +230,33 @@ def cmd_sweep(args) -> int:
 
     dataset = load_dataset(data)
     start = load_checkpoint(start_path)
-    recipes = [r.strip() for r in str(pick("recipes", "erm,dropout90")).split(",") if r.strip()]
-    lrs = _parse_floats(str(pick("lrs", "1e-3,5e-4")))
-    wds = _parse_floats(str(pick("wds", "1e-4,5e-5,1e-5")))
-    seeds = _parse_ints(str(pick("seeds", "0,1,2")))
+    recipes = [r.strip() for r in pick("recipes", "erm,dropout90").split(",") if r.strip()]
+    lrs = _parse_list(pick("lrs", "1e-3,5e-4"), float, "lrs")
+    wds = _parse_list(pick("wds", "1e-4,5e-5,1e-5"), float, "wds")
+    seeds = _parse_list(pick("seeds", "0,1,2"), int, "seeds")
     grid = [(lr, wd) for lr in lrs for wd in wds]
 
-    splits_spec = str(pick("splits", "all"))
-    holdout = float(pick("holdout", 0.20))
-    all_splits = leave_one_out_splits(dataset, holdout)
+    splits_spec = pick("splits", "all")
+    all_splits = leave_one_out_splits(dataset, pick("holdout", 0.20))
     if splits_spec == "all":
         splits = all_splits
     else:
-        wanted = _parse_ints(splits_spec)
+        wanted = _parse_list(splits_spec, int, "splits")
+        bad = [i for i in wanted if not 0 <= i < len(all_splits)]
+        if bad:
+            raise ValidationError(
+                f"split indices {bad} out of range; the dataset has {len(all_splits)} splits"
+            )
         splits = [all_splits[i] for i in wanted]
 
-    iterations = int(pick("iterations", 1000))
-    base_cfg = FineTuneConfig(
-        total_iterations=iterations,
-        batch_size=int(pick("batch_size", 32)),
-        checkpoint_interval=pick("checkpoint_interval", None),
-        head_lr_mult=float(pick("head_lr_mult", 1.0)),
-    )
-    result = run_sweep(
-        start,
-        splits,
-        grid,
-        recipes,
-        seeds,
-        base_cfg=base_cfg,
-        parallel=int(pick("parallel", 1)),
-        pool_seeds=bool(pick("pool_seeds", False)),
-    )
+    base_cfg = FineTuneConfig(total_iterations=pick("iterations", 1000), batch_size=pick("batch_size", 32),
+                              checkpoint_interval=pick("checkpoint_interval", None),
+                              head_lr_mult=pick("head_lr_mult", 1.0))
+    result = run_sweep(start, splits, grid, recipes, seeds, base_cfg=base_cfg,
+                       parallel=pick("parallel", 1), pool_seeds=pick("pool_seeds", False))
     out = _resolve_out(out)
     result.save(out)
-    for recipe in recipes:
+    for recipe in result.meta["recipes"]:
         print(f"{recipe}: mean_ood={result.aggregate_ood[recipe]:.4f}")
     print(f"runs={len(result.runs)} out={out}")
     return 0

@@ -125,6 +125,40 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _param_shapes(input_dim, width, depth, num_classes, block_hidden=None, provenance="scratch"):
+    """Validated (name, shape) list in named_parameters order."""
+    if input_dim < 1 or width < 1 or num_classes < 1:
+        raise ValidationError(
+            f"dims must be >= 1, got input_dim={input_dim} width={width} num_classes={num_classes}"
+        )
+    if depth < 0:
+        raise ValidationError(f"depth must be >= 0, got {depth}")
+    hidden = width if block_hidden is None else int(block_hidden)
+    if hidden < 1:
+        raise ValidationError(f"block_hidden must be >= 1, got {hidden}")
+    if provenance not in PROVENANCE_TAGS:
+        raise ValidationError(f"provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}")
+    shapes = [("proj_w", (input_dim, width)), ("proj_b", (width,))]
+    for i in range(depth):
+        shapes += [
+            (f"block{i}.w1", (width, hidden)),
+            (f"block{i}.b1", (hidden,)),
+            (f"block{i}.w2", (hidden, width)),
+            (f"block{i}.b2", (width,)),
+        ]
+    return shapes + [("head_w", (width, num_classes)), ("head_b", (num_classes,))]
+
+
+def _assemble(arrays: list[np.ndarray], meta: dict) -> ResidualModel:
+    """Model whose leaves wrap `arrays`, given in named_parameters order.
+
+    The arrays are taken over, not copied; the head is the last two.
+    """
+    proj_w, proj_b, *body, head_w, head_b = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    blocks = [ResidualBlockParams(*body[i : i + 4]) for i in range(0, len(body), 4)]
+    return ResidualModel(proj_w, proj_b, blocks, head_w, head_b, meta)
+
+
 def new_residual_model(
     input_dim: int,
     width: int,
@@ -140,32 +174,13 @@ def new_residual_model(
     each block is zero so every f_i starts as the zero function. depth may
     be 0, in which case phi(x) is just the projected input.
     """
-    if input_dim < 1 or width < 1 or num_classes < 1:
-        raise ValidationError(
-            f"dims must be >= 1, got input_dim={input_dim} width={width} num_classes={num_classes}"
-        )
-    if depth < 0:
-        raise ValidationError(f"depth must be >= 0, got {depth}")
-    hidden = width if block_hidden is None else int(block_hidden)
-    if hidden < 1:
-        raise ValidationError(f"block_hidden must be >= 1, got {hidden}")
-    if provenance not in PROVENANCE_TAGS:
-        raise ValidationError(f"provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}")
-
+    shapes = _param_shapes(input_dim, width, depth, num_classes, block_hidden, provenance)
     rng = np.random.default_rng(seed)
-    proj_w = ad.Tensor(_uniform_fan_in(rng, input_dim, (input_dim, width)), requires_grad=True)
-    proj_b = ad.Tensor(np.zeros(width), requires_grad=True)
-    blocks = []
-    for _ in range(depth):
-        w1 = ad.Tensor(_uniform_fan_in(rng, width, (width, hidden)), requires_grad=True)
-        b1 = ad.Tensor(np.zeros(hidden), requires_grad=True)
-        w2 = ad.Tensor(np.zeros((hidden, width)), requires_grad=True)
-        b2 = ad.Tensor(np.zeros(width), requires_grad=True)
-        blocks.append(ResidualBlockParams(w1, b1, w2, b2))
-    head_w = ad.Tensor(_uniform_fan_in(rng, width, (width, num_classes)), requires_grad=True)
-    head_b = ad.Tensor(np.zeros(num_classes), requires_grad=True)
-    meta = {"seed": int(seed), "provenance": provenance}
-    return ResidualModel(proj_w, proj_b, blocks, head_w, head_b, meta)
+    arrays = [
+        _uniform_fan_in(rng, shape[0], shape) if name.endswith(("_w", ".w1")) else np.zeros(shape)
+        for name, shape in shapes
+    ]
+    return _assemble(arrays, {"seed": int(seed), "provenance": provenance})
 
 
 def _trunk(model: ResidualModel, x: ad.Tensor) -> tuple[ad.Tensor, list[ad.Tensor]]:
@@ -224,25 +239,9 @@ def reinit_head(model: ResidualModel, num_classes: int, seed: int) -> ResidualMo
     if num_classes < 1:
         raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
     rng = np.random.default_rng(seed)
-    head_w = ad.Tensor(_uniform_fan_in(rng, model.width, (model.width, num_classes)), requires_grad=True)
-    head_b = ad.Tensor(np.zeros(num_classes), requires_grad=True)
-    blocks = [
-        ResidualBlockParams(
-            ad.Tensor(blk.w1.data.copy(), requires_grad=True),
-            ad.Tensor(blk.b1.data.copy(), requires_grad=True),
-            ad.Tensor(blk.w2.data.copy(), requires_grad=True),
-            ad.Tensor(blk.b2.data.copy(), requires_grad=True),
-        )
-        for blk in model.blocks
-    ]
-    return ResidualModel(
-        ad.Tensor(model.proj_w.data.copy(), requires_grad=True),
-        ad.Tensor(model.proj_b.data.copy(), requires_grad=True),
-        blocks,
-        head_w,
-        head_b,
-        dict(model.meta),
-    )
+    head_w = _uniform_fan_in(rng, model.width, (model.width, num_classes))
+    trunk = [t.data.copy() for t in model.trunk_parameters()]
+    return _assemble(trunk + [head_w, np.zeros(num_classes)], dict(model.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +288,30 @@ def checkpoint_from_model(
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ResidualModel:
     """Rebuild a model from a checkpoint; inverse of checkpoint_from_model."""
-    arch = ckpt.manifest["arch"]
-    model = new_residual_model(
-        arch["input_dim"],
-        arch["width"],
-        arch["depth"],
-        arch["num_classes"],
-        seed=ckpt.manifest.get("seed") or 0,
-        block_hidden=arch.get("block_hidden"),
-        provenance=ckpt.manifest.get("provenance", "scratch"),
-    )
+    arch, manifest = ckpt.manifest["arch"], ckpt.manifest
+    provenance = manifest.get("provenance", "scratch")
+    shapes = _param_shapes(arch["input_dim"], arch["width"], arch["depth"], arch["num_classes"],
+                           arch.get("block_hidden"), provenance)
     flat = np.asarray(ckpt.params, dtype=np.float64)
-    if flat.size != ckpt.manifest["total"]:
+    if flat.size != manifest["total"]:
         raise ValidationError(
-            f"parameter vector length {flat.size} does not match manifest total {ckpt.manifest['total']}"
+            f"parameter vector length {flat.size} does not match manifest total {manifest['total']}"
         )
-    offset = 0
-    for (name, tensor), (m_name, m_shape) in zip(model.named_parameters(), ckpt.manifest["param_shapes"]):
-        if name != m_name or list(tensor.shape) != list(m_shape):
+    if len(manifest["param_shapes"]) != len(shapes):
+        raise ValidationError(
+            f"manifest lists {len(manifest['param_shapes'])} parameters, architecture has {len(shapes)}"
+        )
+    arrays, offset = [], 0
+    for (name, shape), (m_name, m_shape) in zip(shapes, manifest["param_shapes"]):
+        if name != m_name or list(shape) != list(m_shape):
             raise ValidationError(
-                f"manifest entry {m_name}{m_shape} does not match architecture slot {name}{list(tensor.shape)}"
+                f"manifest entry {m_name}{m_shape} does not match architecture slot {name}{list(shape)}"
             )
-        n = tensor.data.size
+        n = int(np.prod(shape))
         # copy, never view: model weights must not alias the checkpoint vector
-        tensor.data = flat[offset : offset + n].reshape(tensor.shape).copy()
+        arrays.append(flat[offset : offset + n].reshape(shape).copy())
         offset += n
-    return model
+    return _assemble(arrays, {"seed": int(manifest.get("seed") or 0), "provenance": provenance})
 
 
 def save_checkpoint(model: ResidualModel, iteration: int, run_id: str, path, rng_state: dict | None = None) -> Checkpoint:

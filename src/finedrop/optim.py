@@ -32,14 +32,14 @@ class SgdOptimizer:
         decay_factor: float = 0.1,
         group_multipliers: dict[str, float] | None = None,
     ):
-        if lr <= 0:
-            raise ValidationError(f"lr must be positive, got {lr}")
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValidationError(f"lr must be positive and finite, got {lr}")
         if total_iterations < 0:
             raise ValidationError(f"total_iterations must be >= 0, got {total_iterations}")
         if not 0.0 <= momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not (np.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValidationError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
         self.groups = {name: list(tensors) for name, tensors in groups.items()}
         self.lr = float(lr)
         self.total_iterations = int(total_iterations)
@@ -51,6 +51,8 @@ class SgdOptimizer:
             for name, mult in group_multipliers.items():
                 if name not in self.groups:
                     raise ValidationError(f"unknown parameter group {name!r}")
+                if not np.isfinite(mult):
+                    raise ValidationError(f"multiplier for group {name!r} must be finite, got {mult}")
                 self.multipliers[name] = float(mult)
         self.iteration = 0
         self._buffers = {

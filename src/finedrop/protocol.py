@@ -2,12 +2,15 @@
 
 A recipe is a named fine-tuning variant: plain training ("erm"), very large
 penultimate dropout ("dropout90", "dropout95", ...), a faster head
-("headlr10"), or compositions like "dropout90+headlr10". Fine-tuning always
-reinitializes the head, trains on the union of the split's training
-environments minus a held-out iid validation fraction, collects a
-checkpoint trail, retains the best-iid checkpoint (ties go to the earliest,
-so training is never silently extended), and reports eval-mode accuracy on
-the held-out environment.
+("headlr10"), or compositions like "dropout90+headlr10". A recipe always
+sets the dropout rate ("erm" means 0); it sets the head learning-rate
+multiplier only through a headlrN token, and otherwise the base config's
+multiplier is kept. `Recipe` is the one place that parses and formats
+these names. Fine-tuning always reinitializes the head, trains on the
+union of the split's training environments minus a held-out iid
+validation fraction, collects a checkpoint trail, retains the best-iid
+checkpoint (ties go to the earliest, so training is never silently
+extended), and reports eval-mode accuracy on the held-out environment.
 
 Comparison arms are derived from completed runs: single-run weight average
 and ensemble over one trail, multi-run weight average and ensemble over the
@@ -27,7 +30,9 @@ never consumed at rate 0.
 from __future__ import annotations
 
 import json
+import math
 import time
+from decimal import Decimal, InvalidOperation
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -56,7 +61,7 @@ __all__ = [
     "RunRecord",
     "SweepResult",
     "EnsemblePredictor",
-    "parse_recipe",
+    "Recipe",
     "split_holdout",
     "pretrain",
     "pretrain_trajectory",
@@ -104,14 +109,22 @@ class FineTuneConfig:
     run_id: str = ""
 
     def __post_init__(self):
+        # the optimizer checks these too, but only once a run starts; a sweep
+        # builds every config first, so a bad value is rejected before training
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValidationError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.total_iterations < 0:
             raise ValidationError(f"total_iterations must be >= 0, got {self.total_iterations}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.head_lr_mult <= 0:
-            raise ValidationError(f"head_lr_mult must be positive, got {self.head_lr_mult}")
+        if not (math.isfinite(self.head_lr_mult) and self.head_lr_mult > 0):
+            raise ValidationError(f"head_lr_mult must be positive and finite, got {self.head_lr_mult}")
         interval = self.effective_interval()
         if self.total_iterations > 0 and self.total_iterations < 2 * interval:
             raise ValidationError(
@@ -127,34 +140,78 @@ class FineTuneConfig:
         return max(1, self.total_iterations // 33)
 
 
-def parse_recipe(name: str) -> dict:
-    """Map a recipe name to config overrides.
+def _token_number(token: str, prefix: str) -> Decimal:
+    try:
+        value = Decimal(token[len(prefix) :])
+    except InvalidOperation:
+        raise ValidationError(f"bad recipe token {token!r}") from None
+    if not value.is_finite():
+        raise ValidationError(f"recipe token {token!r} is not a finite number")
+    return value
 
-    Tokens joined by '+': "erm", "dropoutNN" (NN percent), "headlrN".
-    "erm" is dropout 0 with head multiplier 1; "dropout90+headlr10" is the
-    composed variant.
+
+def _plain(value: Decimal) -> str:
+    return format(value.normalize(), "f")
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A fine-tuning recipe: a dropout rate and an optional head lr multiplier.
+
+    Names are tokens joined by '+': "erm" (dropout 0), "dropoutNN" (NN
+    percent) and "headlrN". The rate is always applied; head_lr_mult is None
+    unless a headlrN token sets it, and then `apply` keeps the base config's
+    multiplier. Numbers convert by shifting the decimal point, not by float
+    arithmetic, so `name` is exact: `Recipe.parse(r.name) == r` for every
+    valid rate and multiplier.
     """
-    overrides = {"dropout_rate": 0.0, "head_lr_mult": 1.0}
-    for token in name.split("+"):
-        token = token.strip()
-        if token == "erm":
-            continue
-        elif token.startswith("dropout"):
-            try:
-                pct = float(token[len("dropout") :])
-            except ValueError:
-                raise ValidationError(f"bad recipe token {token!r}") from None
-            if not 0.0 <= pct < 100.0:
-                raise ValidationError(f"dropout percentage must be in [0, 100), got {pct}")
-            overrides["dropout_rate"] = pct / 100.0
-        elif token.startswith("headlr"):
-            try:
-                overrides["head_lr_mult"] = float(token[len("headlr") :])
-            except ValueError:
-                raise ValidationError(f"bad recipe token {token!r}") from None
-        else:
-            raise ValidationError(f"unknown recipe token {token!r} in {name!r}")
-    return overrides
+
+    dropout_rate: float = 0.0
+    head_lr_mult: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValidationError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        if self.head_lr_mult is not None and not (
+            math.isfinite(self.head_lr_mult) and self.head_lr_mult > 0
+        ):
+            raise ValidationError(f"head lr multiplier must be positive and finite, got {self.head_lr_mult}")
+
+    @classmethod
+    def parse(cls, name: str) -> "Recipe":
+        fields: dict = {}
+        for token in name.split("+"):
+            token = token.strip()
+            if token == "erm":
+                key, value = "dropout_rate", 0.0
+            elif token.startswith("dropout"):
+                pct = _token_number(token, "dropout")
+                if not 0.0 <= pct < 100.0:
+                    raise ValidationError(f"dropout percentage must be in [0, 100), got {pct}")
+                key, value = "dropout_rate", float(pct.scaleb(-2))
+            elif token.startswith("headlr"):
+                key, value = "head_lr_mult", float(_token_number(token, "headlr"))
+            else:
+                raise ValidationError(f"unknown recipe token {token!r} in {name!r}")
+            if key in fields:
+                raise ValidationError(f"recipe {name!r} sets {key} twice")
+            fields[key] = value
+        return cls(**fields)
+
+    @property
+    def name(self) -> str:
+        parts = []
+        if self.dropout_rate > 0:
+            parts.append("dropout" + _plain(Decimal(repr(float(self.dropout_rate))).scaleb(2)))
+        if self.head_lr_mult is not None:
+            parts.append("headlr" + _plain(Decimal(repr(float(self.head_lr_mult)))))
+        return "+".join(parts) or "erm"
+
+    def apply(self, cfg: FineTuneConfig, **changes) -> FineTuneConfig:
+        """cfg with this recipe's settings and `changes` replaced."""
+        if self.head_lr_mult is not None:
+            changes["head_lr_mult"] = self.head_lr_mult
+        return replace(cfg, dropout_rate=self.dropout_rate, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +431,27 @@ def build_variants(records) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(loss: float, iteration: int) -> None:
-    if not np.isfinite(loss):
-        raise RunError("loss is not finite", iteration=iteration)
+def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, on_checkpoint) -> None:
+    """The one training loop: batch, forward, loss, backward, SGD step.
+
+    After every `every`-th step and after the last one, on_checkpoint(steps
+    done) runs; a true return ends training. every=None never calls back.
+    A non-finite loss raises RunError at its iteration.
+    """
+    n = x.shape[0]
+    params = model.parameters()
+    for it in range(iterations):
+        idx = batch_rng.integers(0, n, size=batch_size)
+        logits, _ = forward(model, x[idx], dropout=dropout)
+        loss = ad.softmax_cross_entropy(logits, y[idx])
+        if not np.isfinite(loss.item()):
+            raise RunError("loss is not finite", iteration=it)
+        ad.backward(loss)
+        opt.step()
+        ad.reset_grads(params)
+        done = it + 1
+        if every and (done % every == 0 or done == iterations) and on_checkpoint(done):
+            break
 
 
 def pretrain(arch: dict, corpus: EnvDataset, opt_cfg: OptimizerSettings, seed: int) -> Checkpoint:
@@ -401,8 +476,9 @@ def pretrain_trajectory(
 ) -> tuple[Checkpoint, list[tuple[int, float]]]:
     """pretrain plus an accuracy trace on a fixed probe subset of the corpus.
 
-    Returns (final checkpoint, [(iteration, probe accuracy), ...]); the
-    trace is empty when snapshot_every is None.
+    Returns (final checkpoint, [(iteration, probe accuracy), ...]) with one
+    entry per multiple of snapshot_every; the trace is empty when
+    snapshot_every is None.
     """
     if corpus.features.shape[0] == 0:
         raise ValidationError("pretraining corpus is empty")
@@ -412,38 +488,22 @@ def pretrain_trajectory(
         )
     rich = bool(corpus.manifest.get("params", {}).get("rich", False))
     provenance = "pretrained-rich" if rich else "pretrained-plain"
-    model = new_residual_model(
-        corpus.n_features,
-        arch["width"],
-        arch["depth"],
-        corpus.num_classes,
-        seed=seed,
-        block_hidden=arch.get("block_hidden"),
-    )
-    model.meta["provenance"] = provenance
+    model = new_residual_model(corpus.n_features, arch["width"], arch["depth"], corpus.num_classes,
+                               seed=seed, block_hidden=arch.get("block_hidden"), provenance=provenance)
+    opt = SgdOptimizer({"trunk": model.trunk_parameters(), "head": model.head_parameters()},
+                       lr=opt_cfg.lr, total_iterations=opt_cfg.iterations,
+                       momentum=opt_cfg.momentum, weight_decay=opt_cfg.weight_decay)
+    probe = slice(0, min(probe_size, corpus.features.shape[0]))
+    trace: list[tuple[int, float]] = []
+
+    def snapshot(done: int) -> bool:
+        if done % snapshot_every == 0:  # the last step is not a snapshot point
+            trace.append((done, evaluate(model, corpus.features[probe], corpus.labels[probe])))
+        return False
 
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=[_STREAM_ROOT, int(seed), 0xB00]))
-    x_all, y_all = corpus.features, corpus.labels
-    n = x_all.shape[0]
-    probe = slice(0, min(probe_size, n))
-    opt = SgdOptimizer(
-        {"trunk": model.trunk_parameters(), "head": model.head_parameters()},
-        lr=opt_cfg.lr,
-        total_iterations=opt_cfg.iterations,
-        momentum=opt_cfg.momentum,
-        weight_decay=opt_cfg.weight_decay,
-    )
-    trace: list[tuple[int, float]] = []
-    for it in range(opt_cfg.iterations):
-        idx = batch_rng.integers(0, n, size=opt_cfg.batch_size)
-        logits, _ = forward(model, x_all[idx], dropout=None)
-        loss = ad.softmax_cross_entropy(logits, y_all[idx])
-        _check_finite(loss.item(), it)
-        ad.backward(loss)
-        opt.step()
-        ad.reset_grads(model.parameters())
-        if snapshot_every and (it + 1) % snapshot_every == 0:
-            trace.append((it + 1, evaluate(model, x_all[probe], y_all[probe])))
+    _train(model, opt, corpus.features, corpus.labels, opt_cfg.iterations, opt_cfg.batch_size,
+           batch_rng, None, snapshot_every, snapshot)
     return checkpoint_from_model(model, opt_cfg.iterations, f"pretrain-{provenance}-seed{seed}"), trace
 
 
@@ -465,7 +525,6 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig) -> RunReco
         )
     streams = _streams(cfg.seed, split.test_env)
     train_idx, val_idx = split_holdout(split, cfg.seed)
-    x_train, y_train = ds.features[train_idx], ds.labels[train_idx]
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
 
     model = reinit_head(model, ds.num_classes, streams["head_seed"])
@@ -474,67 +533,34 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig) -> RunReco
     if not cfg.freeze_trunk:
         groups["trunk"] = model.trunk_parameters()
         multipliers["trunk"] = 1.0
-    opt = SgdOptimizer(
-        groups,
-        lr=cfg.lr,
-        total_iterations=cfg.total_iterations,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        group_multipliers=multipliers,
-    )
-    spec = None
-    if cfg.dropout_rate > 0.0:
-        spec = DropoutSpec(cfg.dropout_rate, "train", streams["mask"])
+    opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations, momentum=cfg.momentum,
+                       weight_decay=cfg.weight_decay, group_multipliers=multipliers)
+    spec = DropoutSpec(cfg.dropout_rate, "train", streams["mask"]) if cfg.dropout_rate > 0.0 else None
 
     run_id = cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}"
-    interval = cfg.effective_interval()
     trail: list[TrailPoint] = []
-    batch_rng = streams["batch"]
-    n_train = x_train.shape[0]
+    best_acc, since_best = -1.0, 0
 
-    record = RunRecord(
-        config=cfg,
-        recipe="",
-        split_index=-1,
-        test_env=split.test_env,
-        train_envs=split.train_envs,
-        grid_index=-1,
-        seed=cfg.seed,
-        run_id=run_id,
-    )
-
-    if cfg.total_iterations == 0:
+    def checkpoint(done: int) -> bool:
+        nonlocal best_acc, since_best
         acc = evaluate(model, x_val, y_val)
-        trail.append(TrailPoint(checkpoint_from_model(model, 0, run_id), 0, acc))
-    else:
-        best_acc, since_best = -1.0, 0
-        for it in range(cfg.total_iterations):
-            idx = batch_rng.integers(0, n_train, size=cfg.batch_size)
-            logits, _ = forward(model, x_train[idx], dropout=spec)
-            loss = ad.softmax_cross_entropy(logits, y_train[idx])
-            _check_finite(loss.item(), it)
-            ad.backward(loss)
-            opt.step()
-            ad.reset_grads(model.parameters())
-            if (it + 1) % interval == 0 or (it + 1) == cfg.total_iterations:
-                acc = evaluate(model, x_val, y_val)
-                trail.append(TrailPoint(checkpoint_from_model(model, it + 1, run_id), it + 1, acc))
-                if acc > best_acc:
-                    best_acc, since_best = acc, 0
-                else:
-                    since_best += 1
-                if cfg.patience is not None and since_best > cfg.patience:
-                    break
+        trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, acc))
+        if acc > best_acc:
+            best_acc, since_best = acc, 0
+        else:
+            since_best += 1
+        return cfg.patience is not None and since_best > cfg.patience
 
-    accs = [p.iid_val_acc for p in trail]
-    best_index = int(np.argmax(accs))  # earliest checkpoint wins ties
-    best_model = model_from_checkpoint(trail[best_index].checkpoint)
-    x_test, y_test = ds.env_arrays(split.test_env)
-    record.trail = trail
-    record.best_index = best_index
-    record.ood_acc = evaluate(best_model, x_test, y_test)
-    record.wall_clock = time.perf_counter() - t0
-    return record
+    _train(model, opt, ds.features[train_idx], ds.labels[train_idx], cfg.total_iterations,
+           cfg.batch_size, streams["batch"], spec, cfg.effective_interval(), checkpoint)
+    if not trail:  # zero iterations: the fresh head is the only checkpoint
+        checkpoint(0)
+
+    best_index = int(np.argmax([p.iid_val_acc for p in trail]))  # earliest checkpoint wins ties
+    ood_acc = evaluate(model_from_checkpoint(trail[best_index].checkpoint), *ds.env_arrays(split.test_env))
+    return RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
+                     grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, ood_acc=ood_acc,
+                     wall_clock=time.perf_counter() - t0, run_id=run_id)
 
 
 # ---------------------------------------------------------------------------
@@ -580,40 +606,28 @@ class SweepResult:
             fh.write("\n")
 
 
+def _score_arms(arms: dict, split: EnvSplit, val_idx: np.ndarray) -> dict:
+    """{arm name: {"iid": holdout accuracy, "ood": held-out environment accuracy}}."""
+    ds = split.dataset
+    x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
+    x_test, y_test = ds.env_arrays(split.test_env)
+    return {
+        name: {"iid": evaluate(arm, x_val, y_val), "ood": evaluate(arm, x_test, y_test)}
+        for name, arm in sorted(arms.items())
+    }
+
+
 def _execute_sweep_run(args) -> RunRecord:
     start, split, cfg, recipe, split_index, grid_index = args
     try:
         record = finetune(start, split, cfg)
-        record.recipe = recipe
-        record.split_index = split_index
-        record.grid_index = grid_index
-        x_val_idx = split_holdout(split, cfg.seed)[1]
-        x_val = split.dataset.features[x_val_idx]
-        y_val = split.dataset.labels[x_val_idx]
-        x_test, y_test = split.dataset.env_arrays(split.test_env)
-        arms = build_variants(record)
-        record.variants = {
-            name: {
-                "iid": evaluate(arm, x_val, y_val),
-                "ood": evaluate(arm, x_test, y_test),
-            }
-            for name, arm in sorted(arms.items())
-        }
-        return record
     except RunError as exc:
-        return RunRecord(
-            config=cfg,
-            recipe=recipe,
-            split_index=split_index,
-            test_env=split.test_env,
-            train_envs=split.train_envs,
-            grid_index=grid_index,
-            seed=cfg.seed,
-            status="failed",
-            error=str(exc),
-            error_iteration=exc.iteration,
-            run_id=cfg.run_id,
-        )
+        return RunRecord(cfg, recipe=recipe, split_index=split_index, test_env=split.test_env,
+                         train_envs=split.train_envs, grid_index=grid_index, seed=cfg.seed,
+                         status="failed", error=str(exc), error_iteration=exc.iteration, run_id=cfg.run_id)
+    record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
+    record.variants = _score_arms(build_variants(record), split, split_holdout(split, cfg.seed)[1])
+    return record
 
 
 def run_sweep(
@@ -628,40 +642,43 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the full (split x recipe x grid x seed) product and summarize.
 
-    grid entries are (learning rate, weight decay) pairs. Per (split,
-    recipe) the selected run maximizes iid validation accuracy, ties broken
-    by lowest grid index then lowest seed. Individual run failures are
-    recorded, not fatal; the sweep raises only if some (split, recipe) has
-    no successful run at all. Multi-run arms pool the grid's best
-    checkpoints at a fixed seed, or across seeds too when pool_seeds is set.
+    grid entries are (learning rate, weight decay) pairs. Each run's config
+    is its recipe applied to base_cfg, and runs are labelled with canonical
+    recipe names (Recipe.name). Per (split, recipe) the selected run
+    maximizes iid validation accuracy, ties broken by lowest grid index
+    then lowest seed. Individual run failures are recorded, not fatal; the
+    sweep raises only if some (split, recipe) has no successful run at all.
+    Multi-run arms pool the grid's best checkpoints at a fixed seed, or
+    across seeds too when pool_seeds is set.
     """
     if not splits or not grid or not recipes or not seeds:
         raise ValidationError("splits, grid, recipes, and seeds must all be nonempty")
+    if parallel < 1:
+        raise ValidationError(f"parallel must be >= 1, got {parallel}")
+    recipes = [Recipe.parse(r) for r in recipes]
+    labels = [r.name for r in recipes]
+    for what, values in (("recipes", labels), ("seeds", list(seeds)),
+                         ("split test environments", [s.test_env for s in splits])):
+        if len(set(values)) != len(values):
+            raise ValidationError(f"{what} repeat: {values}")
     base_cfg = base_cfg or FineTuneConfig()
 
-    jobs = []
-    for split_index, split in enumerate(splits):
-        for recipe in recipes:
-            overrides = parse_recipe(recipe)
-            for grid_index, (lr, wd) in enumerate(grid):
-                for seed in seeds:
-                    cfg = replace(
-                        base_cfg,
-                        lr=lr,
-                        weight_decay=wd,
-                        seed=seed,
-                        run_id=f"s{split_index}-{recipe}-g{grid_index}-seed{seed}",
-                        **overrides,
-                    )
-                    jobs.append((start, split, cfg, recipe, split_index, grid_index))
-
+    jobs = [
+        (start, split, recipe.apply(base_cfg, lr=lr, weight_decay=wd, seed=seed,
+                                    run_id=f"s{split_index}-{label}-g{grid_index}-seed{seed}"),
+         label, split_index, grid_index)
+        for split_index, split in enumerate(splits)
+        for recipe, label in zip(recipes, labels)
+        for grid_index, (lr, wd) in enumerate(grid)
+        for seed in seeds
+    ]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             runs = list(pool.map(_execute_sweep_run, jobs))
     else:
         runs = [_execute_sweep_run(job) for job in jobs]
 
-    return _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds)
+    return _summarize(runs, splits, grid, labels, seeds, start, pool_seeds)
 
 
 def select_best(records):
@@ -675,49 +692,34 @@ def select_best(records):
 
 
 def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepResult:
-    selected: dict = {}
-    aggregate: dict = {}
-    quartiles: dict = {}
-    multi_run: dict = {}
+    selected, aggregate, quartiles, multi_run = {}, {}, {}, {}
+    holdouts: dict = {}  # (split index, seed) -> validation indices, shared by recipes
+    seed_groups = [("pooled", list(seeds))] if pool_seeds else [(str(s), [s]) for s in seeds]
 
     for recipe in recipes:
+        ok = [r for r in runs if r.recipe == recipe and r.status == "ok"]
         selected[recipe] = {}
-        per_split_ood = []
         for split_index in range(len(splits)):
-            ok = [
-                r
-                for r in runs
-                if r.recipe == recipe and r.split_index == split_index and r.status == "ok"
-            ]
-            if not ok:
+            candidates = [r for r in ok if r.split_index == split_index]
+            if not candidates:
                 raise RunError(f"no successful runs for recipe {recipe!r} on split {split_index}")
-            chosen = select_best(ok)
+            chosen = select_best(candidates)
             selected[recipe][str(split_index)] = {
                 "run_id": chosen.run_id,
                 "iid": chosen.best_iid_val_acc,
                 "ood": chosen.ood_acc,
                 "variants": chosen.variants,
             }
-            per_split_ood.append(chosen.ood_acc)
-        aggregate[recipe] = float(np.mean(per_split_ood))
+        aggregate[recipe] = float(np.mean([entry["ood"] for entry in selected[recipe].values()]))
 
         # Quartile summary over grid points (each grid point averaged over
         # splits and seeds), the box-plot analog.
         grid_values, grid_run_ids = [], []
         for grid_index in range(len(grid)):
-            vals = [
-                r.ood_acc
-                for r in runs
-                if r.recipe == recipe and r.grid_index == grid_index and r.status == "ok"
-            ]
-            ids = [
-                r.run_id
-                for r in runs
-                if r.recipe == recipe and r.grid_index == grid_index and r.status == "ok"
-            ]
-            if vals:
-                grid_values.append(float(np.mean(vals)))
-                grid_run_ids.extend(ids)
+            members = [r for r in ok if r.grid_index == grid_index]
+            if members:
+                grid_values.append(float(np.mean([r.ood_acc for r in members])))
+                grid_run_ids.extend(r.run_id for r in members)
         summary = five_number_summary(grid_values)
         summary["grid_values"] = grid_values
         summary["run_ids"] = sorted(grid_run_ids)
@@ -727,34 +729,16 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
         multi_run[recipe] = {}
         if len(grid) >= 2 or (pool_seeds and len(grid) * len(seeds) >= 2):
             for split_index, split in enumerate(splits):
-                multi_run[recipe][str(split_index)] = {}
-                seed_groups = [("pooled", list(seeds))] if pool_seeds else [(str(s), [s]) for s in seeds]
+                per_split = multi_run[recipe][str(split_index)] = {}
                 for tag, group in seed_groups:
-                    members = [
-                        r
-                        for r in runs
-                        if r.recipe == recipe
-                        and r.split_index == split_index
-                        and r.seed in group
-                        and r.status == "ok"
-                    ]
+                    members = [r for r in ok if r.split_index == split_index and r.seed in group]
                     if len(members) < 2:
                         continue
-                    arms = build_variants(members)
-                    val_idx = split_holdout(split, group[0])[1]
-                    x_val = split.dataset.features[val_idx]
-                    y_val = split.dataset.labels[val_idx]
-                    x_test, y_test = split.dataset.env_arrays(split.test_env)
-                    multi_run[recipe][str(split_index)][tag] = {
-                        "wa": {
-                            "iid": evaluate(arms["wa_multi"], x_val, y_val),
-                            "ood": evaluate(arms["wa_multi"], x_test, y_test),
-                        },
-                        "ensemble": {
-                            "iid": evaluate(arms["ensemble_multi"], x_val, y_val),
-                            "ood": evaluate(arms["ensemble_multi"], x_test, y_test),
-                        },
-                    }
+                    key = (split_index, group[0])
+                    if key not in holdouts:
+                        holdouts[key] = split_holdout(split, group[0])[1]
+                    scores = _score_arms(build_variants(members), split, holdouts[key])
+                    per_split[tag] = {"wa": scores["wa_multi"], "ensemble": scores["ensemble_multi"]}
 
     meta = {
         "schema_version": 1,

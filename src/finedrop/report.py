@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import json
 import os
-import re
 
 import numpy as np
 
 from .errors import ValidationError
+from .protocol import Recipe
 from .stats import five_number_summary
 
 __all__ = ["ReportBundle", "load_results", "build_report", "write_report"]
 
 # Column order of the main comparison table.
 METHOD_COLUMNS = ["erm", "wa_single", "ensemble_single", "dropout", "wa_multi", "ensemble_multi"]
-
-_DROPOUT_RE = re.compile(r"^dropout(\d+(?:\.\d+)?)$")
 
 
 class ReportBundle:
@@ -83,12 +81,21 @@ def _multi_ood(summary: dict, recipe: str, split: str, kind: str) -> float | Non
     return float(np.mean(vals)) if vals else None
 
 
-def _dropout_recipe(recipes: list[str]) -> str | None:
-    named = [r for r in recipes if _DROPOUT_RE.match(r) and _DROPOUT_RE.match(r).group(1) not in ("0", "0.0")]
+def _rate_recipes(recipes: list[str]) -> dict[str, float]:
+    """Recipes that only set a dropout rate ("erm", "dropoutNN"), with their rates.
+
+    A headlrN token changes more than the rate, so those recipes are left out.
+    """
+    parsed = {name: Recipe.parse(name) for name in recipes}
+    return {name: r.dropout_rate for name, r in parsed.items() if r.head_lr_mult is None}
+
+
+def _dropout_recipe(rates: dict[str, float]) -> str | None:
+    """The recipe behind the methods table's dropout column; 0.9 when swept."""
+    named = [name for name, rate in rates.items() if rate > 0]
     if not named:
         return None
-    # Prefer the conventional 90 when several rates were swept.
-    return "dropout90" if "dropout90" in named else named[0]
+    return next((name for name in named if rates[name] == 0.9), named[0])
 
 
 def build_report(sweeps: list[dict]) -> ReportBundle:
@@ -99,7 +106,8 @@ def build_report(sweeps: list[dict]) -> ReportBundle:
         recipes = meta["recipes"]
         splits = [str(s["index"]) for s in meta["splits"]]
         provenance = meta.get("provenance", "scratch")
-        dropout_recipe = _dropout_recipe(recipes)
+        rates = _rate_recipes(recipes)
+        dropout_recipe = _dropout_recipe(rates)
 
         # Main comparison table, column order fixed by METHOD_COLUMNS.
         if "erm" in recipes:
@@ -125,11 +133,7 @@ def build_report(sweeps: list[dict]) -> ReportBundle:
 
         # Dropout-rate curve over every dropout-rate-style recipe present.
         rate_rows = []
-        for recipe in recipes:
-            m = _DROPOUT_RE.match(recipe)
-            rate = float(m.group(1)) / 100.0 if m else (0.0 if recipe == "erm" else None)
-            if rate is None:
-                continue
+        for recipe, rate in rates.items():
             ood = summary["aggregate_ood"].get(recipe)
             iids = [
                 summary["selected"][recipe][s]["iid"]

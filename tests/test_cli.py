@@ -172,6 +172,67 @@ def test_sweep_config_file_with_flag_override(pipeline_dirs, tmp_path):
     assert (out_file / "runs.jsonl").read_text() == (out_flag / "runs.jsonl").read_text()
 
 
+def test_finetune_trains_at_exact_flag_values(pipeline_dirs, tmp_path, capsys):
+    code = main([
+        "finetune", "--data", str(pipeline_dirs["data"]), "--scratch", "--width", "8",
+        "--depth", "1", "--test-env", "2", "--dropout", "0.123456789",
+        "--head-lr-mult", "1.23456789", "--iterations", "40", "--batch-size", "16",
+        "--checkpoint-interval", "20", "--out", str(tmp_path / "ft"),
+    ])
+    assert code == 0
+    (line,) = (tmp_path / "ft" / "runs.jsonl").read_text().splitlines()
+    payload = json.loads(line)
+    assert payload["dropout_rate"] == 0.123456789
+    assert payload["head_lr_mult"] == 1.23456789
+    assert payload["recipe"] == "dropout12.3456789+headlr1.23456789"
+
+
+def test_sweep_head_lr_mult_reaches_runs_via_flag_and_config(pipeline_dirs, tmp_path):
+    knobs = ["--recipes", "erm,dropout90,dropout90+headlr2", "--lrs", "1e-2", "--wds", "1e-4"]
+    assert main(_sweep_args(pipeline_dirs, tmp_path / "flag", knobs + ["--head-lr-mult", "10"])) == 0
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("head_lr_mult = 10\n")
+    assert main(_sweep_args(pipeline_dirs, tmp_path / "file", knobs + ["--config", str(cfg)])) == 0
+    for out in ("flag", "file"):
+        runs = [json.loads(l) for l in (tmp_path / out / "runs.jsonl").read_text().splitlines()]
+        mults = {r["recipe"]: r["head_lr_mult"] for r in runs}
+        assert mults == {"erm": 10.0, "dropout90": 10.0, "dropout90+headlr2": 2.0}
+    assert (tmp_path / "flag" / "runs.jsonl").read_bytes() == (tmp_path / "file" / "runs.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--splits", "9"], "out of range"),
+    (["--splits", "-1"], "out of range"),
+    (["--splits", "0,0"], "repeat"),
+    (["--seeds", "1,1"], "repeat"),
+    (["--recipes", "erm,dropout0"], "repeat"),
+    (["--lrs", "abc"], "lrs"),
+    (["--lrs", "1e-2,0"], "lr must be positive"),
+    (["--seeds", "1.5"], "seeds"),
+    (["--recipes", "erm,headlrnan"], "headlrnan"),
+    (["--parallel", "0"], "parallel"),
+])
+def test_sweep_rejects_bad_knobs(pipeline_dirs, tmp_path, capsys, extra, needle):
+    out = tmp_path / "bad"
+    assert main(_sweep_args(pipeline_dirs, out, extra)) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "iterations = abc", "lrs = abc", "head_lr_mult = ten", "pool_seeds = maybe",
+])
+def test_sweep_config_file_bad_values_exit_2(pipeline_dirs, tmp_path, capsys, line):
+    _sweep_args(pipeline_dirs, tmp_path)  # makes the tiny task and trunk
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"data = {pipeline_dirs['root'] / 'tinytask'}\n"
+                   f"start = {pipeline_dirs['root'] / 'trunk6.ckpt'}\n" + line + "\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert line.split()[0] in err and "Traceback" not in err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")

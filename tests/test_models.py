@@ -243,3 +243,44 @@ def test_permuting_identical_contribution_blocks_leaves_logits_unchanged():
     assert trunk_changed
     np.testing.assert_array_equal(phi_before.data, phi_after.data)
     np.testing.assert_array_equal(logits_before.data, logits_after.data)
+
+
+def test_model_from_checkpoint_skips_random_init(monkeypatch):
+    from finedrop import models
+
+    ckpt = checkpoint_from_model(new_residual_model(4, 5, 2, 3, seed=50))
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("model_from_checkpoint drew a random init")
+
+    monkeypatch.setattr(models, "_uniform_fan_in", no_init)
+    rebuilt = model_from_checkpoint(ckpt)
+    np.testing.assert_array_equal(flatten_params(rebuilt), ckpt.params)
+    assert rebuilt.meta == {"seed": 50, "provenance": "scratch"}
+    rebuilt.proj_w.data[0, 0] += 1.0  # weights own their memory
+    assert rebuilt.proj_w.data[0, 0] != ckpt.params[0]
+
+
+def test_model_from_checkpoint_rejects_manifest_mismatches():
+    ckpt = checkpoint_from_model(new_residual_model(4, 5, 1, 2, seed=51))
+    shapes = ckpt.manifest["param_shapes"]
+    swapped = [shapes[1], shapes[0]] + shapes[2:]
+    for manifest, needle in (
+        ({**ckpt.manifest, "param_shapes": swapped}, "does not match architecture slot"),
+        ({**ckpt.manifest, "param_shapes": shapes[:-1]}, "parameters"),
+        ({**ckpt.manifest, "total": ckpt.manifest["total"] + 1}, "manifest total"),
+        ({**ckpt.manifest, "provenance": "mystery"}, "provenance"),
+    ):
+        with pytest.raises(ValidationError, match=needle):
+            model_from_checkpoint(type(ckpt)(ckpt.params, manifest, 0, "x"))
+    no_seed = {**ckpt.manifest, "seed": None}
+    assert model_from_checkpoint(type(ckpt)(ckpt.params, no_seed, 0, "x")).meta["seed"] == 0
+
+
+def test_reinit_head_copies_trunk_and_keeps_meta():
+    model = new_residual_model(5, 7, 1, 3, seed=52)
+    model.meta["provenance"] = "pretrained-rich"
+    fresh = reinit_head(model, 2, seed=1)
+    assert fresh.meta == model.meta and fresh.meta is not model.meta
+    assert all(a.data is not b.data for a, b in zip(fresh.trunk_parameters(), model.trunk_parameters()))
+    assert [name for name, _ in fresh.named_parameters()] == [name for name, _ in model.named_parameters()]

@@ -114,3 +114,15 @@ def test_unknown_group_multiplier_rejected():
     w = _param([1.0])
     with pytest.raises(ValidationError):
         SgdOptimizer({"trunk": [w]}, lr=0.1, total_iterations=5, group_multipliers={"nope": 2.0})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lr": float("nan")}, {"lr": float("inf")},
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+    {"momentum": float("nan")}, {"momentum": float("inf")},
+    {"group_multipliers": {"trunk": float("nan")}},
+])
+def test_non_finite_hyperparameters_rejected(kwargs):
+    settings = {"lr": 0.1, **kwargs}
+    with pytest.raises(ValidationError):
+        SgdOptimizer({"trunk": [_param([1.0])]}, total_iterations=5, **settings)

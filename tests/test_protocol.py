@@ -18,11 +18,11 @@ from finedrop.optim import SgdOptimizer
 from finedrop.protocol import (
     FineTuneConfig,
     OptimizerSettings,
+    Recipe,
     build_variants,
     ensemble_predict,
     evaluate,
     finetune,
-    parse_recipe,
     pretrain,
     pretrain_trajectory,
     run_sweep,
@@ -50,19 +50,46 @@ def _small_cfg(**kw):
     return FineTuneConfig(**base)
 
 
-def test_parse_recipe_variants():
-    assert parse_recipe("erm") == {"dropout_rate": 0.0, "head_lr_mult": 1.0}
-    assert parse_recipe("dropout90") == {"dropout_rate": 0.9, "head_lr_mult": 1.0}
-    assert parse_recipe("dropout95") == {"dropout_rate": 0.95, "head_lr_mult": 1.0}
-    assert parse_recipe("headlr10") == {"dropout_rate": 0.0, "head_lr_mult": 10.0}
-    assert parse_recipe("dropout90+headlr10") == {"dropout_rate": 0.9, "head_lr_mult": 10.0}
+def test_recipe_parse_variants():
+    assert Recipe.parse("erm") == Recipe(dropout_rate=0.0, head_lr_mult=None)
+    assert Recipe.parse("dropout90") == Recipe(dropout_rate=0.9)
+    assert Recipe.parse("dropout95") == Recipe(dropout_rate=0.95)
+    assert Recipe.parse("headlr10") == Recipe(dropout_rate=0.0, head_lr_mult=10.0)
+    assert Recipe.parse("dropout90+headlr10") == Recipe(dropout_rate=0.9, head_lr_mult=10.0)
+    # integer percents give the same rate as dividing by 100
+    assert all(Recipe.parse(f"dropout{pct}").dropout_rate == pct / 100 for pct in range(100))
 
 
-def test_parse_recipe_rejects_unknown():
-    with pytest.raises(ValidationError):
-        parse_recipe("dropout101")
-    with pytest.raises(ValidationError):
-        parse_recipe("mystery")
+def test_recipe_parse_rejects_unknown():
+    for bad in ("dropout101", "dropout100", "dropout-1", "mystery", "dropoutabc", "headlr",
+                "headlrnan", "headlrinf", "dropoutnan", "headlr0", "headlr-2",
+                "dropout90+dropout50", "erm+dropout90"):
+        with pytest.raises(ValidationError):
+            Recipe.parse(bad)
+    for rate, mult in ((1.0, None), (-0.1, None), (float("nan"), None), (0.5, float("nan")),
+                       (0.5, float("inf")), (0.5, 0.0)):
+        with pytest.raises(ValidationError):
+            Recipe(rate, mult)
+
+
+def test_recipe_names_round_trip():
+    assert [Recipe.parse(n).name for n in ("erm", "dropout0", "dropout90.0", "headlr10.0",
+                                           "headlr10+dropout90", "erm+headlr2")] == [
+        "erm", "erm", "dropout90", "headlr10", "dropout90+headlr10", "headlr2"]
+    rng = np.random.default_rng(0)
+    rates = list(rng.random(200)) + [0.123456789, 0.683, 1e-12, 0.1 + 0.2]
+    for rate in rates:
+        for mult in (None, 1.23456789, float(rng.random() * 100)):
+            recipe = Recipe(float(rate), mult)
+            assert Recipe.parse(recipe.name) == recipe, recipe.name
+
+
+def test_recipe_apply_sets_rate_and_inherits_head_multiplier():
+    base = FineTuneConfig(dropout_rate=0.5, head_lr_mult=10.0)
+    erm = Recipe.parse("erm").apply(base, lr=0.5)
+    assert (erm.dropout_rate, erm.head_lr_mult, erm.lr) == (0.0, 10.0, 0.5)
+    both = Recipe.parse("dropout90+headlr2").apply(base)
+    assert (both.dropout_rate, both.head_lr_mult) == (0.9, 2.0)
 
 
 def test_config_validation():
@@ -71,6 +98,10 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         FineTuneConfig(total_iterations=30, checkpoint_interval=20)  # < 2 intervals
     FineTuneConfig(total_iterations=0)  # degenerate eval-only run is allowed
+    for name in ("lr", "weight_decay", "head_lr_mult", "momentum"):
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValidationError, match=name):
+                FineTuneConfig(**{name: value})
 
 
 def test_holdout_is_deterministic_and_config_independent(small_task):
@@ -315,6 +346,15 @@ def test_pretrain_zero_iterations_equals_init():
     fresh = new_residual_model(corpus.n_features, 8, 1, corpus.num_classes, seed=9)
     np.testing.assert_array_equal(ck.params, flatten_params(fresh))
     assert ck.provenance == "pretrained-plain"
+
+
+def test_pretrain_trajectory_snapshots_only_at_multiples():
+    corpus = gen_pretrain_corpus(False, 500, seed=3)
+    arch = {"width": 8, "depth": 1, "block_hidden": 8, "input_dim": corpus.n_features}
+    cfg = OptimizerSettings(iterations=50, batch_size=16)
+    ck, trace = pretrain_trajectory(arch, corpus, cfg, seed=2, snapshot_every=20)
+    assert [it for it, _ in trace] == [20, 40]
+    np.testing.assert_array_equal(ck.params, pretrain(arch, corpus, cfg, seed=2).params)
 
 
 def test_pretrain_determinism_and_rich_tag():

@@ -135,3 +135,42 @@ def test_write_report_emits_quartile_csv(toy_results, tmp_path):
     assert "report.md" in names and "quartiles.csv" in names
     header = (out / "quartiles.csv").read_text().splitlines()[0]
     assert header == "sweep,recipe,min,q25,median,q75,max,run_ids"
+
+
+def _recipe_sweep(tmp_path, name, recipes):
+    runs = [_run(r, 0, 0, 1, iid=0.9, ood=0.5 + 0.01 * i) for i, r in enumerate(recipes)]
+    summary = {
+        "schema_version": 1,
+        "meta": {
+            "provenance": "pretrained-rich",
+            "recipes": list(recipes),
+            "grid": [[0.01, 0.0]],
+            "seeds": [1],
+            "pool_seeds": False,
+            "splits": [{"index": 0, "test_env": 0, "train_envs": [1]}],
+            "base_config": {"total_iterations": 100, "batch_size": 16, "holdout_fraction": 0.2},
+        },
+        "selected": {
+            r["recipe"]: {"0": {"run_id": r["run_id"], "iid": 0.9, "ood": r["ood_acc"], "variants": {}}}
+            for r in runs
+        },
+        "aggregate_ood": {r["recipe"]: r["ood_acc"] for r in runs},
+        "quartiles": {},
+        "multi_run": {},
+    }
+    _sweep_dir(tmp_path, name, runs, summary)
+    return {r["recipe"]: r["ood_acc"] for r in runs}
+
+
+@pytest.mark.parametrize("recipes, curve, column", [
+    # headlrN recipes change more than the rate: in neither the curve nor the column
+    (["erm", "dropout0", "headlr10", "dropout90+headlr10"], ["erm", "dropout0"], None),
+    (["erm", "dropout50", "headlr10", "dropout90+headlr10"], ["erm", "dropout50"], "dropout50"),
+    (["erm", "dropout50", "dropout90", "dropout90+headlr10"], ["erm", "dropout50", "dropout90"],
+     "dropout90"),
+])
+def test_rate_curve_and_dropout_column_recipes(tmp_path, recipes, curve, column):
+    ood = _recipe_sweep(tmp_path, "sweep", recipes)
+    bundle = build_report(load_results(tmp_path))
+    assert [r["recipe"] for r in bundle.rate_tables[0]["rows"]] == curve
+    assert bundle.method_tables[0]["rows"][0]["dropout"] == (ood[column] if column else None)
