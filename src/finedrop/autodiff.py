@@ -10,6 +10,10 @@ of primitive ops behind a tensor. Calling `backward` while any reachable
 leaf still holds a gradient is an error, not accumulation: training loops
 must call `reset_grads` between steps, which keeps double-counting bugs
 loud in long sweeps.
+
+Training does not build graphs op by op: `models` computes a whole step
+with array code and enters it as one node through `make_node`. The op set
+stays as the reference that step is checked against, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "scale",
     "tensor_sum",
     "softmax_cross_entropy",
+    "make_node",
     "backward",
     "reset_grads",
     "finite_diff_grad",
@@ -105,6 +110,11 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp: Callable)
     return out
 
 
+# Public name for building a node outside the op set, such as a fused
+# training step: `vjp(g)` returns one gradient per parent, in parent order.
+make_node = _make
+
+
 @dataclass(frozen=True)
 class OpRecord:
     """One primitive operation in a trace: tag, inputs, output, backward rule."""
@@ -144,6 +154,10 @@ class ComputationRecord:
                 leaves.append(t)
 
         visit(root)
+        # visit holds itself through its closure; without this the cycle
+        # keeps the traced graph, activations included, alive until the
+        # next garbage-collection pass instead of freeing it with the record
+        del visit
         return cls(entries, leaves)
 
 

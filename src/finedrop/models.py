@@ -12,6 +12,14 @@ second layer of every block is zero-initialized: a fresh network computes
 identity-plus-projection, which both stabilizes from-scratch training and
 makes the degenerate decomposition directly testable.
 
+Training runs on `fused_forward` and `fused_backward`: one array-level
+pass over proj, blocks, inverted dropout, head and softmax cross-entropy,
+and its hand-derived backward, which repeats the float operations of the
+autodiff ops one for one, so loss and gradients equal the tape's bit for
+bit. Evaluation (`predict_proba`) runs the same forward in eval mode. The
+tape `forward` stays as the reference the fused pair is tested against and
+as the path `block_contributions` takes.
+
 Checkpoints are a single file: one line of compact JSON (the manifest:
 architecture, parameter shapes, iteration, run id, rng state) terminated by
 a newline, followed by the flat parameter vector as raw little-endian
@@ -35,6 +43,10 @@ __all__ = [
     "Checkpoint",
     "new_residual_model",
     "forward",
+    "Activations",
+    "fused_forward",
+    "fused_backward",
+    "check_labels",
     "block_contributions",
     "reinit_head",
     "flatten_params",
@@ -116,8 +128,7 @@ class ResidualModel:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for an [n, input_dim] batch."""
-        logits, _ = forward(self, x, dropout=None)
-        return ad.softmax(logits.data)
+        return ad.softmax(fused_forward(self, x).logits)
 
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -197,12 +208,15 @@ def _trunk(model: ResidualModel, x: ad.Tensor) -> tuple[ad.Tensor, list[ad.Tenso
     return h, terms
 
 
+def _check_batch(model: ResidualModel, x: np.ndarray) -> np.ndarray:
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValidationError(f"input must be [batch, {model.input_dim}], got shape {x.shape}")
+    return x
+
+
 def _as_batch(model: ResidualModel, x) -> ad.Tensor:
     xt = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
-    if xt.data.ndim != 2 or xt.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"input must be [batch, {model.input_dim}], got shape {xt.shape}"
-        )
+    _check_batch(model, xt.data)
     return xt
 
 
@@ -225,6 +239,104 @@ def forward(model: ResidualModel, x, dropout: DropoutSpec | None = None):
         head_in = phi
     logits = ad.add_bias(ad.matmul(head_in, model.head_w), model.head_b)
     return logits, phi
+
+
+@dataclass
+class Activations:
+    """What one `fused_forward` keeps for `fused_backward`."""
+
+    x: np.ndarray
+    hs: list[np.ndarray]  # the input of each block, then phi
+    actives: list[np.ndarray]  # per block: where the relu input is > 0
+    zs: list[np.ndarray]  # per block: the relu output
+    keep: np.ndarray | None  # the dropout mask; None when none was drawn
+    scale: float  # the inverted-dropout rescale 1/(1-rate)
+    head_in: np.ndarray
+    logits: np.ndarray
+    labels: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    loss: np.ndarray | None = None  # 0-d mean cross-entropy
+
+
+def check_labels(labels, n_rows: int, num_classes: int) -> None:
+    """The label checks of `ad.softmax_cross_entropy`, for the fused step.
+
+    A training loop runs them once on its whole label vector; every batch
+    is a subset of it.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n_rows:
+        raise ValidationError(
+            f"labels must be a length-{n_rows} integer vector, got shape {labels.shape}"
+        )
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValidationError(
+            f"labels out of range: saw [{labels.min()}, {labels.max()}] for {num_classes} classes"
+        )
+
+
+def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None = None, labels=None) -> Activations:
+    """The forward of `forward`, plus the loss when labels are given, on arrays.
+
+    Each float operation is the one the tape ops perform, so logits and
+    loss equal `forward` + `ad.softmax_cross_entropy` bit for bit, and the
+    mask stream is drawn exactly as `forward` draws it. Labels must already
+    have passed `check_labels`.
+    """
+    x = _check_batch(model, np.asarray(x, dtype=np.float64, order="C"))
+    h = x @ model.proj_w.data + model.proj_b.data
+    hs, actives, zs = [h], [], []
+    for blk in model.blocks:
+        a = h @ blk.w1.data + blk.b1.data
+        active = a > 0
+        z = np.where(active, a, 0.0)
+        h = h + (z @ blk.w2.data + blk.b2.data)
+        hs.append(h)
+        actives.append(active)
+        zs.append(z)
+    keep, scale, head_in = None, 1.0, h
+    if dropout is not None and dropout.active:
+        keep = batch_dropout_mask(h.shape[0], h.shape[1], dropout.rate, dropout._require_rng())
+        scale = 1.0 / (1.0 - dropout.rate)
+        head_in = (h * keep) * scale
+    logits = head_in @ model.head_w.data + model.head_b.data
+    act = Activations(x, hs, actives, zs, keep, scale, head_in, logits)
+    if labels is not None:
+        z = logits - logits.max(axis=1, keepdims=True)
+        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        act.labels = labels
+        act.loss = np.asarray(-log_probs[np.arange(x.shape[0]), labels].mean())
+        act.probs = np.exp(log_probs)
+    return act
+
+
+def fused_backward(model: ResidualModel, act: Activations, g) -> tuple[np.ndarray, ...]:
+    """Gradients of g * loss for every parameter, in named_parameters order.
+
+    Repeats the tape's vector-Jacobian products: `g @ w.T` and `a.T @ g`
+    for products, `g.sum(axis=0)` for biases, `g * mask` for relu and
+    dropout. Where the tape adds a block input's two gradients, the sum
+    has two terms, so its order cannot change the bits.
+    """
+    n = act.logits.shape[0]
+    d = act.probs.copy()
+    d[np.arange(n), act.labels] -= 1.0
+    d = d * (float(g) / n)
+    head = (act.head_in.T @ d, d.sum(axis=0))
+    dh = d @ model.head_w.data.T
+    if act.keep is not None:
+        dh = (dh * act.scale) * act.keep
+    blocks: list[np.ndarray] = []
+    for i in reversed(range(model.depth)):
+        blk = model.blocks[i]
+        dz = dh @ blk.w2.data.T
+        dw2, db2 = act.zs[i].T @ dh, dh.sum(axis=0)
+        da = dz * act.actives[i]
+        blocks[:0] = [act.hs[i].T @ da, da.sum(axis=0), dw2, db2]
+        dh = dh + da @ blk.w1.data.T
+    return (act.x.T @ dh, dh.sum(axis=0), *blocks, *head)
 
 
 def block_contributions(model: ResidualModel, x) -> list[ad.Tensor]:

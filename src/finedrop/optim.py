@@ -9,6 +9,14 @@ gradient before the momentum buffer,
 and the learning rate drops by decay_factor (default 0.1) once, at
 iteration total_iterations // 2. Parameter groups carry per-group
 multipliers so the head can train 10x faster than the trunk.
+
+The optimizer owns its parameters' storage: on construction it copies every
+group's arrays into one flat float64 vector and rebinds each tensor's
+`.data` to a view of it, next to one momentum vector and one per-element
+multiplier vector. A step gathers the gradients into one vector and updates
+all three in place, with the same float operations, in the same order, as
+a per-tensor loop. Rebinding a parameter's `.data` after the optimizer is
+built detaches it from that vector, so `step` refuses with a UsageError.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ class SgdOptimizer:
             raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
         if not (np.isfinite(weight_decay) and weight_decay >= 0):
             raise ValidationError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
+        if not (np.isfinite(decay_factor) and decay_factor > 0):
+            raise ValidationError(f"decay_factor must be positive and finite, got {decay_factor}")
         self.groups = {name: list(tensors) for name, tensors in groups.items()}
         self.lr = float(lr)
         self.total_iterations = int(total_iterations)
@@ -51,13 +61,27 @@ class SgdOptimizer:
             for name, mult in group_multipliers.items():
                 if name not in self.groups:
                     raise ValidationError(f"unknown parameter group {name!r}")
-                if not np.isfinite(mult):
-                    raise ValidationError(f"multiplier for group {name!r} must be finite, got {mult}")
+                if not (np.isfinite(mult) and mult > 0):
+                    raise ValidationError(f"multiplier for group {name!r} must be positive and finite, got {mult}")
                 self.multipliers[name] = float(mult)
         self.iteration = 0
-        self._buffers = {
-            name: [np.zeros_like(t.data) for t in tensors] for name, tensors in self.groups.items()
-        }
+
+        owned = [(name, t) for name, tensors in self.groups.items() for t in tensors]
+        if len({id(t) for _, t in owned}) != len(owned):
+            raise ValidationError("a tensor appears more than once in the parameter groups")
+        sizes = [t.data.size for _, t in owned]
+        self._w = np.empty(sum(sizes))
+        self._v = np.zeros_like(self._w)
+        self._g = np.empty_like(self._w)
+        self._lr_mult = np.repeat([self.multipliers[name] for name, _ in owned], sizes)
+        self._slots = []  # (group, tensor, the view its .data must still be)
+        offset = 0
+        for (name, t), size in zip(owned, sizes):
+            view = self._w[offset : offset + size].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            self._slots.append((name, t, view))
+            offset += size
 
     def lr_at(self, iteration: int, group: str | None = None) -> float:
         """Effective learning rate at an iteration, including the group multiplier."""
@@ -81,16 +105,23 @@ class SgdOptimizer:
         reset_grads, which keeps the no-silent-accumulation contract of
         backward() intact.
         """
-        for name, tensors in self.groups.items():
-            lr = self.lr_at(self.iteration, name)
-            buffers = self._buffers[name]
-            for t, v in zip(tensors, buffers):
-                if t.grad is None:
-                    raise UsageError(f"parameter in group {name!r} has no gradient; run backward first")
-                g = t.grad
-                if self.weight_decay != 0.0:
-                    g = g + self.weight_decay * t.data
-                v *= self.momentum
-                v += g
-                t.data = t.data - lr * v
+        grads = []
+        for name, t, view in self._slots:
+            if t.data is not view:
+                raise UsageError(
+                    f"a parameter in group {name!r} had its .data rebound after the optimizer "
+                    "was built; set parameter values before building the optimizer"
+                )
+            if t.grad is None:
+                raise UsageError(f"parameter in group {name!r} has no gradient; run backward first")
+            grads.append(t.grad.reshape(-1))
+        base = self.lr_at(self.iteration)
+        w, v, g = self._w, self._v, self._g
+        if grads:
+            np.concatenate(grads, out=g)
+        if self.weight_decay != 0.0:
+            g += self.weight_decay * w
+        v *= self.momentum
+        v += g
+        w -= (base * self._lr_mult) * v
         self.iteration += 1

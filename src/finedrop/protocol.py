@@ -35,6 +35,7 @@ import time
 from decimal import Decimal, InvalidOperation
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -44,8 +45,10 @@ from .errors import RunError, ValidationError
 from .models import (
     Checkpoint,
     ResidualModel,
+    check_labels,
     checkpoint_from_model,
-    forward,
+    fused_backward,
+    fused_forward,
     model_from_checkpoint,
     new_residual_model,
     reinit_head,
@@ -432,18 +435,23 @@ def build_variants(records) -> dict:
 
 
 def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, on_checkpoint) -> None:
-    """The one training loop: batch, forward, loss, backward, SGD step.
+    """The one training loop: batch, fused forward and loss, backward, SGD step.
 
-    After every `every`-th step and after the last one, on_checkpoint(steps
-    done) runs; a true return ends training. every=None never calls back.
-    A non-finite loss raises RunError at its iteration.
+    Each step's loss is a single tape node whose parents are the model's
+    parameters and whose backward is `fused_backward`, so `ad.backward`
+    fills every `.grad` for the optimizer as the op-by-op graph would.
+    Labels are checked once, on the whole of y. After every `every`-th step
+    and after the last one, on_checkpoint(steps done) runs; a true return
+    ends training. every=None never calls back. A non-finite loss raises
+    RunError at its iteration.
     """
     n = x.shape[0]
-    params = model.parameters()
+    check_labels(y, n, model.num_classes)
+    params = tuple(model.parameters())
     for it in range(iterations):
         idx = batch_rng.integers(0, n, size=batch_size)
-        logits, _ = forward(model, x[idx], dropout=dropout)
-        loss = ad.softmax_cross_entropy(logits, y[idx])
+        act = fused_forward(model, x[idx], dropout, y[idx])
+        loss = ad.make_node(act.loss, "fused_step", params, partial(fused_backward, model, act))
         if not np.isfinite(loss.item()):
             raise RunError("loss is not finite", iteration=it)
         ad.backward(loss)

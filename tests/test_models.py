@@ -1,12 +1,20 @@
+import gc
+import weakref
+from functools import partial
+
 import numpy as np
 import pytest
 
+from finedrop import autodiff as ad
 from finedrop.errors import FormatError, ValidationError
 from finedrop.models import (
     block_contributions,
+    check_labels,
     checkpoint_from_model,
     flatten_params,
     forward,
+    fused_backward,
+    fused_forward,
     load_checkpoint,
     model_from_checkpoint,
     new_residual_model,
@@ -284,3 +292,87 @@ def test_reinit_head_copies_trunk_and_keeps_meta():
     assert fresh.meta == model.meta and fresh.meta is not model.meta
     assert all(a.data is not b.data for a, b in zip(fresh.trunk_parameters(), model.trunk_parameters()))
     assert [name for name, _ in fresh.named_parameters()] == [name for name, _ in model.named_parameters()]
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return bytes(str((a.dtype, a.shape)), "ascii") + a.tobytes()
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_fused_step_matches_tape_bitwise(case):
+    # every depth 0-3 at every rate 0 / 0.5 / 0.9, block_hidden on both
+    # sides of width, batch 1 in a third of the cases; w2 and the biases are
+    # random because a fresh model's zero w2 makes block gradients trivial
+    rng = np.random.default_rng(900 + case)
+    depth, rate = case % 4, (0.0, 0.5, 0.9)[case // 4 % 3]
+    width = int(rng.integers(2, 9))
+    hidden = width - 1 if case % 2 else width + int(rng.integers(1, 5))
+    model = new_residual_model(int(rng.integers(1, 7)), width, depth, int(rng.integers(2, 5)),
+                               seed=case, block_hidden=hidden)
+    for blk in model.blocks:
+        blk.w2.data = rng.normal(size=blk.w2.shape)
+        blk.b1.data = rng.normal(size=blk.b1.shape)
+        blk.b2.data = rng.normal(size=blk.b2.shape)
+    model.proj_b.data = rng.normal(size=model.proj_b.shape)
+    model.head_b.data = rng.normal(size=model.head_b.shape)
+    batch = 1 if case % 3 == 0 else int(rng.integers(2, 33))
+    x = rng.normal(size=(batch, model.input_dim))
+    labels = rng.integers(0, model.num_classes, size=batch)
+    params = model.parameters()
+
+    tape_spec = DropoutSpec.seeded(rate, seed=case)
+    logits, _ = forward(model, x, tape_spec)
+    tape_loss = ad.softmax_cross_entropy(logits, labels)
+    ad.backward(tape_loss)
+    tape_grads = [t.grad for t in params]
+    ad.reset_grads(params)
+
+    fused_spec = DropoutSpec.seeded(rate, seed=case)
+    act = fused_forward(model, x, fused_spec, labels)
+    node = ad.make_node(act.loss, "fused_step", tuple(params), partial(fused_backward, model, act))
+    ad.backward(node)
+
+    assert _bits(node.data) == _bits(tape_loss.data)
+    assert _bits(act.logits) == _bits(logits.data)
+    for (name, t), want in zip(model.named_parameters(), tape_grads):
+        assert _bits(t.grad) == _bits(want), name
+    assert fused_spec.rng.bit_generator.state == tape_spec.rng.bit_generator.state
+    eval_logits, _ = forward(model, x)
+    assert _bits(model.predict_proba(x)) == _bits(ad.softmax(eval_logits.data))
+
+
+def test_fused_step_frees_its_activations_without_gc():
+    # a step's activations must go with its loss node; waiting for a
+    # garbage-collection pass let dozens of steps' activations pile up
+    model = new_residual_model(4, 8, 2, 3, seed=38)
+    rng = np.random.default_rng(38)
+    x, labels = rng.normal(size=(16, 4)), rng.integers(0, 3, size=16)
+    gc.disable()
+    try:
+        act = fused_forward(model, x, DropoutSpec.seeded(0.5, seed=1), labels)
+        held = weakref.ref(act.zs[0])
+        node = ad.make_node(act.loss, "fused_step", tuple(model.parameters()),
+                            partial(fused_backward, model, act))
+        ad.backward(node)
+        del act, node
+        assert held() is None
+    finally:
+        gc.enable()
+
+
+def test_fused_forward_validates_input_shape():
+    model = new_residual_model(4, 5, 1, 2, seed=37)
+    with pytest.raises(ValidationError):
+        fused_forward(model, np.ones((3, 7)))
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([[0, 1]]), np.array([0]), np.array([0.0, 1.0]), np.array([0, 2]), np.array([-1, 0]),
+])
+def test_check_labels_matches_cross_entropy_checks(labels):
+    with pytest.raises(ValidationError) as fused:
+        check_labels(labels, 2, 2)
+    with pytest.raises(ValidationError) as tape:
+        ad.softmax_cross_entropy(ad.Tensor(np.zeros((2, 2))), labels)
+    assert str(fused.value) == str(tape.value)

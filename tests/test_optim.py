@@ -93,10 +93,12 @@ def test_weight_decay_shrink_factor_exact():
 
 
 def test_missing_grad_is_usage_error():
-    w = _param([1.0])
-    opt = SgdOptimizer({"trunk": [w]}, lr=0.1, total_iterations=10)
-    with pytest.raises(UsageError):
+    trunk, head = _param([1.0]), _param([2.0])
+    opt = SgdOptimizer({"trunk": [trunk], "head": [head]}, lr=0.1, total_iterations=10)
+    trunk.grad = np.ones(1)
+    with pytest.raises(UsageError, match="'head'"):
         opt.step()
+    assert trunk.data[0] == 1.0  # a refused step updates nothing
 
 
 def test_determinism_identical_state_identical_update():
@@ -121,8 +123,79 @@ def test_unknown_group_multiplier_rejected():
     {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
     {"momentum": float("nan")}, {"momentum": float("inf")},
     {"group_multipliers": {"trunk": float("nan")}},
+    # finite but harmful: a multiplier <= 0 stalls or ascends the gradient,
+    # a decay factor <= 0 or non-finite breaks every lr after the midpoint
+    {"group_multipliers": {"trunk": -1.0}}, {"group_multipliers": {"trunk": 0.0}},
+    {"decay_factor": float("nan")}, {"decay_factor": float("inf")},
+    {"decay_factor": -1.0}, {"decay_factor": 0.0},
 ])
 def test_non_finite_hyperparameters_rejected(kwargs):
     settings = {"lr": 0.1, **kwargs}
     with pytest.raises(ValidationError):
         SgdOptimizer({"trunk": [_param([1.0])]}, total_iterations=5, **settings)
+
+
+def _per_tensor_sgd(groups, grad_steps, lr, total, momentum, weight_decay, multipliers, decay=0.1):
+    """The update written per tensor: the reference the flat vector must match bit for bit."""
+    weights = {name: [w.copy() for w in ws] for name, ws in groups.items()}
+    buffers = {name: [np.zeros_like(w) for w in ws] for name, ws in groups.items()}
+    for it, grads in enumerate(grad_steps):
+        base = lr
+        if total > 0 and it >= total // 2:
+            base *= decay
+        for name, ws in weights.items():
+            rate = base * multipliers.get(name, 1.0)
+            for j, v in enumerate(buffers[name]):
+                g = grads[name][j]
+                if weight_decay != 0.0:
+                    g = g + weight_decay * ws[j]
+                v *= momentum
+                v += g
+                ws[j] = ws[j] - rate * v
+    return weights
+
+
+@pytest.mark.parametrize("head_only", [False, True])
+def test_flat_update_equals_per_tensor_loop_bitwise(head_only):
+    rng = np.random.default_rng(7)
+    shapes = {"trunk": [(3, 4), (4,), (4, 4), (4,)], "head": [(4, 3), (3,)]}
+    init = {name: [rng.normal(size=s) for s in ss] for name, ss in shapes.items()}
+    if head_only:  # the freeze_trunk case: the trunk is outside the optimizer
+        del shapes["trunk"]
+    total = 12
+    grad_steps = [{name: [rng.normal(size=s) for s in ss] for name, ss in shapes.items()}
+                  for _ in range(total)]
+    settings = dict(lr=0.05, momentum=0.9, weight_decay=1e-3)
+    multipliers = {"head": 10.0}
+    want = _per_tensor_sgd({n: init[n] for n in shapes}, grad_steps, total=total,
+                           multipliers=multipliers, **settings)
+
+    tensors = {name: [_param(a) for a in init[name]] for name in init}
+    opt = SgdOptimizer({n: tensors[n] for n in shapes}, total_iterations=total,
+                       group_multipliers=multipliers, **settings)
+    for grads in grad_steps:  # crosses the midpoint decay at step 6
+        for name in shapes:
+            for t, g in zip(tensors[name], grads[name]):
+                t.grad = g
+        opt.step()
+    for name in shapes:
+        for t, w in zip(tensors[name], want[name]):
+            assert t.data.tobytes() == w.tobytes()
+    if head_only:
+        for t, a in zip(tensors["trunk"], init["trunk"]):
+            assert t.data.tobytes() == a.tobytes()
+
+
+def test_rebinding_data_after_construction_is_usage_error():
+    w = _param([1.0, 2.0])
+    opt = SgdOptimizer({"trunk": [w]}, lr=0.1, total_iterations=10)
+    w.data = np.array([3.0, 4.0])  # detached from the optimizer's vector
+    w.grad = np.ones(2)
+    with pytest.raises(UsageError, match="rebound"):
+        opt.step()
+
+
+def test_tensor_in_two_groups_rejected():
+    w = _param([1.0])
+    with pytest.raises(ValidationError):
+        SgdOptimizer({"trunk": [w], "head": [w]}, lr=0.1, total_iterations=10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finedrop import autodiff as ad
-from finedrop.datasets import gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
+from finedrop.datasets import EnvDataset, gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
 from finedrop.errors import RunError, ValidationError
 from finedrop.models import (
     checkpoint_from_model,
@@ -385,6 +385,28 @@ def test_pretrain_diverges_to_run_error():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RunError) as exc:
         pretrain(arch, corpus, OptimizerSettings(lr=1e9, iterations=50, batch_size=16), seed=0)
     assert exc.value.iteration is not None
+
+
+def _relabeled(ds, labels, num_classes):
+    return EnvDataset(ds.features, labels, ds.env_ids, {**ds.manifest, "num_classes": num_classes})
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_labels_outside_head_classes_rejected(small_task, small_start, bad):
+    # the fused step indexes probabilities by label, so a label the head
+    # has no column for must stop training with the cross-entropy's error
+    corpus = gen_pretrain_corpus(False, 500, seed=3)
+    labels = corpus.labels % 2
+    labels[::7] = bad
+    arch = {"width": 8, "depth": 1, "block_hidden": 8, "input_dim": corpus.n_features}
+    with pytest.raises(ValidationError, match="labels out of range"):
+        pretrain(arch, _relabeled(corpus, labels, 2), OptimizerSettings(iterations=5, batch_size=16), seed=0)
+
+    labels = small_task.labels.copy()
+    labels[::7] = bad
+    split = leave_one_out_splits(_relabeled(small_task, labels, 2))[0]
+    with pytest.raises(ValidationError, match="labels out of range"):
+        finetune(small_start, split, _small_cfg())
 
 
 def test_run_sweep_single_point_selection(small_task, small_start):
