@@ -515,14 +515,16 @@ def pretrain_trajectory(
     return checkpoint_from_model(model, opt_cfg.iterations, f"pretrain-{provenance}-seed{seed}"), trace
 
 
-def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig) -> RunRecord:
+def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=None) -> RunRecord:
     """Fine-tune from a checkpoint on one split under one config.
 
     Reinitializes the head for the split's label set, trains on the pooled
     training environments minus the iid holdout, applies inverted dropout to
     the penultimate representation in train mode only, checkpoints at the
     configured interval, and evaluates the best-iid checkpoint on the held
-    out environment with dropout off.
+    out environment with dropout off. holdout is the (train, validation)
+    index pair split_holdout(split, cfg.seed) returns, for a caller that
+    already has it; None computes it.
     """
     t0 = time.perf_counter()
     ds = split.dataset
@@ -532,7 +534,7 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig) -> RunReco
             f"checkpoint expects {model.input_dim} input features, dataset has {ds.n_features}"
         )
     streams = _streams(cfg.seed, split.test_env)
-    train_idx, val_idx = split_holdout(split, cfg.seed)
+    train_idx, val_idx = split_holdout(split, cfg.seed) if holdout is None else holdout
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
 
     model = reinit_head(model, ds.num_classes, streams["head_seed"])
@@ -627,14 +629,15 @@ def _score_arms(arms: dict, split: EnvSplit, val_idx: np.ndarray) -> dict:
 
 def _execute_sweep_run(args) -> RunRecord:
     start, split, cfg, recipe, split_index, grid_index = args
+    holdout = split_holdout(split, cfg.seed)  # the run and its single-run arms share it
     try:
-        record = finetune(start, split, cfg)
+        record = finetune(start, split, cfg, holdout)
     except RunError as exc:
         return RunRecord(cfg, recipe=recipe, split_index=split_index, test_env=split.test_env,
                          train_envs=split.train_envs, grid_index=grid_index, seed=cfg.seed,
                          status="failed", error=str(exc), error_iteration=exc.iteration, run_id=cfg.run_id)
     record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-    record.variants = _score_arms(build_variants(record), split, split_holdout(split, cfg.seed)[1])
+    record.variants = _score_arms(build_variants(record), split, holdout[1])
     return record
 
 

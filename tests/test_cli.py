@@ -267,3 +267,20 @@ def test_output_root_env_var(tmp_path, monkeypatch, capsys):
         "--seed", "1", "--out", "nested/data",
     ]) == 0
     assert (tmp_path / "nested" / "data" / "manifest.json").exists()
+
+
+def test_malformed_dataset_value_exits_2_naming_file(tmp_path, capsys):
+    data = tmp_path / "task"
+    assert main(["gen-data", "--task", "redundant", "--n-features", "4", "--n-samples", "20",
+                 "--seed", "1", "--out", str(data)]) == 0
+    path = data / "env_0.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = "abc" + lines[5][lines[5].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+                 "--iterations", "5", "--width", "4", "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "env_0.csv" in err and "'abc'" in err
+    assert "Traceback" not in err

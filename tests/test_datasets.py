@@ -259,3 +259,117 @@ def test_xor_task_is_not_linearly_separable_but_parity_solves_it():
     # last environment is the noisier, shifted one
     mults = [e["params"]["noise_mult"] for e in ds.manifest["environments"]]
     assert mults[-1] > 1.0 and all(m == 1.0 for m in mults[:-1])
+
+
+# ---------------------------------------------------------------------------
+# CSV persistence: exactness against the per-value writer, malformed files
+# ---------------------------------------------------------------------------
+
+
+def _per_value_save(dataset, directory):
+    """The writer save_dataset replaced, one f-string per value: the byte oracle."""
+    directory.mkdir()
+    with open(directory / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(dataset.manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    d = dataset.n_features
+    header = ",".join([f"f{i}" for i in range(d)] + ["label", "env_id"])
+    for env_id in dataset.environment_ids:
+        with open(directory / f"env_{env_id}.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for i in dataset.env_indices(env_id):
+                row = [f"{v:.17g}" for v in dataset.features[i]]
+                row += [str(int(dataset.labels[i])), str(int(dataset.env_ids[i]))]
+                fh.write(",".join(row) + "\n")
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e23, 3.0, -7.0, 1e16]
+
+
+def _edge_dataset():
+    values = np.array(_EDGE_VALUES)
+    features = np.stack([values, -values[::-1], values * 1e-300, np.roll(values, 4)], axis=1)
+    n = features.shape[0]
+    manifest = {
+        "n_features": 4,
+        "num_classes": 3,
+        "environments": [{"id": 0, "name": "a", "params": {}}, {"id": 2, "name": "b", "params": {}}],
+    }
+    env_ids = np.where(np.arange(n) % 3 == 1, 2, 0)
+    return EnvDataset(features, np.arange(n) % 3, env_ids, manifest)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_multienv_task(4, 4, 3, 1.0, n_per_env=60, seed=18, n_inert=2),
+    lambda: gen_redundant_features(3, 9000, 0.1, seed=21),  # one env over three write blocks
+    _edge_dataset,
+], ids=["multienv", "multi-block", "edge-values"])
+def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, make):
+    ds = make()
+    save_dataset(ds, tmp_path / "new")
+    _per_value_save(ds, tmp_path / "oracle")
+    names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes(), name
+    back = load_dataset(tmp_path / "new")
+    order = np.concatenate([ds.env_indices(e) for e in ds.environment_ids])
+    np.testing.assert_array_equal(back.features.view(np.int64), ds.features[order].view(np.int64))
+    np.testing.assert_array_equal(back.labels, ds.labels[order])
+    np.testing.assert_array_equal(back.env_ids, ds.env_ids[order])
+    assert back.features.flags.c_contiguous
+
+
+def test_header_only_env_file_loads_as_empty_environment(tmp_path):
+    ds = gen_multienv_task(3, 2, 2, 1.0, n_per_env=5, seed=19)
+    save_dataset(ds, tmp_path / "ds")
+    header = (tmp_path / "ds" / "env_1.csv").read_text().splitlines()[0]
+    (tmp_path / "ds" / "env_1.csv").write_text(header + "\n")
+    back = load_dataset(tmp_path / "ds")  # filterwarnings=error: a loadtxt warning would fail here
+    assert back.counts_per_env() == {0: 5, 1: 0, 2: 5}
+    assert back.features.shape == (10, 4)
+
+
+def _write_tiny(directory, rows, n_features=2):
+    directory.mkdir()
+    manifest = {"n_features": n_features, "num_classes": 2,
+                "environments": [{"id": 0, "name": "only", "params": {}}]}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    (directory / "env_0.csv").write_text("f0,f1,label,env_id\n" + "".join(r + "\n" for r in rows))
+
+
+@pytest.mark.parametrize("bad_row, needle", [
+    ("0.5,1", "columns"),
+    ("0.5,1,1,0,7", "columns"),
+    ("0.5,abc,1,0", "abc"),
+    ("0.5,1,1.0,0", "1.0"),
+    ("0.5,1,1,x", "'x'"),
+    ("", "empty line"),
+], ids=["short-row", "long-row", "non-numeric-feature", "non-integer-label", "non-integer-env-id",
+        "empty-line"])
+def test_malformed_row_raises_format_error_naming_file(tmp_path, bad_row, needle):
+    _write_tiny(tmp_path / "ds", [bad_row, "-3,0.75,0,0"])
+    with pytest.raises(FormatError) as exc:
+        load_dataset(tmp_path / "ds")
+    assert "env_0.csv" in str(exc.value)
+    assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize("n_features", [-1, "abc", 2.5, True])
+def test_bad_manifest_feature_count_raises_format_error(tmp_path, n_features):
+    _write_tiny(tmp_path / "ds", ["0.5,1,1,0"], n_features)
+    with pytest.raises(FormatError, match="n_features"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_env_id_from_another_file_raises_format_error(tmp_path):
+    ds = gen_multienv_task(2, 2, 2, 1.0, n_per_env=4, seed=20)
+    save_dataset(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / "env_1.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_dataset(tmp_path / "ds")
+    assert "env_1.csv" in str(exc.value)
+    assert "data row 3 has env_id 0, expected 1" in str(exc.value)

@@ -435,6 +435,19 @@ def test_run_sweep_parallel_matches_serial(small_task, small_start):
     )
 
 
+def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatch):
+    from finedrop import protocol
+
+    seeds = []
+    real = protocol.split_holdout
+    monkeypatch.setattr(protocol, "split_holdout", lambda split, seed: seeds.append(seed) or real(split, seed))
+    splits = [leave_one_out_splits(small_task)[0]]
+    result = run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm", "dropout90"],
+                       seeds=[1], base_cfg=_small_cfg())
+    assert len(result.runs) == 4
+    assert len(seeds) == 4 + 1  # one per run (fine-tune and single-run arms), one for the multi-run arms
+
+
 def test_run_sweep_records_failures_without_dying(small_task, small_start):
     splits = [leave_one_out_splits(small_task)[0]]
     with np.errstate(over="ignore", invalid="ignore"):
