@@ -557,7 +557,9 @@ def load_dataset(directory) -> EnvDataset:
     decimal strings to float64 exactly as float() does. A row with the wrong
     column count, a non-numeric feature, a non-integer label or env id, or
     an env id other than its file's raises FormatError naming the file. A
-    header-only file is an environment with no rows.
+    header-only file is an environment with no rows. Every manifest
+    environment needs a unique integer "id"; otherwise FormatError names
+    manifest.json.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -573,10 +575,20 @@ def load_dataset(directory) -> EnvDataset:
     d = manifest["n_features"]
     if type(d) is not int or d < 0:
         raise FormatError(f"manifest.json: n_features must be a non-negative integer, got {d!r}")
+    envs = manifest["environments"]
+    if not isinstance(envs, list):
+        raise FormatError(f"manifest.json: environments must be a list, got {envs!r}")
+    seen = set()
+    for env in envs:
+        if not isinstance(env, dict) or type(env.get("id")) is not int:
+            raise FormatError(f"manifest.json: environment {env!r} needs an integer 'id'")
+        if env["id"] in seen:
+            raise FormatError(f"manifest.json: environment id {env['id']} is listed twice")
+        seen.add(env["id"])
     expected_header = ",".join([f"f{i}" for i in range(d)] + ["label", "env_id"])
     row_dtype = np.dtype([("f", np.float64, (d,)), ("label", np.int64), ("env_id", np.int64)])
     parts = [np.empty(0, row_dtype)]
-    for env in manifest["environments"]:
+    for env in envs:
         path = os.path.join(directory, f"env_{env['id']}.csv")
         if not os.path.exists(path):
             raise FormatError(f"manifest names environment {env['id']} but env_{env['id']}.csv is missing")

@@ -16,9 +16,12 @@ Training runs on `fused_forward` and `fused_backward`: one array-level
 pass over proj, blocks, inverted dropout, head and softmax cross-entropy,
 and its hand-derived backward, which repeats the float operations of the
 autodiff ops one for one, so loss and gradients equal the tape's bit for
-bit. Evaluation (`predict_proba`) runs the same forward in eval mode. The
-tape `forward` stays as the reference the fused pair is tested against and
-as the path `block_contributions` takes.
+bit. Evaluation (`ResidualModel.predict_proba`) has a kernel of its own: it
+walks the rows in chunks of EVAL_CHUNK_ROWS through buffers allocated once
+per call, keeps no activations, and equals
+`ad.softmax(forward(model, x)[0].data)` bit for bit. The tape `forward`
+stays as the reference both are tested against and as the path
+`block_contributions` takes.
 
 Checkpoints are a single file: one line of compact JSON (the manifest:
 architecture, parameter shapes, iteration, run id, rng state) terminated by
@@ -57,6 +60,8 @@ __all__ = [
 ]
 
 PROVENANCE_TAGS = ("scratch", "pretrained-plain", "pretrained-rich")
+
+EVAL_CHUNK_ROWS = 512  # rows per chunk of `ResidualModel.predict_proba`
 
 
 @dataclass
@@ -127,8 +132,74 @@ class ResidualModel:
         return [t for name, t in self.named_parameters() if name.startswith("head")]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode class probabilities for an [n, input_dim] batch."""
-        return ad.softmax(fused_forward(self, x).logits)
+        """Eval-mode class probabilities for an [n, input_dim] batch.
+
+        Equal bit for bit to `ad.softmax(forward(model, x)[0].data)`. The
+        rows go through in chunks of EVAL_CHUNK_ROWS, each op writing into
+        per-call chunk buffers or the output, so no activation of the whole
+        batch is ever held. A one-row remainder joins the chunk before it:
+        numpy multiplies a single row with gemv, whose bits can differ from
+        the gemm row the whole batch would get.
+        """
+        x = _check_batch(self, np.asarray(x, dtype=np.float64, order="C"))
+        n, classes = x.shape[0], self.num_classes
+        out = np.empty((n, classes))
+        rows = min(n, EVAL_CHUNK_ROWS + 1)
+        h = np.empty((rows, self.width))
+        a = np.empty((rows, self.arch()["block_hidden"]))
+        f = np.empty((rows, self.width))
+        top, total = np.empty((rows, 1)), np.empty((rows, 1))
+        start = 0
+        while start < n:
+            stop = n if n - start <= EVAL_CHUNK_ROWS + 1 else start + EVAL_CHUNK_ROWS
+            m = stop - start
+            hc, ac, fc, p = h[:m], a[:m], f[:m], out[start:stop]
+            np.matmul(x[start:stop], self.proj_w.data, out=hc)
+            hc += self.proj_b.data
+            for blk in self.blocks:
+                np.matmul(hc, blk.w1.data, out=ac)
+                ac += blk.b1.data
+                _relu_inplace(ac)
+                np.matmul(ac, blk.w2.data, out=fc)
+                fc += blk.b2.data
+                hc += fc
+            np.matmul(hc, self.head_w.data, out=p)
+            p += self.head_b.data
+            _softmax_rows(p, top[:m], total[:m])
+            start = stop
+        return out
+
+
+def _relu_inplace(a: np.ndarray) -> None:
+    """a = np.where(a > 0, a, 0.0) in place, with the same bits.
+
+    np.fmax maps NaN to 0 and is several times faster than np.where;
+    adding +0.0 then turns a -0.0 it may keep into +0.0.
+    """
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+
+
+def _softmax_rows(p: np.ndarray, top: np.ndarray, total: np.ndarray) -> None:
+    """`ad.softmax` in place on p, with [rows, 1] scratch for its row max and sum."""
+    if p.shape[1] < 8:
+        # Column by column is cheaper than a reduction over so few columns.
+        # A max is exact in any order, and numpy sums fewer than 8 terms
+        # left to right, so both equal max(axis=1) and sum(axis=1).
+        np.copyto(top, p[:, :1])
+        for j in range(1, p.shape[1]):
+            np.maximum(top, p[:, j : j + 1], out=top)
+        p -= top
+        np.exp(p, out=p)
+        np.copyto(total, p[:, :1])
+        for j in range(1, p.shape[1]):
+            total += p[:, j : j + 1]
+    else:
+        np.max(p, axis=1, keepdims=True, out=top)
+        p -= top
+        np.exp(p, out=p)
+        np.sum(p, axis=1, keepdims=True, out=total)
+    p /= total
 
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -449,7 +520,9 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
     """Read a checkpoint file; refuses truncated files and mismatched manifests.
 
     expect_arch, when given, must equal the manifest's arch dict; a mismatch
-    raises ValidationError naming both.
+    raises ValidationError naming both. A NaN or infinite parameter raises
+    FormatError naming the file and the first such index, so a bad start
+    checkpoint is refused before any training.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -475,6 +548,10 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
             f"architecture mismatch: file manifest {header['arch']} vs requested {dict(expect_arch)}"
         )
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise FormatError(f"{path}: parameter {bad[0]} is {params[bad[0]]}, not finite",
+                          offset=newline + 1 + 8 * int(bad[0]))
     manifest = {k: header[k] for k in header if k not in ("iteration", "run_id", "rng_state")}
     return Checkpoint(
         params,

@@ -224,9 +224,17 @@ class Recipe:
 
 @dataclass
 class TrailPoint:
+    """One checkpoint of a fine-tune and its accuracy on the iid holdout.
+
+    holdout_probs are the holdout class probabilities the accuracy was
+    taken from, kept so the single-run ensemble is scored without
+    evaluating the trail again; a sweep drops them once its arms are scored.
+    """
+
     checkpoint: Checkpoint
     iteration: int
     iid_val_acc: float
+    holdout_probs: np.ndarray | None = None
 
 
 @dataclass
@@ -338,6 +346,11 @@ def split_holdout(split: EnvSplit, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose argmax class is the label; ties go to the lowest index."""
+    return float(np.mean(np.argmax(probs, axis=1) == labels))
+
+
 def evaluate(model, data, labels=None) -> float:
     """Eval-mode argmax accuracy; ties resolve to the lowest class index.
 
@@ -354,9 +367,7 @@ def evaluate(model, data, labels=None) -> float:
         labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
-    probs = model.predict_proba(features)
-    preds = np.argmax(probs, axis=1)
-    return float(np.mean(preds == labels))
+    return _accuracy(model.predict_proba(features), labels)
 
 
 @dataclass
@@ -522,9 +533,10 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=No
     training environments minus the iid holdout, applies inverted dropout to
     the penultimate representation in train mode only, checkpoints at the
     configured interval, and evaluates the best-iid checkpoint on the held
-    out environment with dropout off. holdout is the (train, validation)
-    index pair split_holdout(split, cfg.seed) returns, for a caller that
-    already has it; None computes it.
+    out environment with dropout off. Each trail point keeps the holdout
+    probabilities its accuracy came from. holdout is the (train,
+    validation) index pair split_holdout(split, cfg.seed) returns, for a
+    caller that already has it; None computes it.
     """
     t0 = time.perf_counter()
     ds = split.dataset
@@ -553,8 +565,9 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=No
 
     def checkpoint(done: int) -> bool:
         nonlocal best_acc, since_best
-        acc = evaluate(model, x_val, y_val)
-        trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, acc))
+        probs = model.predict_proba(x_val)
+        acc = _accuracy(probs, y_val)
+        trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, acc, probs))
         if acc > best_acc:
             best_acc, since_best = acc, 0
         else:
@@ -627,6 +640,25 @@ def _score_arms(arms: dict, split: EnvSplit, val_idx: np.ndarray) -> dict:
     }
 
 
+def _score_single_run_arms(record: RunRecord, split: EnvSplit, val_idx: np.ndarray) -> dict:
+    """`_score_arms(build_variants(record), split, val_idx)`, from the trail's cache.
+
+    The ensemble's holdout probabilities are the mean of those each trail
+    point kept, the same `np.stack(...).mean(axis=0)` that ensemble_predict
+    takes, so the scores are equal; only its held-out environment
+    probabilities are computed here, once per checkpoint.
+    """
+    trail = [p.checkpoint for p in record.trail]
+    scores = _score_arms({"wa_single": weight_average(trail)}, split, val_idx)
+    ds = split.dataset
+    ensemble = EnsemblePredictor([model_from_checkpoint(c) for c in trail])
+    scores["ensemble_single"] = {
+        "iid": _accuracy(np.stack([p.holdout_probs for p in record.trail]).mean(axis=0), ds.labels[val_idx]),
+        "ood": evaluate(ensemble, *ds.env_arrays(split.test_env)),
+    }
+    return scores
+
+
 def _execute_sweep_run(args) -> RunRecord:
     start, split, cfg, recipe, split_index, grid_index = args
     holdout = split_holdout(split, cfg.seed)  # the run and its single-run arms share it
@@ -637,7 +669,9 @@ def _execute_sweep_run(args) -> RunRecord:
                          train_envs=split.train_envs, grid_index=grid_index, seed=cfg.seed,
                          status="failed", error=str(exc), error_iteration=exc.iteration, run_id=cfg.run_id)
     record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-    record.variants = _score_arms(build_variants(record), split, holdout[1])
+    record.variants = _score_single_run_arms(record, split, holdout[1])
+    for point in record.trail:  # scored: not worth shipping back from a worker
+        point.holdout_probs = None
     return record
 
 

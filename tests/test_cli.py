@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from finedrop.cli import main, parse_config_file
@@ -284,3 +285,37 @@ def test_malformed_dataset_value_exits_2_naming_file(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and "env_0.csv" in err and "'abc'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("environments, needle", [
+    ([{"name": "a"}], "needs an integer 'id'"),
+    ([{"id": 0}, {"id": 0}], "environment id 0 is listed twice"),
+], ids=["missing-id", "duplicate-id"])
+def test_bad_manifest_environment_exits_2_naming_manifest(tmp_path, capsys, environments, needle):
+    data = tmp_path / "task"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps({"n_features": 2, "environments": environments}))
+    (data / "env_0.csv").write_text("f0,f1,label,env_id\n0.5,1,1,0\n")
+    code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+                 "--iterations", "5", "--width", "4", "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "manifest.json" in err and needle in err
+    assert "Traceback" not in err
+
+
+def test_finetune_from_non_finite_checkpoint_exits_2_before_training(pipeline_dirs, tmp_path, capsys,
+                                                                     monkeypatch):
+    from finedrop import protocol
+
+    raw = pipeline_dirs["ckpt"].read_bytes()
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    monkeypatch.setattr(protocol, "_train", lambda *args: pytest.fail("training started"))
+    capsys.readouterr()
+    code = main(["finetune", "--data", str(pipeline_dirs["data"]), "--start", str(bad),
+                 "--test-env", "2", "--iterations", "40", "--batch-size", "16",
+                 "--checkpoint-interval", "20", "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(bad) in err and "not finite" in err

@@ -362,6 +362,26 @@ def test_bad_manifest_feature_count_raises_format_error(tmp_path, n_features):
         load_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("entry", [{"name": "a"}, {"id": "0"}, {"id": True}, {"id": 0.0}, 0, None],
+                         ids=["no-id", "string-id", "bool-id", "float-id", "not-an-object", "null"])
+def test_manifest_environment_without_integer_id_raises_format_error(tmp_path, entry):
+    _write_tiny(tmp_path / "ds", ["0.5,1,1,0"])
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    manifest["environments"].append(entry)
+    (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="manifest.json: environment .* needs an integer 'id'"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_manifest_listing_an_environment_twice_raises_format_error(tmp_path):
+    _write_tiny(tmp_path / "ds", ["0.5,1,1,0"])
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    manifest["environments"] *= 2
+    (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="manifest.json: environment id 0 is listed twice"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_env_id_from_another_file_raises_format_error(tmp_path):
     ds = gen_multienv_task(2, 2, 2, 1.0, n_per_env=4, seed=20)
     save_dataset(ds, tmp_path / "ds")

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -8,6 +9,8 @@ import pytest
 from finedrop import autodiff as ad
 from finedrop.errors import FormatError, ValidationError
 from finedrop.models import (
+    EVAL_CHUNK_ROWS,
+    _relu_inplace,
     block_contributions,
     check_labels,
     checkpoint_from_model,
@@ -201,6 +204,22 @@ def test_truncated_checkpoint_raises_format_error(tmp_path):
     assert exc.value.offset is not None
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_parameter_raises_format_error(tmp_path, value):
+    model = new_residual_model(4, 5, 1, 2, seed=35)
+    path = tmp_path / "model.ckpt"
+    ckpt = save_checkpoint(model, 0, "r", path)
+    raw = path.read_bytes()
+    body = len(raw) - ckpt.params.nbytes
+    bad = ckpt.params.copy()
+    bad[7] = value
+    path.write_bytes(raw[:body] + bad.astype("<f8").tobytes())
+    with pytest.raises(FormatError) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value) and "parameter 7" in str(exc.value)
+    assert exc.value.offset == body + 7 * 8
+
+
 def test_garbage_manifest_raises_format_error(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not json at all\n\x00\x01")
@@ -376,3 +395,63 @@ def test_check_labels_matches_cross_entropy_checks(labels):
     with pytest.raises(ValidationError) as tape:
         ad.softmax_cross_entropy(ad.Tensor(np.zeros((2, 2))), labels)
     assert str(fused.value) == str(tape.value)
+
+
+def _eval_oracle(model, x):
+    return ad.softmax(forward(model, x)[0].data)
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("hidden_side", ["below", "above"])
+def test_predict_proba_matches_tape_bitwise(depth, hidden_side):
+    # chunk boundaries at every row count that can split differently, and
+    # class counts on both sides of the 8 where numpy's row sum turns pairwise
+    c = EVAL_CHUNK_ROWS
+    for classes in (1, 2, 3, 8, 10):
+        rng = np.random.default_rng(100 * depth + classes)
+        width = 6
+        hidden = width - 2 if hidden_side == "below" else width + 3
+        model = new_residual_model(3, width, depth, classes, seed=depth, block_hidden=hidden)
+        for blk in model.blocks:
+            blk.w2.data = rng.normal(size=blk.w2.shape)
+            blk.b1.data = rng.normal(size=blk.b1.shape)
+            blk.b2.data = rng.normal(size=blk.b2.shape)
+        model.head_b.data = 3.0 * rng.normal(size=classes)
+        for n in (0, 1, c - 1, c, c + 1, 3 * c + 5):
+            x = 3.0 * rng.normal(size=(n, 3))
+            assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x)), (classes, n)
+
+
+def test_predict_proba_matches_tape_when_relu_inputs_are_exactly_zero():
+    model = new_residual_model(3, 5, 2, 3, seed=40, block_hidden=4)
+    rng = np.random.default_rng(40)
+    for blk in model.blocks:
+        blk.w1.data[:, :2] = 0.0  # the relu inputs of units 0 and 1 are exactly 0
+        blk.b1.data = np.array([0.0, -0.0, 0.5, -0.5])
+        blk.w2.data = rng.normal(size=blk.w2.shape)
+    x = rng.normal(size=(EVAL_CHUNK_ROWS + 7, 3))
+    pre = x @ model.proj_w.data + model.proj_b.data
+    assert np.count_nonzero(pre @ model.blocks[0].w1.data + model.blocks[0].b1.data == 0.0) > 0
+    assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x))
+
+
+def test_relu_inplace_has_the_bits_of_where():
+    values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5])
+    got = values.copy()
+    _relu_inplace(got)
+    assert _bits(got) == _bits(np.where(values > 0, values, 0.0))
+
+
+def test_predict_proba_holds_no_whole_batch_activation():
+    model = new_residual_model(20, 64, 4, 10, seed=41)
+    x = np.random.default_rng(41).normal(size=(5000, 20))
+    out_bytes = 5000 * 10 * 8
+    model.predict_proba(x[:10])  # warm up numpy's lazily built state
+    tracemalloc.start()
+    try:
+        model.predict_proba(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output plus three chunk-sized buffers; one [5000, 64] activation is 2.56 MB
+    assert peak < 4 * out_bytes, peak

@@ -448,6 +448,30 @@ def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatc
     assert len(seeds) == 4 + 1  # one per run (fine-tune and single-run arms), one for the multi-run arms
 
 
+@pytest.mark.parametrize("recipe", ["erm", "dropout90"])
+def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task, small_start, recipe):
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[0]
+    cfg = Recipe.parse(recipe).apply(_small_cfg())
+    holdout = split_holdout(split, cfg.seed)
+    record = finetune(small_start, split, cfg, holdout)
+    x_val, y_val = small_task.features[holdout[1]], small_task.labels[holdout[1]]
+    for point in record.trail:
+        member = model_from_checkpoint(point.checkpoint)
+        assert point.holdout_probs.tobytes() == member.predict_proba(x_val).tobytes()
+        assert point.iid_val_acc == evaluate(member, x_val, y_val)
+    oracle = protocol._score_arms(build_variants(record), split, holdout[1])
+    assert protocol._score_single_run_arms(record, split, holdout[1]) == oracle
+
+
+def test_sweep_runs_drop_their_cached_probabilities(small_task, small_start):
+    splits = [leave_one_out_splits(small_task)[0]]
+    result = run_sweep(small_start, splits, grid=[(0.01, 0.0)], recipes=["dropout90"], seeds=[1],
+                       base_cfg=_small_cfg())
+    assert [p.holdout_probs for p in result.runs[0].trail] == [None] * 3
+
+
 def test_run_sweep_records_failures_without_dying(small_task, small_start):
     splits = [leave_one_out_splits(small_task)[0]]
     with np.errstate(over="ignore", invalid="ignore"):
