@@ -182,23 +182,10 @@ def _relu_inplace(a: np.ndarray) -> None:
 
 def _softmax_rows(p: np.ndarray, top: np.ndarray, total: np.ndarray) -> None:
     """`ad.softmax` in place on p, with [rows, 1] scratch for its row max and sum."""
-    if p.shape[1] < 8:
-        # Column by column is cheaper than a reduction over so few columns.
-        # A max is exact in any order, and numpy sums fewer than 8 terms
-        # left to right, so both equal max(axis=1) and sum(axis=1).
-        np.copyto(top, p[:, :1])
-        for j in range(1, p.shape[1]):
-            np.maximum(top, p[:, j : j + 1], out=top)
-        p -= top
-        np.exp(p, out=p)
-        np.copyto(total, p[:, :1])
-        for j in range(1, p.shape[1]):
-            total += p[:, j : j + 1]
-    else:
-        np.max(p, axis=1, keepdims=True, out=top)
-        p -= top
-        np.exp(p, out=p)
-        np.sum(p, axis=1, keepdims=True, out=total)
+    np.max(p, axis=1, keepdims=True, out=top)
+    p -= top
+    np.exp(p, out=p)
+    np.sum(p, axis=1, keepdims=True, out=total)
     p /= total
 
 
@@ -324,9 +311,9 @@ class Activations:
     scale: float  # the inverted-dropout rescale 1/(1-rate)
     head_in: np.ndarray
     logits: np.ndarray
-    labels: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    loss: np.ndarray | None = None  # 0-d mean cross-entropy
+    labels: np.ndarray
+    probs: np.ndarray
+    loss: np.ndarray  # 0-d mean cross-entropy
 
 
 def check_labels(labels, n_rows: int, num_classes: int) -> None:
@@ -348,8 +335,8 @@ def check_labels(labels, n_rows: int, num_classes: int) -> None:
         )
 
 
-def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None = None, labels=None) -> Activations:
-    """The forward of `forward`, plus the loss when labels are given, on arrays.
+def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels) -> Activations:
+    """The forward of `forward`, plus the loss, on arrays.
 
     Each float operation is the one the tape ops perform, so logits and
     loss equal `forward` + `ad.softmax_cross_entropy` bit for bit, and the
@@ -373,14 +360,10 @@ def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None = None, l
         scale = 1.0 / (1.0 - dropout.rate)
         head_in = (h * keep) * scale
     logits = head_in @ model.head_w.data + model.head_b.data
-    act = Activations(x, hs, actives, zs, keep, scale, head_in, logits)
-    if labels is not None:
-        z = logits - logits.max(axis=1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        act.labels = labels
-        act.loss = np.asarray(-log_probs[np.arange(x.shape[0]), labels].mean())
-        act.probs = np.exp(log_probs)
-    return act
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = np.asarray(-log_probs[np.arange(x.shape[0]), labels].mean())
+    return Activations(x, hs, actives, zs, keep, scale, head_in, logits, labels, np.exp(log_probs), loss)
 
 
 def fused_backward(model: ResidualModel, act: Activations, g) -> tuple[np.ndarray, ...]:

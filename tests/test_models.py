@@ -383,7 +383,7 @@ def test_fused_step_frees_its_activations_without_gc():
 def test_fused_forward_validates_input_shape():
     model = new_residual_model(4, 5, 1, 2, seed=37)
     with pytest.raises(ValidationError):
-        fused_forward(model, np.ones((3, 7)))
+        fused_forward(model, np.ones((3, 7)), None, np.zeros(3, dtype=np.int64))
 
 
 @pytest.mark.parametrize("labels", [
@@ -420,6 +420,22 @@ def test_predict_proba_matches_tape_bitwise(depth, hidden_side):
         for n in (0, 1, c - 1, c, c + 1, 3 * c + 5):
             x = 3.0 * rng.normal(size=(n, 3))
             assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x)), (classes, n)
+
+
+def test_predict_proba_matches_tape_bitwise_at_finetune_wide_shape():
+    # the benchmark's shape: whole-batch and chunk matmuls are large enough
+    # here that BLAS may pick different kernels for different row counts
+    c = EVAL_CHUNK_ROWS
+    rng = np.random.default_rng(42)
+    model = new_residual_model(18, 64, 4, 2, seed=42, block_hidden=64)
+    for blk in model.blocks:
+        blk.w2.data = rng.uniform(-0.125, 0.125, size=blk.w2.shape)
+        blk.b1.data = 0.1 * rng.normal(size=blk.b1.shape)
+        blk.b2.data = 0.1 * rng.normal(size=blk.b2.shape)
+    model.head_b.data = rng.normal(size=2)
+    for n in (1200, 2 * c + 2, 2 * c + 3, 2 * c + 4, 2 * c + 5):
+        x = rng.normal(size=(n, 18))
+        assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x)), n
 
 
 def test_predict_proba_matches_tape_when_relu_inputs_are_exactly_zero():

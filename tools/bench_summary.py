@@ -1,6 +1,6 @@
 """Pair a parent's and a change's perfbench results and summarize them as JSON.
 
-    python3 tools/bench_summary.py PARENT_OUT CHANGE_OUT -o BENCH_<title>.json
+    python3 tools/bench_summary.py PARENT_OUT CHANGE_OUT > BENCH_<title>.json
 
 PARENT_OUT and CHANGE_OUT are the `.perfbench_out` directories of two
 checkouts, one at the parent commit and one with the change, after runs of
@@ -96,16 +96,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_out", help="the parent checkout's .perfbench_out directory")
     parser.add_argument("change_out", help="the change's .perfbench_out directory")
-    parser.add_argument("-o", "--out", help="write the summary here as well as to stdout")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     summary = summarize(load_results(args.parent_out), load_results(args.change_out), better)
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 
