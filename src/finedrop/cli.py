@@ -160,7 +160,7 @@ def cmd_pretrain(args) -> int:
         "input_dim": corpus.n_features,
         "width": args.width,
         "depth": args.depth,
-        "block_hidden": args.block_hidden or args.width,
+        "block_hidden": args.block_hidden,
     }
     opt = OptimizerSettings(
         lr=args.lr,
@@ -178,12 +178,24 @@ def cmd_pretrain(args) -> int:
 
 
 def _load_start(args, dataset) -> "object":
+    """The start checkpoint: --start's file, or a fresh model under --scratch.
+
+    The two exclude each other, and the architecture flags apply only with
+    --scratch: a checkpoint sets its own architecture.
+    """
+    if args.scratch and args.start:
+        raise ValidationError("--start and --scratch exclude each other")
     if args.scratch:
         model = new_residual_model(
-            dataset.n_features, args.width, args.depth, dataset.num_classes, seed=args.seed,
-            block_hidden=args.block_hidden or args.width,
+            dataset.n_features, 16 if args.width is None else args.width,
+            2 if args.depth is None else args.depth, dataset.num_classes, seed=args.seed,
+            block_hidden=args.block_hidden,
         )
         return checkpoint_from_model(model, 0, f"scratch-seed{args.seed}")
+    given = [flag for flag, value in (("--width", args.width), ("--depth", args.depth),
+                                      ("--block-hidden", args.block_hidden)) if value is not None]
+    if given:
+        raise ValidationError(f"{', '.join(given)} only apply with --scratch")
     if not args.start:
         raise ValidationError("either --start CKPT or --scratch is required")
     return load_checkpoint(args.start)
@@ -320,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--data", required=True)
     f.add_argument("--start", default=None, help="checkpoint to start from")
     f.add_argument("--scratch", action="store_true", help="start from random initialization")
-    f.add_argument("--width", type=int, default=16, help="scratch: trunk width")
-    f.add_argument("--depth", type=int, default=2, help="scratch: residual blocks")
-    f.add_argument("--block-hidden", type=int, default=None)
+    f.add_argument("--width", type=int, default=None, help="scratch: trunk width (default 16)")
+    f.add_argument("--depth", type=int, default=None, help="scratch: residual blocks (default 2)")
+    f.add_argument("--block-hidden", type=int, default=None, help="scratch: block hidden units "
+                   "(default: the width)")
     f.add_argument("--test-env", type=int, required=True)
     f.add_argument("--holdout", type=float, default=0.20)
     f.add_argument("--dropout", type=float, default=0.9)

@@ -16,10 +16,13 @@ Training runs on `fused_forward` and `fused_backward`: one array-level
 pass over proj, blocks, inverted dropout, head and softmax cross-entropy,
 and its hand-derived backward, which repeats the float operations of the
 autodiff ops one for one, so loss and gradients equal the tape's bit for
-bit. Evaluation (`ResidualModel.predict_proba`) has a kernel of its own: it
-walks the rows in chunks of EVAL_CHUNK_ROWS through buffers allocated once
-per call, keeps no activations, and equals
-`ad.softmax(forward(model, x)[0].data)` bit for bit. The tape `forward`
+bit. Both write into a `StepBuffers` the training loop allocates once, so
+a step allocates no batch-sized array but its dropout mask, and what it
+leaves there, gradients included, holds until the next step. Evaluation
+(`ResidualModel.predict_proba`) has a kernel of its own: it walks the rows
+in chunks of EVAL_CHUNK_ROWS through buffers allocated once per call, keeps
+no activations, and equals `ad.softmax(forward(model, x)[0].data)` bit for
+bit. The tape `forward`
 stays as the reference both are tested against and as the path
 `block_contributions` takes.
 
@@ -46,7 +49,7 @@ __all__ = [
     "Checkpoint",
     "new_residual_model",
     "forward",
-    "Activations",
+    "StepBuffers",
     "fused_forward",
     "fused_backward",
     "check_labels",
@@ -180,6 +183,16 @@ def _relu_inplace(a: np.ndarray) -> None:
     a += 0.0
 
 
+def _add_bias(a: np.ndarray, b: np.ndarray, tile: np.ndarray) -> None:
+    """a += b on every row, through tile, a scratch array of a's shape.
+
+    numpy adds a broadcast row through a temporary buffer of up to 64 KiB;
+    tiling b first needs none and is no slower.
+    """
+    np.copyto(tile, b)
+    a += tile
+
+
 def _softmax_rows(p: np.ndarray, top: np.ndarray, total: np.ndarray) -> None:
     """`ad.softmax` in place on p, with [rows, 1] scratch for its row max and sum."""
     np.max(p, axis=1, keepdims=True, out=top)
@@ -299,23 +312,6 @@ def forward(model: ResidualModel, x, dropout: DropoutSpec | None = None):
     return logits, phi
 
 
-@dataclass
-class Activations:
-    """What one `fused_forward` keeps for `fused_backward`."""
-
-    x: np.ndarray
-    hs: list[np.ndarray]  # the input of each block, then phi
-    actives: list[np.ndarray]  # per block: where the relu input is > 0
-    zs: list[np.ndarray]  # per block: the relu output
-    keep: np.ndarray | None  # the dropout mask; None when none was drawn
-    scale: float  # the inverted-dropout rescale 1/(1-rate)
-    head_in: np.ndarray
-    logits: np.ndarray
-    labels: np.ndarray
-    probs: np.ndarray
-    loss: np.ndarray  # 0-d mean cross-entropy
-
-
 def check_labels(labels, n_rows: int, num_classes: int) -> None:
     """The label checks of `ad.softmax_cross_entropy`, for the fused step.
 
@@ -335,62 +331,122 @@ def check_labels(labels, n_rows: int, num_classes: int) -> None:
         )
 
 
-def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels) -> Activations:
-    """The forward of `forward`, plus the loss, on arrays.
+class StepBuffers:
+    """The arrays one fused training step writes into, for one batch size.
 
-    Each float operation is the one the tape ops perform, so logits and
-    loss equal `forward` + `ad.softmax_cross_entropy` bit for bit, and the
-    mask stream is drawn exactly as `forward` draws it. Labels must already
-    have passed `check_labels`.
+    `_train` builds one per call and every step reuses it: `fused_forward`
+    fills the activations and the loss's softmax, and `fused_backward` the
+    backward scratch and one gradient array per parameter, in
+    named_parameters order. So each step overwrites the previous step's
+    values, and a gradient `fused_backward` returns is valid only until the
+    next step; `SgdOptimizer.step` copies it before then.
+    """
+
+    def __init__(self, model: ResidualModel, batch: int):
+        if batch < 1:
+            raise ValidationError(f"batch must be >= 1, got {batch}")
+        width, hidden, classes = model.width, model.arch()["block_hidden"], model.num_classes
+        self.batch, self.rows = batch, np.arange(batch)
+        self.hs = [np.empty((batch, width)) for _ in range(model.depth + 1)]  # block inputs, then phi
+        self.zs = [np.empty((batch, hidden)) for _ in range(model.depth)]  # relu outputs
+        # 1.0 where a relu input is > 0, else 0.0: float64, because numpy
+        # multiplies by a bool mask through a temporary float copy of it
+        self.actives = [np.empty((batch, hidden)) for _ in range(model.depth)]
+        self.head_in = np.empty((batch, width))  # phi after dropout
+        self.logits, self.probs, self.d = (np.empty((batch, classes)) for _ in range(3))
+        self.top, self.total = np.empty((batch, 1)), np.empty((batch, 1))  # softmax row max and sum
+        self.dh = (np.empty((batch, width)), np.empty((batch, width)))  # the current one and a spare
+        self.dz = np.empty((batch, hidden))
+        self.grads = tuple(np.empty(t.shape) for t in model.parameters())
+        self.x = self.labels = self.keep = None  # what fused_forward leaves for fused_backward
+        self.scale = 1.0
+
+
+def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels,
+                  buf: StepBuffers) -> np.ndarray:
+    """The forward of `forward`, plus the loss, written into buf.
+
+    Returns the 0-d mean cross-entropy. Each float operation is the one the
+    tape ops perform, so logits and loss equal `forward` +
+    `ad.softmax_cross_entropy` bit for bit, and the mask stream is drawn
+    exactly as `forward` draws it. x must have buf.batch rows, and labels
+    must already have passed `check_labels`.
     """
     x = _check_batch(model, np.asarray(x, dtype=np.float64, order="C"))
-    h = x @ model.proj_w.data + model.proj_b.data
-    hs, actives, zs = [h], [], []
-    for blk in model.blocks:
-        a = h @ blk.w1.data + blk.b1.data
-        active = a > 0
-        z = np.where(active, a, 0.0)
-        h = h + (z @ blk.w2.data + blk.b2.data)
-        hs.append(h)
-        actives.append(active)
-        zs.append(z)
-    keep, scale, head_in = None, 1.0, h
+    if x.shape[0] != buf.batch:
+        raise ValidationError(f"input has {x.shape[0]} rows, the step buffers hold {buf.batch}")
+    # the backward scratch is free until fused_backward: it holds the bias
+    # tiles, and d the softmax's exponentials
+    tile_w, tile_hidden, tile_classes = buf.dh[0], buf.dz, buf.d
+    h = buf.hs[0]
+    np.matmul(x, model.proj_w.data, out=h)
+    _add_bias(h, model.proj_b.data, tile_w)
+    for blk, z, active, h_next in zip(model.blocks, buf.zs, buf.actives, buf.hs[1:]):
+        np.matmul(h, blk.w1.data, out=z)
+        _add_bias(z, blk.b1.data, tile_hidden)
+        np.greater(z, 0.0, out=active)
+        _relu_inplace(z)
+        np.matmul(z, blk.w2.data, out=h_next)
+        _add_bias(h_next, blk.b2.data, tile_w)
+        h_next += h
+        h = h_next
+    buf.x, buf.labels, buf.keep, buf.scale = x, labels, None, 1.0
+    head_in = h
     if dropout is not None and dropout.active:
-        keep = batch_dropout_mask(h.shape[0], h.shape[1], dropout.rate, dropout._require_rng())
-        scale = 1.0 / (1.0 - dropout.rate)
-        head_in = (h * keep) * scale
-    logits = head_in @ model.head_w.data + model.head_b.data
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = np.asarray(-log_probs[np.arange(x.shape[0]), labels].mean())
-    return Activations(x, hs, actives, zs, keep, scale, head_in, logits, labels, np.exp(log_probs), loss)
+        buf.keep = batch_dropout_mask(h.shape[0], h.shape[1], dropout.rate, dropout._require_rng())
+        buf.scale = 1.0 / (1.0 - dropout.rate)
+        head_in = np.multiply(h, buf.keep, out=buf.head_in)
+        head_in *= buf.scale
+    logits, log_probs = buf.logits, buf.probs
+    np.matmul(head_in, model.head_w.data, out=logits)
+    _add_bias(logits, model.head_b.data, tile_classes)
+    np.maximum.reduce(logits, 1, keepdims=True, out=buf.top)
+    np.subtract(logits, buf.top, out=log_probs)
+    np.add.reduce(np.exp(log_probs, out=buf.d), 1, keepdims=True, out=buf.total)
+    log_probs -= np.log(buf.total, out=buf.total)
+    loss = np.asarray(-log_probs[buf.rows, labels].mean())
+    np.exp(log_probs, out=buf.probs)
+    return loss
 
 
-def fused_backward(model: ResidualModel, act: Activations, g) -> tuple[np.ndarray, ...]:
+def fused_backward(model: ResidualModel, buf: StepBuffers, g) -> tuple[np.ndarray, ...]:
     """Gradients of g * loss for every parameter, in named_parameters order.
 
-    Repeats the tape's vector-Jacobian products: `g @ w.T` and `a.T @ g`
-    for products, `g.sum(axis=0)` for biases, `g * mask` for relu and
-    dropout. Where the tape adds a block input's two gradients, the sum
-    has two terms, so its order cannot change the bits.
+    Reads what the last `fused_forward` left in buf and returns buf's own
+    gradient arrays, overwritten by the next step. Repeats the tape's
+    vector-Jacobian products: `g @ w.T` and `a.T @ g` for products,
+    `g.sum(axis=0)` for biases, `g * mask` for relu and dropout. Where the
+    tape adds a block input's two gradients, the sum has two terms, so its
+    order cannot change the bits.
     """
-    n = act.logits.shape[0]
-    d = act.probs.copy()
-    d[np.arange(n), act.labels] -= 1.0
-    d = d * (float(g) / n)
-    head = (act.head_in.T @ d, d.sum(axis=0))
-    dh = d @ model.head_w.data.T
-    if act.keep is not None:
-        dh = (dh * act.scale) * act.keep
-    blocks: list[np.ndarray] = []
+    grads, d = buf.grads, buf.d
+    np.copyto(d, buf.probs)
+    d[buf.rows, buf.labels] -= 1.0
+    d *= float(g) / buf.batch
+    head_in = buf.hs[-1] if buf.keep is None else buf.head_in
+    np.matmul(head_in.T, d, out=grads[-2])
+    np.add.reduce(d, 0, out=grads[-1])
+    dh, spare = buf.dh
+    np.matmul(d, model.head_w.data.T, out=dh)
+    if buf.keep is not None:
+        dh *= buf.scale
+        dh *= buf.keep
+    da = buf.dz  # a block's dz, made its da in place
     for i in reversed(range(model.depth)):
         blk = model.blocks[i]
-        dz = dh @ blk.w2.data.T
-        dw2, db2 = act.zs[i].T @ dh, dh.sum(axis=0)
-        da = dz * act.actives[i]
-        blocks[:0] = [act.hs[i].T @ da, da.sum(axis=0), dw2, db2]
-        dh = dh + da @ blk.w1.data.T
-    return (act.x.T @ dh, dh.sum(axis=0), *blocks, *head)
+        dw1, db1, dw2, db2 = grads[2 + 4 * i : 6 + 4 * i]
+        np.matmul(dh, blk.w2.data.T, out=da)
+        np.matmul(buf.zs[i].T, dh, out=dw2)
+        np.add.reduce(dh, 0, out=db2)
+        da *= buf.actives[i]
+        np.matmul(buf.hs[i].T, da, out=dw1)
+        np.add.reduce(da, 0, out=db1)
+        np.matmul(da, blk.w1.data.T, out=spare)  # never into dh: a matmul must not write its input
+        spare += dh
+        dh, spare = spare, dh
+    np.matmul(buf.x.T, dh, out=grads[0])
+    np.add.reduce(dh, 0, out=grads[1])
+    return grads
 
 
 def block_contributions(model: ResidualModel, x) -> list[ad.Tensor]:

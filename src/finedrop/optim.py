@@ -14,8 +14,8 @@ The optimizer owns its parameters' storage: on construction it copies every
 group's arrays into one flat float64 vector and rebinds each tensor's
 `.data` to a view of it, next to one momentum vector and one per-element
 multiplier vector. A step gathers the gradients into one vector and updates
-all three in place, with the same float operations, in the same order, as
-a per-tensor loop. Rebinding a parameter's `.data` after the optimizer is
+all three in place, through one scratch vector, with the same float
+operations, in the same order, as a per-tensor loop. Rebinding a parameter's `.data` after the optimizer is
 built detaches it from that vector, so `step` refuses with a UsageError.
 """
 
@@ -26,7 +26,19 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import UsageError, ValidationError
 
-__all__ = ["SgdOptimizer"]
+__all__ = ["SgdOptimizer", "check_settings"]
+
+
+def check_settings(lr, iterations, momentum, weight_decay, iterations_name="total_iterations") -> None:
+    """SgdOptimizer's checks on its hyperparameters, for a config to run before any training."""
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValidationError(f"lr must be positive and finite, got {lr}")
+    if iterations < 0:
+        raise ValidationError(f"{iterations_name} must be >= 0, got {iterations}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
+    if not (np.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValidationError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
 
 
 class SgdOptimizer:
@@ -40,14 +52,7 @@ class SgdOptimizer:
         decay_factor: float = 0.1,
         group_multipliers: dict[str, float] | None = None,
     ):
-        if not (np.isfinite(lr) and lr > 0):
-            raise ValidationError(f"lr must be positive and finite, got {lr}")
-        if total_iterations < 0:
-            raise ValidationError(f"total_iterations must be >= 0, got {total_iterations}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
-        if not (np.isfinite(weight_decay) and weight_decay >= 0):
-            raise ValidationError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
+        check_settings(lr, total_iterations, momentum, weight_decay)
         if not (np.isfinite(decay_factor) and decay_factor > 0):
             raise ValidationError(f"decay_factor must be positive and finite, got {decay_factor}")
         self.groups = {name: list(tensors) for name, tensors in groups.items()}
@@ -73,6 +78,7 @@ class SgdOptimizer:
         self._w = np.empty(sum(sizes))
         self._v = np.zeros_like(self._w)
         self._g = np.empty_like(self._w)
+        self._scratch = np.empty_like(self._w)
         self._lr_mult = np.repeat([self.multipliers[name] for name, _ in owned], sizes)
         self._slots = []  # (group, tensor, the view its .data must still be)
         offset = 0
@@ -101,9 +107,12 @@ class SgdOptimizer:
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters.
 
-        Gradients are left in place; the training loop is responsible for
-        reset_grads, which keeps the no-silent-accumulation contract of
-        backward() intact.
+        The gradients are copied into the optimizer's own vector first, so
+        they need to hold only until this call returns, as the fused step's
+        buffers do. They are left in place; the training loop is
+        responsible for reset_grads, which keeps the no-silent-accumulation
+        contract of backward() intact. Every update writes into vectors
+        allocated when the optimizer was built.
         """
         grads = []
         for name, t, view in self._slots:
@@ -116,12 +125,12 @@ class SgdOptimizer:
                 raise UsageError(f"parameter in group {name!r} has no gradient; run backward first")
             grads.append(t.grad.reshape(-1))
         base = self.lr_at(self.iteration)
-        w, v, g = self._w, self._v, self._g
+        w, v, g, tmp = self._w, self._v, self._g, self._scratch
         if grads:
             np.concatenate(grads, out=g)
         if self.weight_decay != 0.0:
-            g += self.weight_decay * w
+            g += np.multiply(self.weight_decay, w, out=tmp)
         v *= self.momentum
         v += g
-        w -= (base * self._lr_mult) * v
+        w -= np.multiply(np.multiply(base, self._lr_mult, out=tmp), v, out=tmp)
         self.iteration += 1

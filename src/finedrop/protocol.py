@@ -45,6 +45,7 @@ from .errors import RunError, ValidationError
 from .models import (
     Checkpoint,
     ResidualModel,
+    StepBuffers,
     check_labels,
     checkpoint_from_model,
     fused_backward,
@@ -53,7 +54,7 @@ from .models import (
     new_residual_model,
     reinit_head,
 )
-from .optim import SgdOptimizer
+from .optim import SgdOptimizer, check_settings
 from .regularizers import DropoutSpec
 from .stats import five_number_summary
 
@@ -95,6 +96,12 @@ class OptimizerSettings:
     iterations: int = 3000
     batch_size: int = 64
 
+    def __post_init__(self):
+        # the optimizer checks these too, but only once its run has started
+        check_settings(self.lr, self.iterations, self.momentum, self.weight_decay, "iterations")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @dataclass
 class FineTuneConfig:
@@ -114,16 +121,9 @@ class FineTuneConfig:
     def __post_init__(self):
         # the optimizer checks these too, but only once a run starts; a sweep
         # builds every config first, so a bad value is rejected before training
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValidationError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
+        check_settings(self.lr, self.total_iterations, self.momentum, self.weight_decay)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.total_iterations < 0:
-            raise ValidationError(f"total_iterations must be >= 0, got {self.total_iterations}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.head_lr_mult) and self.head_lr_mult > 0):
@@ -450,19 +450,23 @@ def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, 
 
     Each step's loss is a single tape node whose parents are the model's
     parameters and whose backward is `fused_backward`, so `ad.backward`
-    fills every `.grad` for the optimizer as the op-by-op graph would.
-    Labels are checked once, on the whole of y. After every `every`-th step
-    and after the last one, on_checkpoint(steps done) runs; a true return
-    ends training. every=None never calls back. A non-finite loss raises
-    RunError at its iteration.
+    fills every `.grad` for the optimizer as the op-by-op graph would. The
+    steps write into one `StepBuffers` built here, so those `.grad` arrays
+    are the buffer's and hold only until the next step. Labels are checked
+    once, on the whole of y. After every `every`-th step and after the last
+    one, on_checkpoint(steps done) runs; a true return ends training.
+    every=None never calls back. A non-finite loss raises RunError at its
+    iteration.
     """
     n = x.shape[0]
     check_labels(y, n, model.num_classes)
     params = tuple(model.parameters())
+    buf = StepBuffers(model, batch_size)
+    backward = partial(fused_backward, model, buf)
     for it in range(iterations):
         idx = batch_rng.integers(0, n, size=batch_size)
-        act = fused_forward(model, x[idx], dropout, y[idx])
-        loss = ad.make_node(act.loss, "fused_step", params, partial(fused_backward, model, act))
+        loss = fused_forward(model, x[idx], dropout, y[idx], buf)
+        loss = ad.make_node(loss, "fused_step", params, backward)
         if not np.isfinite(loss.item()):
             raise RunError("loss is not finite", iteration=it)
         ad.backward(loss)

@@ -84,13 +84,10 @@ def dropout_mask(dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Length-dim 0/1 vector; each entry is 0 with probability `rate`.
 
     Consumes exactly `dim` uniform draws from rng, in index order, so mask
-    streams are bit-reproducible and position-accountable.
+    streams are bit-reproducible and position-accountable: it is the one
+    row of a one-row `batch_dropout_mask`.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    rate = _validate_rate(rate)
-    return (rng.random(dim) >= rate).astype(np.float64)
+    return batch_dropout_mask(1, dim, rate, rng)[0]
 
 
 def batch_dropout_mask(n_rows: int, dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:

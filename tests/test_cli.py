@@ -319,3 +319,46 @@ def test_finetune_from_non_finite_checkpoint_exits_2_before_training(pipeline_di
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(bad) in err and "not finite" in err
+
+
+def _no_training(monkeypatch):
+    from finedrop import protocol
+
+    monkeypatch.setattr(protocol, "_train", lambda *args: pytest.fail("training started"))
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--scratch", "--block-hidden", "0"], "block_hidden must be >= 1"),
+    (["--start", "CKPT", "--width", "64"], "--width only apply with --scratch"),
+    (["--start", "CKPT", "--depth", "3", "--block-hidden", "4"],
+     "--depth, --block-hidden only apply with --scratch"),
+    (["--start", "CKPT", "--scratch"], "--start and --scratch exclude each other"),
+], ids=["scratch-block-hidden-0", "start-width", "start-depth-block-hidden", "start-scratch"])
+def test_finetune_architecture_flags_that_cannot_apply_exit_2_before_training(
+        pipeline_dirs, tmp_path, capsys, monkeypatch, extra, needle):
+    _no_training(monkeypatch)
+    extra = [str(pipeline_dirs["ckpt"]) if a == "CKPT" else a for a in extra]
+    capsys.readouterr()
+    code = main(["finetune", "--data", str(pipeline_dirs["data"]), "--test-env", "2",
+                 "--iterations", "40", "--out", str(tmp_path / "ft"), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert not (tmp_path / "ft").exists()
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--block-hidden", "0"], "block_hidden must be >= 1"),
+    (["--batch-size", "0"], "batch_size must be >= 1"),
+], ids=["block-hidden-0", "batch-size-0"])
+def test_pretrain_bad_settings_exit_2_before_training(pipeline_dirs, tmp_path, capsys, monkeypatch,
+                                                      extra, needle):
+    _no_training(monkeypatch)
+    capsys.readouterr()
+    code = main(["pretrain", "--data", str(pipeline_dirs["root"] / "corpus6"), "--out",
+                 str(tmp_path / "t.ckpt"), "--width", "8", "--depth", "1", "--iterations", "5", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert not (tmp_path / "t.ckpt").exists()
+

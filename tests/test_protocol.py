@@ -104,6 +104,17 @@ def test_config_validation():
                 FineTuneConfig(**{name: value})
 
 
+def test_optimizer_settings_validation():
+    OptimizerSettings(iterations=0, weight_decay=0.0, momentum=0.0)  # the boundaries are allowed
+    for name in ("lr", "weight_decay", "momentum"):
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValidationError, match=name):
+                OptimizerSettings(**{name: value})
+    for name, value in (("lr", 0.0), ("momentum", 1.0), ("iterations", -1), ("batch_size", 0)):
+        with pytest.raises(ValidationError, match=f"{name} must be"):
+            OptimizerSettings(**{name: value})
+
+
 def test_holdout_is_deterministic_and_config_independent(small_task):
     split = leave_one_out_splits(small_task)[0]
     a = split_holdout(split, seed=7)
