@@ -21,7 +21,8 @@ dropout 0, "dropoutNN" sets the rate in percent and "headlrN" the head
 learning-rate multiplier. A recipe without a headlrN token trains with the
 --head-lr-mult value (sweep) or flag (finetune). `finetune` labels its run
 with the recipe its --dropout and --head-lr-mult flags spell out, and
-trains at exactly those values.
+trains at exactly those values. It starts from --start or --scratch, not
+both, and its architecture flags apply only with --scratch.
 """
 
 from __future__ import annotations
@@ -178,13 +179,9 @@ def cmd_pretrain(args) -> int:
 
 
 def _load_start(args, dataset) -> "object":
-    """The start checkpoint: --start's file, or a fresh model under --scratch.
-
-    The two exclude each other, and the architecture flags apply only with
-    --scratch: a checkpoint sets its own architecture.
-    """
-    if args.scratch and args.start:
-        raise ValidationError("--start and --scratch exclude each other")
+    """The --start checkpoint, or under --scratch a fresh model the architecture flags size."""
+    if args.scratch == bool(args.start):
+        raise ValidationError("finetune needs exactly one of --start CKPT and --scratch")
     if args.scratch:
         model = new_residual_model(
             dataset.n_features, 16 if args.width is None else args.width,
@@ -192,12 +189,8 @@ def _load_start(args, dataset) -> "object":
             block_hidden=args.block_hidden,
         )
         return checkpoint_from_model(model, 0, f"scratch-seed{args.seed}")
-    given = [flag for flag, value in (("--width", args.width), ("--depth", args.depth),
-                                      ("--block-hidden", args.block_hidden)) if value is not None]
-    if given:
-        raise ValidationError(f"{', '.join(given)} only apply with --scratch")
-    if not args.start:
-        raise ValidationError("either --start CKPT or --scratch is required")
+    if (args.width, args.depth, args.block_hidden) != (None, None, None):
+        raise ValidationError("--width, --depth and --block-hidden apply only with --scratch")
     return load_checkpoint(args.start)
 
 

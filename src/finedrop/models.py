@@ -183,14 +183,13 @@ def _relu_inplace(a: np.ndarray) -> None:
     a += 0.0
 
 
-def _add_bias(a: np.ndarray, b: np.ndarray, tile: np.ndarray) -> None:
-    """a += b on every row, through tile, a scratch array of a's shape.
-
-    numpy adds a broadcast row through a temporary buffer of up to 64 KiB;
-    tiling b first needs none and is no slower.
-    """
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """out = x @ w + b, adding b through tile (out's shape): numpy adds a
+    broadcast row through a temporary of up to 64 KiB, tiling it is no slower."""
+    np.matmul(x, w, out=out)
     np.copyto(tile, b)
-    a += tile
+    out += tile
+    return out
 
 
 def _softmax_rows(p: np.ndarray, top: np.ndarray, total: np.ndarray) -> None:
@@ -332,14 +331,11 @@ def check_labels(labels, n_rows: int, num_classes: int) -> None:
 
 
 class StepBuffers:
-    """The arrays one fused training step writes into, for one batch size.
+    """The arrays a fused training step writes into, for one batch size.
 
-    `_train` builds one per call and every step reuses it: `fused_forward`
-    fills the activations and the loss's softmax, and `fused_backward` the
-    backward scratch and one gradient array per parameter, in
-    named_parameters order. So each step overwrites the previous step's
-    values, and a gradient `fused_backward` returns is valid only until the
-    next step; `SgdOptimizer.step` copies it before then.
+    `fused_forward` fills the activations, `fused_backward` the backward
+    scratch and one gradient per parameter, in named_parameters order. Each
+    step overwrites the last one's, so a gradient holds until the next step.
     """
 
     def __init__(self, model: ResidualModel, batch: int):
@@ -378,16 +374,12 @@ def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels,
     # the backward scratch is free until fused_backward: it holds the bias
     # tiles, and d the softmax's exponentials
     tile_w, tile_hidden, tile_classes = buf.dh[0], buf.dz, buf.d
-    h = buf.hs[0]
-    np.matmul(x, model.proj_w.data, out=h)
-    _add_bias(h, model.proj_b.data, tile_w)
+    h = _affine(x, model.proj_w.data, model.proj_b.data, buf.hs[0], tile_w)
     for blk, z, active, h_next in zip(model.blocks, buf.zs, buf.actives, buf.hs[1:]):
-        np.matmul(h, blk.w1.data, out=z)
-        _add_bias(z, blk.b1.data, tile_hidden)
+        _affine(h, blk.w1.data, blk.b1.data, z, tile_hidden)
         np.greater(z, 0.0, out=active)
         _relu_inplace(z)
-        np.matmul(z, blk.w2.data, out=h_next)
-        _add_bias(h_next, blk.b2.data, tile_w)
+        _affine(z, blk.w2.data, blk.b2.data, h_next, tile_w)
         h_next += h
         h = h_next
     buf.x, buf.labels, buf.keep, buf.scale = x, labels, None, 1.0
@@ -397,9 +389,8 @@ def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels,
         buf.scale = 1.0 / (1.0 - dropout.rate)
         head_in = np.multiply(h, buf.keep, out=buf.head_in)
         head_in *= buf.scale
-    logits, log_probs = buf.logits, buf.probs
-    np.matmul(head_in, model.head_w.data, out=logits)
-    _add_bias(logits, model.head_b.data, tile_classes)
+    logits = _affine(head_in, model.head_w.data, model.head_b.data, buf.logits, tile_classes)
+    log_probs = buf.probs
     np.maximum.reduce(logits, 1, keepdims=True, out=buf.top)
     np.subtract(logits, buf.top, out=log_probs)
     np.add.reduce(np.exp(log_probs, out=buf.d), 1, keepdims=True, out=buf.total)

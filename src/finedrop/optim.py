@@ -15,8 +15,9 @@ group's arrays into one flat float64 vector and rebinds each tensor's
 `.data` to a view of it, next to one momentum vector and one per-element
 multiplier vector. A step gathers the gradients into one vector and updates
 all three in place, through one scratch vector, with the same float
-operations, in the same order, as a per-tensor loop. Rebinding a parameter's `.data` after the optimizer is
-built detaches it from that vector, so `step` refuses with a UsageError.
+operations, in the same order, as a per-tensor loop. Rebinding a
+parameter's `.data` after the optimizer is built detaches it from that
+vector, so `step` refuses with a UsageError.
 """
 
 from __future__ import annotations
@@ -107,12 +108,11 @@ class SgdOptimizer:
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters.
 
-        The gradients are copied into the optimizer's own vector first, so
-        they need to hold only until this call returns, as the fused step's
-        buffers do. They are left in place; the training loop is
-        responsible for reset_grads, which keeps the no-silent-accumulation
-        contract of backward() intact. Every update writes into vectors
-        allocated when the optimizer was built.
+        The gradients are copied first, so they need to hold only until
+        this call returns, as the fused step's buffers do; every update
+        writes into vectors allocated with the optimizer. Gradients are left
+        in place; the training loop is responsible for reset_grads, which
+        keeps the no-silent-accumulation contract of backward() intact.
         """
         grads = []
         for name, t, view in self._slots:

@@ -329,11 +329,10 @@ def _no_training(monkeypatch):
 
 @pytest.mark.parametrize("extra, needle", [
     (["--scratch", "--block-hidden", "0"], "block_hidden must be >= 1"),
-    (["--start", "CKPT", "--width", "64"], "--width only apply with --scratch"),
-    (["--start", "CKPT", "--depth", "3", "--block-hidden", "4"],
-     "--depth, --block-hidden only apply with --scratch"),
-    (["--start", "CKPT", "--scratch"], "--start and --scratch exclude each other"),
-], ids=["scratch-block-hidden-0", "start-width", "start-depth-block-hidden", "start-scratch"])
+    (["--start", "CKPT", "--width", "64"], "apply only with --scratch"),
+    (["--start", "CKPT", "--block-hidden", "4"], "apply only with --scratch"),
+    (["--start", "CKPT", "--scratch"], "exactly one of --start CKPT and --scratch"),
+], ids=["scratch-block-hidden-0", "start-width", "start-block-hidden", "start-scratch"])
 def test_finetune_architecture_flags_that_cannot_apply_exit_2_before_training(
         pipeline_dirs, tmp_path, capsys, monkeypatch, extra, needle):
     _no_training(monkeypatch)
