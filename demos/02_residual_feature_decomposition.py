@@ -13,7 +13,7 @@ from finedrop.models import block_contributions, forward, new_residual_model
 rng = np.random.default_rng(1)
 model = new_residual_model(input_dim=6, width=10, depth=3, num_classes=4, seed=7)
 for blk in model.blocks:  # fresh blocks start as the zero function; give them life
-    blk.w2.data = rng.normal(size=blk.w2.shape) * 0.5
+    blk.w2.data[...] = rng.normal(size=blk.w2.shape) * 0.5
 
 x = rng.normal(size=(2, 6))
 logits, phi = forward(model, x)
@@ -30,8 +30,8 @@ for term in terms[1:]:
 print("sum(contributions) == phi exactly:", np.array_equal(running, phi.data))
 
 # zeroing a block's second layer removes exactly its addend
-model.blocks[1].w2.data = np.zeros_like(model.blocks[1].w2.data)
-model.blocks[1].b2.data = np.zeros_like(model.blocks[1].b2.data)
+model.blocks[1].w2.data[...] = 0.0
+model.blocks[1].b2.data[...] = 0.0
 terms_after = block_contributions(model, x)
 print("block 1 contribution after zeroing its weights:",
       float(np.abs(terms_after[2].data).max()))

@@ -30,8 +30,8 @@ def task(seed):
 
 # the features are the representation: identity trunk, trained head only
 start_model = new_residual_model(8, 8, 0, 2, seed=0)
-start_model.proj_w.data = np.eye(8)
-start_model.proj_b.data = np.zeros(8)
+start_model.proj_w.data[...] = np.eye(8)
+start_model.proj_b.data[...] = np.zeros(8)
 start = checkpoint_from_model(start_model, 0, "identity")
 
 print(f"{'seed':>4} {'arm':>8} {'iid':>6} {'ood':>6} {'weight entropy':>15}")

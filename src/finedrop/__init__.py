@@ -41,7 +41,6 @@ from .models import (
     model_from_checkpoint,
     new_residual_model,
     reinit_head,
-    save_checkpoint,
 )
 from .optim import SgdOptimizer
 from .protocol import (
@@ -66,7 +65,6 @@ from .regularizers import (
     expected_dropout_loss_closed_form,
     expected_dropout_loss_enumerated,
     feature_bagging_ensemble,
-    l2_penalty,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,11 @@ bit. The tape `forward`
 stays as the reference both are tested against and as the path
 `block_contributions` takes.
 
+A model's parameters are views of one flat float64 vector, `params`, in
+named_parameters order: the optimizer updates it in place and a checkpoint
+is a copy of it. Write a parameter in place (`t.data[...] = v`); rebinding
+`.data` detaches it, and `checkpoint_from_model` refuses the model.
+
 Checkpoints are a single file: one line of compact JSON (the manifest:
 architecture, parameter shapes, iteration, run id, rng state) terminated by
 a newline, followed by the flat parameter vector as raw little-endian
@@ -35,12 +40,13 @@ float64 bytes. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError, ValidationError
+from .errors import FormatError, UsageError, ValidationError
 from .regularizers import DropoutSpec, batch_dropout_mask
 
 __all__ = [
@@ -55,10 +61,8 @@ __all__ = [
     "check_labels",
     "block_contributions",
     "reinit_head",
-    "flatten_params",
     "checkpoint_from_model",
     "model_from_checkpoint",
-    "save_checkpoint",
     "load_checkpoint",
 ]
 
@@ -84,6 +88,7 @@ class ResidualModel:
     blocks: list[ResidualBlockParams]
     head_w: ad.Tensor
     head_b: ad.Tensor
+    params: np.ndarray  # the flat vector every tensor above is a view of
     meta: dict = field(default_factory=dict)
 
     @property
@@ -113,7 +118,7 @@ class ResidualModel:
         }
 
     def named_parameters(self) -> list[tuple[str, ad.Tensor]]:
-        """Canonical (name, tensor) order used by flattening and checkpoints."""
+        """Canonical (name, tensor) order: the order of the views in `params`, and so of checkpoints."""
         out = [("proj_w", self.proj_w), ("proj_b", self.proj_b)]
         for i, blk in enumerate(self.blocks):
             out += [
@@ -230,14 +235,18 @@ def _param_shapes(input_dim, width, depth, num_classes, block_hidden=None, prove
     return shapes + [("head_w", (width, num_classes)), ("head_b", (num_classes,))]
 
 
-def _assemble(arrays: list[np.ndarray], meta: dict) -> ResidualModel:
-    """Model whose leaves wrap `arrays`, given in named_parameters order.
+def _assemble(params: np.ndarray, shapes: list, meta: dict) -> ResidualModel:
+    """Model whose leaves are views of `params`, cut by shapes, a `_param_shapes` list.
 
-    The arrays are taken over, not copied; the head is the last two.
+    The vector is taken over, not copied; the head is the last two.
     """
-    proj_w, proj_b, *body, head_w, head_b = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    leaves, offset = [], 0
+    for _, shape in shapes:
+        leaves.append(ad.Tensor(params[offset : offset + math.prod(shape)].reshape(shape), requires_grad=True))
+        offset += math.prod(shape)
+    proj_w, proj_b, *body, head_w, head_b = leaves
     blocks = [ResidualBlockParams(*body[i : i + 4]) for i in range(0, len(body), 4)]
-    return ResidualModel(proj_w, proj_b, blocks, head_w, head_b, meta)
+    return ResidualModel(proj_w, proj_b, blocks, head_w, head_b, params, meta)
 
 
 def new_residual_model(
@@ -261,7 +270,8 @@ def new_residual_model(
         _uniform_fan_in(rng, shape[0], shape) if name.endswith(("_w", ".w1")) else np.zeros(shape)
         for name, shape in shapes
     ]
-    return _assemble(arrays, {"seed": int(seed), "provenance": provenance})
+    meta = {"seed": int(seed), "provenance": provenance}
+    return _assemble(np.concatenate([a.ravel() for a in arrays]), shapes, meta)
 
 
 def _trunk(model: ResidualModel, x: ad.Tensor) -> tuple[ad.Tensor, list[ad.Tensor]]:
@@ -449,12 +459,11 @@ def block_contributions(model: ResidualModel, x) -> list[ad.Tensor]:
 
 def reinit_head(model: ResidualModel, num_classes: int, seed: int) -> ResidualModel:
     """Fresh copy with the trunk bit-identical and a newly initialized head."""
-    if num_classes < 1:
-        raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
+    shapes = _param_shapes(model.input_dim, model.width, model.depth, num_classes, model.arch()["block_hidden"])
     rng = np.random.default_rng(seed)
     head_w = _uniform_fan_in(rng, model.width, (model.width, num_classes))
-    trunk = [t.data.copy() for t in model.trunk_parameters()]
-    return _assemble(trunk + [head_w, np.zeros(num_classes)], dict(model.meta))
+    trunk = _attached_params(model)[: -(model.width + 1) * model.num_classes]
+    return _assemble(np.concatenate([trunk, head_w.ravel(), np.zeros(num_classes)]), shapes, dict(model.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -477,61 +486,65 @@ class Checkpoint:
         return self.manifest.get("provenance", "scratch")
 
 
-def flatten_params(model: ResidualModel) -> np.ndarray:
-    return np.concatenate([t.data.reshape(-1) for t in model.parameters()])
-
-
-def _shape_manifest(model: ResidualModel) -> list:
-    return [[name, list(t.shape)] for name, t in model.named_parameters()]
+def _attached_params(model: ResidualModel) -> np.ndarray:
+    """model.params, once each parameter is checked by identity to still view it."""
+    for name, t in model.named_parameters():
+        if t.data.base is not model.params:
+            raise UsageError(f"parameter {name} no longer views model.params: write it in place, t.data[...] = v")
+    return model.params
 
 
 def checkpoint_from_model(
     model: ResidualModel, iteration: int = 0, run_id: str = "", rng_state: dict | None = None
 ) -> Checkpoint:
+    params = _attached_params(model)
     manifest = {
         "schema_version": 1,
         "arch": model.arch(),
-        "param_shapes": _shape_manifest(model),
-        "total": int(sum(t.data.size for t in model.parameters())),
+        "param_shapes": [[name, list(t.shape)] for name, t in model.named_parameters()],
+        "total": params.size,
         "seed": model.meta.get("seed"),
         "provenance": model.meta.get("provenance", "scratch"),
     }
-    return Checkpoint(flatten_params(model), manifest, int(iteration), str(run_id), rng_state)
+    return Checkpoint(params.copy(), manifest, int(iteration), str(run_id), rng_state)
 
 
-def model_from_checkpoint(ckpt: Checkpoint) -> ResidualModel:
-    """Rebuild a model from a checkpoint; inverse of checkpoint_from_model."""
-    arch, manifest = ckpt.manifest["arch"], ckpt.manifest
-    provenance = manifest.get("provenance", "scratch")
+def _manifest_shapes(manifest: dict) -> list:
+    """The (name, shape) list of a manifest's arch, after checking that its
+    param_shapes and total agree with it."""
+    arch = manifest["arch"] if isinstance(manifest["arch"], dict) else {}
+    for key in ("input_dim", "width", "depth", "num_classes", "block_hidden"):
+        if type(arch.get(key)) is not int and (key in arch or key != "block_hidden"):  # it defaults to the width
+            raise ValidationError(f"manifest arch {key} must be an integer, got {arch.get(key)!r}")
     shapes = _param_shapes(arch["input_dim"], arch["width"], arch["depth"], arch["num_classes"],
-                           arch.get("block_hidden"), provenance)
-    flat = np.asarray(ckpt.params, dtype=np.float64)
-    if flat.size != manifest["total"]:
-        raise ValidationError(
-            f"parameter vector length {flat.size} does not match manifest total {manifest['total']}"
-        )
+                           arch.get("block_hidden"), manifest.get("provenance", "scratch"))
     if len(manifest["param_shapes"]) != len(shapes):
         raise ValidationError(
             f"manifest lists {len(manifest['param_shapes'])} parameters, architecture has {len(shapes)}"
         )
-    arrays, offset = [], 0
     for (name, shape), (m_name, m_shape) in zip(shapes, manifest["param_shapes"]):
         if name != m_name or list(shape) != list(m_shape):
             raise ValidationError(
                 f"manifest entry {m_name}{m_shape} does not match architecture slot {name}{list(shape)}"
             )
-        n = int(np.prod(shape))
-        # copy, never view: model weights must not alias the checkpoint vector
-        arrays.append(flat[offset : offset + n].reshape(shape).copy())
-        offset += n
-    return _assemble(arrays, {"seed": int(manifest.get("seed") or 0), "provenance": provenance})
+    total, expected = manifest["total"], sum(math.prod(shape) for _, shape in shapes)
+    if type(total) is not int or total != expected:
+        raise ValidationError(f"manifest total {total!r} is not the {expected} parameters of its architecture")
+    return shapes
 
 
-def save_checkpoint(model: ResidualModel, iteration: int, run_id: str, path, rng_state: dict | None = None) -> Checkpoint:
-    """Write manifest line + raw '<f8' parameter block; returns the checkpoint."""
-    ckpt = checkpoint_from_model(model, iteration, run_id, rng_state)
-    write_checkpoint(ckpt, path)
-    return ckpt
+def model_from_checkpoint(ckpt: Checkpoint) -> ResidualModel:
+    """Rebuild a model from a checkpoint; inverse of checkpoint_from_model.
+
+    The model views a copy of the checkpoint's vector, never the vector itself.
+    """
+    manifest, params = ckpt.manifest, np.array(ckpt.params, dtype=np.float64)
+    shapes, provenance = _manifest_shapes(manifest), manifest.get("provenance", "scratch")
+    if params.shape != (manifest["total"],):
+        raise ValidationError(
+            f"parameter vector of shape {params.shape} does not match manifest total {manifest['total']}"
+        )
+    return _assemble(params, shapes, {"seed": int(manifest.get("seed") or 0), "provenance": provenance})
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -566,8 +579,9 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
     for key in ("arch", "param_shapes", "total"):
         if key not in header:
             raise FormatError(f"manifest is missing required key {key!r}", offset=0)
+    _manifest_shapes(header)
     body = raw[newline + 1 :]
-    expected_bytes = int(header["total"]) * 8
+    expected_bytes = header["total"] * 8
     if len(body) != expected_bytes:
         raise FormatError(
             f"parameter block has {len(body)} bytes, manifest promises {expected_bytes}",

@@ -10,14 +10,13 @@ and the learning rate drops by decay_factor (default 0.1) once, at
 iteration total_iterations // 2. Parameter groups carry per-group
 multipliers so the head can train 10x faster than the trunk.
 
-The optimizer owns its parameters' storage: on construction it copies every
-group's arrays into one flat float64 vector and rebinds each tensor's
-`.data` to a view of it, next to one momentum vector and one per-element
+The parameters must be views that tile one float64 vector end to end, as a
+model's views of its `params` do (else ValidationError): the optimizer
+adopts the span they cover, next to one momentum vector and one per-element
 multiplier vector. A step gathers the gradients into one vector and updates
-all three in place, through one scratch vector, with the same float
-operations, in the same order, as a per-tensor loop. Rebinding a
-parameter's `.data` after the optimizer is built detaches it from that
-vector, so `step` refuses with a UsageError.
+all three in place, through one scratch vector, with the same elementwise
+float operations as a per-tensor loop. Rebinding a parameter's `.data`
+after the optimizer is built detaches it, so `step` refuses with a UsageError.
 """
 
 from __future__ import annotations
@@ -75,20 +74,13 @@ class SgdOptimizer:
         owned = [(name, t) for name, tensors in self.groups.items() for t in tensors]
         if len({id(t) for _, t in owned}) != len(owned):
             raise ValidationError("a tensor appears more than once in the parameter groups")
-        sizes = [t.data.size for _, t in owned]
-        self._w = np.empty(sum(sizes))
+        owned.sort(key=lambda slot: slot[1].data.ctypes.data)  # by address: the span's order
+        self._w = _tiled_span([t.data for _, t in owned])
         self._v = np.zeros_like(self._w)
         self._g = np.empty_like(self._w)
         self._scratch = np.empty_like(self._w)
-        self._lr_mult = np.repeat([self.multipliers[name] for name, _ in owned], sizes)
-        self._slots = []  # (group, tensor, the view its .data must still be)
-        offset = 0
-        for (name, t), size in zip(owned, sizes):
-            view = self._w[offset : offset + size].reshape(t.shape)
-            view[...] = t.data
-            t.data = view
-            self._slots.append((name, t, view))
-            offset += size
+        self._lr_mult = np.repeat([self.multipliers[name] for name, _ in owned], [t.data.size for _, t in owned])
+        self._slots = [(name, t, t.data) for name, t in owned]  # (group, tensor, the view its .data must still be)
 
     def lr_at(self, iteration: int, group: str | None = None) -> float:
         """Effective learning rate at an iteration, including the group multiplier."""
@@ -134,3 +126,18 @@ class SgdOptimizer:
         v += g
         w -= np.multiply(np.multiply(base, self._lr_mult, out=tmp), v, out=tmp)
         self.iteration += 1
+
+
+def _tiled_span(arrays: list[np.ndarray]) -> np.ndarray:
+    """The 1-D view of the one float64 vector that arrays, in address order, tile end to end."""
+    if not arrays:
+        return np.empty(0)
+    root = arrays[0] if arrays[0].base is None else arrays[0].base
+    tiled = isinstance(root, np.ndarray) and root.dtype == np.float64 and root.flags.c_contiguous
+    start = end = arrays[0].ctypes.data
+    for a in arrays:
+        tiled = tiled and (a if a.base is None else a.base) is root and a.flags.c_contiguous and a.ctypes.data == end
+        end += a.nbytes
+    if not tiled:
+        raise ValidationError("optimizer parameters must be views that tile one float64 vector end to end")
+    return root.reshape(-1)[(start - root.ctypes.data) // 8 : (end - root.ctypes.data) // 8]

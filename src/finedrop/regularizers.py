@@ -1,4 +1,4 @@
-"""Inverted dropout at arbitrary rates, L2 penalty, and linear-case oracles.
+"""Inverted dropout at arbitrary rates, and linear-case oracles.
 
 Inverted dropout multiplies a representation by a 0/1 Bernoulli mask and
 rescales the survivors by 1/(1-rate) at train time, so evaluation is a
@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import CapacityError, UsageError, ValidationError
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "dropout_mask",
     "batch_dropout_mask",
     "apply_inverted_dropout",
-    "l2_penalty",
     "expected_dropout_loss_enumerated",
     "expected_dropout_loss_closed_form",
     "feature_bagging_ensemble",
@@ -123,27 +121,6 @@ def apply_inverted_dropout(phi: np.ndarray, spec: DropoutSpec) -> np.ndarray:
     else:
         raise ValidationError(f"expected a vector or [batch, dim] array, got shape {phi.shape}")
     return (phi * mask) * (1.0 / (1.0 - spec.rate))
-
-
-def l2_penalty(params, coeff: float) -> ad.Tensor:
-    """coeff * sum of squared entries over all parameter tensors.
-
-    Returns a 0-d Tensor wired into the autodiff graph, so its gradient
-    (2 * coeff * w) flows back into each parameter.
-    """
-    coeff = float(coeff)
-    if coeff < 0:
-        raise ValidationError(f"coeff must be >= 0, got {coeff}")
-    if isinstance(params, (ad.Tensor, np.ndarray)):
-        params = [params]
-    tensors = [p if isinstance(p, ad.Tensor) else ad.Tensor(p) for p in params]
-    total = None
-    for t in tensors:
-        sq = ad.tensor_sum(ad.elementwise_mul(t, t))
-        total = sq if total is None else ad.add(total, sq)
-    if total is None:
-        return ad.Tensor(0.0)
-    return ad.scale(total, coeff)
 
 
 def expected_dropout_loss_enumerated(w, x, y: float, rate: float) -> float:

@@ -80,9 +80,9 @@ def _random_model(rng):
         seed=int(rng.integers(0, 10_000)),
     )
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape) * 0.4
-        blk.b1.data = rng.normal(size=blk.b1.shape) * 0.1
-        blk.b2.data = rng.normal(size=blk.b2.shape) * 0.1
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape) * 0.4
+        blk.b1.data[...] = rng.normal(size=blk.b1.shape) * 0.1
+        blk.b2.data[...] = rng.normal(size=blk.b2.shape) * 0.1
     return model
 
 
@@ -231,8 +231,8 @@ def test_criterion_05_wa_ensemble_second_order(redundant_checkpoint):
 
 def _identity_feature_start(n_features):
     model = new_residual_model(n_features, n_features, 0, 2, seed=0)
-    model.proj_w.data = np.eye(n_features)
-    model.proj_b.data = np.zeros(n_features)
+    model.proj_w.data[...] = np.eye(n_features)
+    model.proj_b.data[...] = np.zeros(n_features)
     return checkpoint_from_model(model, 0, "identity-features")
 
 

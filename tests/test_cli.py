@@ -321,6 +321,48 @@ def test_finetune_from_non_finite_checkpoint_exits_2_before_training(pipeline_di
     assert err.startswith("error: ") and str(bad) in err and "not finite" in err
 
 
+def _total_one_short(header, body):
+    header["total"] -= 1
+    return body[:-8]
+
+
+def _total_not_an_integer(header, body):
+    header["total"] = "abc"
+    return body
+
+
+def _arch_without_width(header, body):
+    del header["arch"]["width"]
+    return body
+
+
+def _width_a_float(header, body):
+    header["arch"]["width"] = 8.0
+    return body
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (_total_one_short, "manifest total"),
+    (_total_not_an_integer, "manifest total 'abc'"),
+    (_arch_without_width, "manifest arch width must be an integer, got None"),
+    (_width_a_float, "manifest arch width must be an integer, got 8.0"),
+], ids=["total-one-short", "total-abc", "no-width", "width-float"])
+def test_finetune_from_inconsistent_manifest_exits_2_before_training(pipeline_dirs, tmp_path, capsys,
+                                                                     monkeypatch, edit, needle):
+    line, body = pipeline_dirs["ckpt"].read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    body = edit(header, body)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    _no_training(monkeypatch)
+    capsys.readouterr()
+    code = main(["finetune", "--data", str(pipeline_dirs["data"]), "--start", str(bad),
+                 "--test-env", "2", "--iterations", "40", "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
+
+
 def _no_training(monkeypatch):
     from finedrop import protocol
 

@@ -1,4 +1,3 @@
-import copy
 import gc
 import tracemalloc
 import weakref
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from finedrop import autodiff as ad
-from finedrop.errors import FormatError, ValidationError
+from finedrop.errors import FormatError, UsageError, ValidationError
 from finedrop.models import (
     EVAL_CHUNK_ROWS,
     StepBuffers,
@@ -16,7 +15,6 @@ from finedrop.models import (
     block_contributions,
     check_labels,
     checkpoint_from_model,
-    flatten_params,
     forward,
     fused_backward,
     fused_forward,
@@ -24,7 +22,7 @@ from finedrop.models import (
     model_from_checkpoint,
     new_residual_model,
     reinit_head,
-    save_checkpoint,
+    write_checkpoint,
 )
 from finedrop.optim import SgdOptimizer
 from finedrop.regularizers import DropoutSpec
@@ -33,13 +31,13 @@ from finedrop.regularizers import DropoutSpec
 def test_same_seed_same_dims_identical():
     m1 = new_residual_model(5, 8, 2, 3, seed=42)
     m2 = new_residual_model(5, 8, 2, 3, seed=42)
-    np.testing.assert_array_equal(flatten_params(m1), flatten_params(m2))
+    np.testing.assert_array_equal(m1.params, m2.params)
 
 
 def test_different_seed_differs():
     m1 = new_residual_model(5, 8, 2, 3, seed=1)
     m2 = new_residual_model(5, 8, 2, 3, seed=2)
-    assert not np.array_equal(flatten_params(m1), flatten_params(m2))
+    assert not np.array_equal(m1.params, m2.params)
 
 
 def test_depth_zero_phi_is_projection():
@@ -57,7 +55,7 @@ def test_parameter_count_matches_architecture_formula():
         + depth * (width * hidden + hidden + hidden * width + width)
         + width * classes + classes
     )
-    assert flatten_params(model).size == expected
+    assert model.params.size == expected
     assert checkpoint_from_model(model).manifest["total"] == expected
 
 
@@ -75,7 +73,7 @@ def test_forward_rate_zero_train_equals_eval_bitwise():
     # fresh blocks are zero-initialized; randomize so the trunk is nontrivial
     rng = np.random.default_rng(4)
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape) * 0.3
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape) * 0.3
     x = rng.normal(size=(6, 5))
     train_logits, _ = forward(model, x, DropoutSpec.seeded(0.0, seed=1))
     eval_logits, _ = forward(model, x, None)
@@ -94,7 +92,7 @@ def test_eval_logits_are_head_applied_to_phi():
     model = new_residual_model(6, 8, 2, 3, seed=9)
     rng = np.random.default_rng(2)
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape) * 0.5
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape) * 0.5
     x = rng.normal(size=(5, 6))
     logits, phi = forward(model, x)
     np.testing.assert_array_equal(logits.data, phi.data @ model.head_w.data + model.head_b.data)
@@ -114,7 +112,7 @@ def test_block_contributions_depth_one_is_f_of_projection():
     model = new_residual_model(4, 6, 1, 2, seed=6)
     rng = np.random.default_rng(8)
     blk = model.blocks[0]
-    blk.w2.data = rng.normal(size=blk.w2.shape)
+    blk.w2.data[...] = rng.normal(size=blk.w2.shape)
     x = rng.normal(size=(2, 4))
     terms = block_contributions(model, x)
     h0 = x @ model.proj_w.data + model.proj_b.data
@@ -130,7 +128,7 @@ def test_telescoping_sum_is_exact():
             2, seed=int(rng.integers(0, 1000)),
         )
         for blk in model.blocks:
-            blk.w2.data = rng.normal(size=blk.w2.shape)
+            blk.w2.data[...] = rng.normal(size=blk.w2.shape)
         x = rng.normal(size=(int(rng.integers(1, 5)), model.input_dim))
         _, phi = forward(model, x)
         terms = block_contributions(model, x)
@@ -145,7 +143,7 @@ def test_logits_depend_on_trunk_only_through_phi():
     model = new_residual_model(4, 6, 2, 3, seed=11)
     rng = np.random.default_rng(12)
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape) * 0.2
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape) * 0.2
     x = rng.normal(size=(5, 4))
     logits_a, phi_a = forward(model, x)
     # swap the two blocks; phi changes in general, so instead feed phi
@@ -158,7 +156,7 @@ def test_reinit_head_preserves_trunk_bitwise():
     model = new_residual_model(5, 7, 2, 3, seed=20)
     rng = np.random.default_rng(21)
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape)
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape)
     trunk_before = np.concatenate([t.data.reshape(-1) for t in model.trunk_parameters()])
     fresh = reinit_head(model, num_classes=4, seed=99)
     trunk_after = np.concatenate([t.data.reshape(-1) for t in fresh.trunk_parameters()])
@@ -177,29 +175,30 @@ def test_reinit_then_restore_old_head_roundtrips():
     model = new_residual_model(5, 7, 1, 3, seed=23)
     old_w, old_b = model.head_w.data.copy(), model.head_b.data.copy()
     fresh = reinit_head(model, 3, seed=77)
-    fresh.head_w.data = old_w
-    fresh.head_b.data = old_b
-    np.testing.assert_array_equal(flatten_params(fresh), flatten_params(model))
+    fresh.head_w.data[...] = old_w
+    fresh.head_b.data[...] = old_b
+    np.testing.assert_array_equal(fresh.params, model.params)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = new_residual_model(6, 9, 2, 4, seed=31)
     rng = np.random.default_rng(32)
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape)
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape)
     path = tmp_path / "model.ckpt"
-    saved = save_checkpoint(model, iteration=123, run_id="test-run", path=path)
+    saved = checkpoint_from_model(model, iteration=123, run_id="test-run")
+    write_checkpoint(saved, path)
     loaded = load_checkpoint(path)
     np.testing.assert_array_equal(saved.params, loaded.params)
     assert loaded.iteration == 123 and loaded.run_id == "test-run"
     rebuilt = model_from_checkpoint(loaded)
-    np.testing.assert_array_equal(flatten_params(rebuilt), flatten_params(model))
+    np.testing.assert_array_equal(rebuilt.params, model.params)
 
 
 def test_truncated_checkpoint_raises_format_error(tmp_path):
     model = new_residual_model(4, 5, 1, 2, seed=33)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, 0, "r", path)
+    write_checkpoint(checkpoint_from_model(model, 0, "r"), path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(FormatError) as exc:
@@ -211,7 +210,8 @@ def test_truncated_checkpoint_raises_format_error(tmp_path):
 def test_non_finite_checkpoint_parameter_raises_format_error(tmp_path, value):
     model = new_residual_model(4, 5, 1, 2, seed=35)
     path = tmp_path / "model.ckpt"
-    ckpt = save_checkpoint(model, 0, "r", path)
+    ckpt = checkpoint_from_model(model, 0, "r")
+    write_checkpoint(ckpt, path)
     raw = path.read_bytes()
     body = len(raw) - ckpt.params.nbytes
     bad = ckpt.params.copy()
@@ -233,7 +233,7 @@ def test_garbage_manifest_raises_format_error(tmp_path):
 def test_wrong_architecture_rejected_naming_both(tmp_path):
     model = new_residual_model(4, 5, 1, 2, seed=34)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, 0, "r", path)
+    write_checkpoint(checkpoint_from_model(model, 0, "r"), path)
     wanted = {"input_dim": 4, "width": 16, "depth": 1, "block_hidden": 16, "num_classes": 2}
     with pytest.raises(ValidationError) as exc:
         load_checkpoint(path, expect_arch=wanted)
@@ -261,7 +261,7 @@ def test_permuting_identical_contribution_blocks_leaves_logits_unchanged():
     model = new_residual_model(5, 7, 2, 3, seed=40)
     rng = np.random.default_rng(41)
     for blk in model.blocks:  # distinct first layers, zero second layers
-        blk.w1.data = rng.normal(size=blk.w1.shape)
+        blk.w1.data[...] = rng.normal(size=blk.w1.shape)
     x = rng.normal(size=(6, 5))
     logits_before, phi_before = forward(model, x)
 
@@ -285,9 +285,9 @@ def test_model_from_checkpoint_skips_random_init(monkeypatch):
 
     monkeypatch.setattr(models, "_uniform_fan_in", no_init)
     rebuilt = model_from_checkpoint(ckpt)
-    np.testing.assert_array_equal(flatten_params(rebuilt), ckpt.params)
+    np.testing.assert_array_equal(rebuilt.params, ckpt.params)
     assert rebuilt.meta == {"seed": 50, "provenance": "scratch"}
-    rebuilt.proj_w.data[0, 0] += 1.0  # weights own their memory
+    rebuilt.proj_w.data[0, 0] += 1.0  # the model views a copy of the checkpoint's vector
     assert rebuilt.proj_w.data[0, 0] != ckpt.params[0]
 
 
@@ -300,6 +300,10 @@ def test_model_from_checkpoint_rejects_manifest_mismatches():
         ({**ckpt.manifest, "param_shapes": shapes[:-1]}, "parameters"),
         ({**ckpt.manifest, "total": ckpt.manifest["total"] + 1}, "manifest total"),
         ({**ckpt.manifest, "provenance": "mystery"}, "provenance"),
+        ({**ckpt.manifest, "total": "abc"}, "manifest total 'abc'"),
+        ({**ckpt.manifest, "arch": {**ckpt.manifest["arch"], "width": 5.0}}, "arch width must be an integer"),
+        ({**ckpt.manifest, "arch": {k: v for k, v in ckpt.manifest["arch"].items() if k != "width"}},
+         "arch width"),
     ):
         with pytest.raises(ValidationError, match=needle):
             model_from_checkpoint(type(ckpt)(ckpt.params, manifest, 0, "x"))
@@ -316,6 +320,37 @@ def test_reinit_head_copies_trunk_and_keeps_meta():
     assert [name for name, _ in fresh.named_parameters()] == [name for name, _ in model.named_parameters()]
 
 
+def test_parameters_are_views_of_the_model_vector():
+    model = new_residual_model(5, 7, 2, 3, seed=53)
+    assert all(t.data.base is model.params for t in model.parameters())
+    np.testing.assert_array_equal(model.params, np.concatenate([t.data.ravel() for t in model.parameters()]))
+    for fresh in (reinit_head(model, 4, seed=1), model_from_checkpoint(checkpoint_from_model(model))):
+        assert all(t.data.base is fresh.params for t in fresh.parameters())
+        assert not np.shares_memory(fresh.params, model.params)
+
+
+def test_step_moves_the_model_vector_in_place():
+    model = new_residual_model(5, 7, 2, 3, seed=54)
+    params, before = model.params, model.params.copy()
+    opt = SgdOptimizer({"head": model.head_parameters(), "trunk": model.trunk_parameters()}, lr=0.5,
+                       total_iterations=10, momentum=0.0, group_multipliers={"head": 2.0})
+    for t in model.parameters():
+        t.grad = np.ones(t.shape)
+    opt.step()
+    assert model.params is params and all(t.data.base is params for t in model.parameters())
+    head = model.head_w.data.size + model.head_b.data.size  # the group given first is last in the vector
+    np.testing.assert_array_equal(params, before - np.repeat([0.5, 1.0], [params.size - head, head]))
+    np.testing.assert_array_equal(checkpoint_from_model(model).params, params)
+
+
+def test_rebound_parameter_is_refused():
+    model = new_residual_model(5, 5, 1, 2, seed=57)
+    model.blocks[0].w2.data = np.eye(5)  # detached: model.params no longer holds it
+    for make in (checkpoint_from_model, lambda m: reinit_head(m, 2, seed=0)):
+        with pytest.raises(UsageError, match="block0.w2"):
+            make(model)
+
+
 def _bits(a) -> bytes:
     a = np.asarray(a)
     return bytes(str((a.dtype, a.shape)), "ascii") + a.tobytes()
@@ -326,7 +361,7 @@ def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3)
     # (forward + softmax_cross_entropy + backward) on a copy of the model
     # with its own optimizer: loss, logits, every gradient and every
     # parameter after each step, bit for bit
-    tape_model = copy.deepcopy(model)
+    tape_model = model_from_checkpoint(checkpoint_from_model(model))  # deepcopy would not keep the views
 
     def sgd(m):
         return SgdOptimizer({"trunk": m.trunk_parameters(), "head": m.head_parameters()}, lr=0.05,
@@ -374,11 +409,11 @@ def test_fused_step_matches_tape_bitwise(case):
     model = new_residual_model(int(rng.integers(1, 7)), width, depth, int(rng.integers(2, 5)),
                                seed=case, block_hidden=hidden)
     for blk in model.blocks:
-        blk.w2.data = rng.normal(size=blk.w2.shape)
-        blk.b1.data = rng.normal(size=blk.b1.shape)
-        blk.b2.data = rng.normal(size=blk.b2.shape)
-    model.proj_b.data = rng.normal(size=model.proj_b.shape)
-    model.head_b.data = rng.normal(size=model.head_b.shape)
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape)
+        blk.b1.data[...] = rng.normal(size=blk.b1.shape)
+        blk.b2.data[...] = rng.normal(size=blk.b2.shape)
+    model.proj_b.data[...] = rng.normal(size=model.proj_b.shape)
+    model.head_b.data[...] = rng.normal(size=model.head_b.shape)
     batch = 1 if case % 3 == 0 else int(rng.integers(2, 33))
     x = rng.normal(size=(40, model.input_dim))
     labels = rng.integers(0, model.num_classes, size=40)
@@ -390,9 +425,9 @@ def test_fused_step_matches_tape_bitwise_at_finetune_wide_shape():
     rng = np.random.default_rng(43)
     model = new_residual_model(18, 64, 4, 2, seed=43)
     for blk in model.blocks:
-        blk.w2.data = rng.uniform(-0.125, 0.125, size=blk.w2.shape)
-        blk.b1.data = 0.1 * rng.normal(size=blk.b1.shape)
-        blk.b2.data = 0.1 * rng.normal(size=blk.b2.shape)
+        blk.w2.data[...] = rng.uniform(-0.125, 0.125, size=blk.w2.shape)
+        blk.b1.data[...] = 0.1 * rng.normal(size=blk.b1.shape)
+        blk.b2.data[...] = 0.1 * rng.normal(size=blk.b2.shape)
     x = rng.normal(size=(600, 18))
     labels = rng.integers(0, 2, size=600)
     _assert_fused_steps_match_tape(model, x, labels, 0.9, 43, 256)
@@ -493,10 +528,10 @@ def test_predict_proba_matches_tape_bitwise(depth, hidden_side):
         hidden = width - 2 if hidden_side == "below" else width + 3
         model = new_residual_model(3, width, depth, classes, seed=depth, block_hidden=hidden)
         for blk in model.blocks:
-            blk.w2.data = rng.normal(size=blk.w2.shape)
-            blk.b1.data = rng.normal(size=blk.b1.shape)
-            blk.b2.data = rng.normal(size=blk.b2.shape)
-        model.head_b.data = 3.0 * rng.normal(size=classes)
+            blk.w2.data[...] = rng.normal(size=blk.w2.shape)
+            blk.b1.data[...] = rng.normal(size=blk.b1.shape)
+            blk.b2.data[...] = rng.normal(size=blk.b2.shape)
+        model.head_b.data[...] = 3.0 * rng.normal(size=classes)
         for n in (0, 1, c - 1, c, c + 1, 3 * c + 5):
             x = 3.0 * rng.normal(size=(n, 3))
             assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x)), (classes, n)
@@ -509,10 +544,10 @@ def test_predict_proba_matches_tape_bitwise_at_finetune_wide_shape():
     rng = np.random.default_rng(42)
     model = new_residual_model(18, 64, 4, 2, seed=42, block_hidden=64)
     for blk in model.blocks:
-        blk.w2.data = rng.uniform(-0.125, 0.125, size=blk.w2.shape)
-        blk.b1.data = 0.1 * rng.normal(size=blk.b1.shape)
-        blk.b2.data = 0.1 * rng.normal(size=blk.b2.shape)
-    model.head_b.data = rng.normal(size=2)
+        blk.w2.data[...] = rng.uniform(-0.125, 0.125, size=blk.w2.shape)
+        blk.b1.data[...] = 0.1 * rng.normal(size=blk.b1.shape)
+        blk.b2.data[...] = 0.1 * rng.normal(size=blk.b2.shape)
+    model.head_b.data[...] = rng.normal(size=2)
     for n in (1200, 2 * c + 2, 2 * c + 3, 2 * c + 4, 2 * c + 5):
         x = rng.normal(size=(n, 18))
         assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x)), n
@@ -523,8 +558,8 @@ def test_predict_proba_matches_tape_when_relu_inputs_are_exactly_zero():
     rng = np.random.default_rng(40)
     for blk in model.blocks:
         blk.w1.data[:, :2] = 0.0  # the relu inputs of units 0 and 1 are exactly 0
-        blk.b1.data = np.array([0.0, -0.0, 0.5, -0.5])
-        blk.w2.data = rng.normal(size=blk.w2.shape)
+        blk.b1.data[...] = np.array([0.0, -0.0, 0.5, -0.5])
+        blk.w2.data[...] = rng.normal(size=blk.w2.shape)
     x = rng.normal(size=(EVAL_CHUNK_ROWS + 7, 3))
     pre = x @ model.proj_w.data + model.proj_b.data
     assert np.count_nonzero(pre @ model.blocks[0].w1.data + model.blocks[0].b1.data == 0.0) > 0

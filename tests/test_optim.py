@@ -11,6 +11,16 @@ def _param(values):
     return t
 
 
+def _views(*arrays):
+    """Tensors over views of one vector, laid end to end as a model's parameters are."""
+    flat = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays])
+    out, offset = [], 0
+    for a in arrays:
+        out.append(Tensor(flat[offset : offset + np.size(a)].reshape(np.shape(a)), requires_grad=True))
+        offset += np.size(a)
+    return out
+
+
 def test_plain_gradient_descent_when_momentum_and_decay_off():
     w = _param([1.0, -2.0])
     w.grad = np.array([0.5, 0.5])
@@ -67,7 +77,7 @@ def test_lr_at_validates_iteration_range():
 
 def test_group_isolation_multiplier_one_identical_updates():
     grads = np.random.default_rng(0).normal(size=4)
-    wa, wb = _param([1.0, 2.0, 3.0, 4.0]), _param([1.0, 2.0, 3.0, 4.0])
+    wa, wb = _views([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
     wa.grad = grads.copy()
     wb.grad = grads.copy()
     opt = SgdOptimizer(
@@ -93,7 +103,7 @@ def test_weight_decay_shrink_factor_exact():
 
 
 def test_missing_grad_is_usage_error():
-    trunk, head = _param([1.0]), _param([2.0])
+    trunk, head = _views([1.0], [2.0])
     opt = SgdOptimizer({"trunk": [trunk], "head": [head]}, lr=0.1, total_iterations=10)
     trunk.grad = np.ones(1)
     with pytest.raises(UsageError, match="'head'"):
@@ -170,7 +180,8 @@ def test_flat_update_equals_per_tensor_loop_bitwise(head_only):
     want = _per_tensor_sgd({n: init[n] for n in shapes}, grad_steps, total=total,
                            multipliers=multipliers, **settings)
 
-    tensors = {name: [_param(a) for a in init[name]] for name in init}
+    views = iter(_views(*init["trunk"], *init["head"]))
+    tensors = {name: [next(views) for _ in init[name]] for name in init}
     opt = SgdOptimizer({n: tensors[n] for n in shapes}, total_iterations=total,
                        group_multipliers=multipliers, **settings)
     for grads in grad_steps:  # crosses the midpoint decay at step 6
@@ -199,3 +210,18 @@ def test_tensor_in_two_groups_rejected():
     w = _param([1.0])
     with pytest.raises(ValidationError):
         SgdOptimizer({"trunk": [w], "head": [w]}, lr=0.1, total_iterations=10)
+
+
+def test_parameters_that_do_not_tile_one_vector_are_rejected():
+    flat = np.zeros(6)
+    strided = _param([0.0, 0.0, 0.0])
+    strided.data = flat[::2]  # Tensor() itself would copy it to a contiguous array
+    for tensors in (
+        [_param([1.0]), _param([2.0])],  # two vectors
+        [Tensor(flat[:2]), Tensor(flat[3:])],  # a gap
+        [Tensor(flat[:3]), Tensor(flat[2:])],  # an overlap
+        [strided],
+    ):
+        with pytest.raises(ValidationError, match="tile one float64 vector"):
+            SgdOptimizer({"trunk": tensors}, lr=0.1, total_iterations=10)
+

@@ -8,7 +8,6 @@ from finedrop.datasets import EnvDataset, gen_multienv_task, gen_pretrain_corpus
 from finedrop.errors import RunError, ValidationError
 from finedrop.models import (
     checkpoint_from_model,
-    flatten_params,
     forward,
     model_from_checkpoint,
     new_residual_model,
@@ -155,7 +154,7 @@ def test_finetune_rate_zero_bit_equals_manual_erm_loop(small_task, small_start):
         opt.step()
         ad.reset_grads(model.parameters())
 
-    np.testing.assert_array_equal(record.trail[-1].checkpoint.params, flatten_params(model))
+    np.testing.assert_array_equal(record.trail[-1].checkpoint.params, model.params)
 
 
 def test_finetune_zero_iterations_evaluates_fresh_head(small_task, small_start):
@@ -257,13 +256,13 @@ def test_weight_average_of_identical_checkpoints_is_identity():
     model = new_residual_model(4, 6, 1, 2, seed=11)
     ck = checkpoint_from_model(model)
     avg = weight_average([ck, ck])
-    np.testing.assert_array_equal(flatten_params(avg), ck.params)
+    np.testing.assert_array_equal(avg.params, ck.params)
 
 
 def test_weight_average_permutation_invariant():
     cks = [checkpoint_from_model(new_residual_model(4, 6, 1, 2, seed=s)) for s in range(4)]
-    a = flatten_params(weight_average(cks))
-    b = flatten_params(weight_average(cks[::-1]))
+    a = weight_average(cks).params
+    b = weight_average(cks[::-1]).params
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -320,7 +319,7 @@ def test_build_variants_single_checkpoint_wa_is_that_checkpoint(small_task, smal
     record = finetune(small_start, split, FineTuneConfig(total_iterations=0, seed=5))
     arms = build_variants(record)
     np.testing.assert_array_equal(
-        flatten_params(arms["wa_single"]), record.trail[0].checkpoint.params
+        arms["wa_single"].params, record.trail[0].checkpoint.params
     )
     assert len(arms["ensemble_single"].models) == 1
 
@@ -355,7 +354,7 @@ def test_pretrain_zero_iterations_equals_init():
     arch = {"width": 8, "depth": 1, "block_hidden": 8, "input_dim": corpus.n_features}
     ck = pretrain(arch, corpus, OptimizerSettings(iterations=0), seed=9)
     fresh = new_residual_model(corpus.n_features, 8, 1, corpus.num_classes, seed=9)
-    np.testing.assert_array_equal(ck.params, flatten_params(fresh))
+    np.testing.assert_array_equal(ck.params, fresh.params)
     assert ck.provenance == "pretrained-plain"
 
 

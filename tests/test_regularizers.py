@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from finedrop import autodiff as ad
 from finedrop.errors import CapacityError, ValidationError
 from finedrop.regularizers import (
     DropoutSpec,
@@ -11,10 +10,7 @@ from finedrop.regularizers import (
     expected_dropout_loss_closed_form,
     expected_dropout_loss_enumerated,
     feature_bagging_ensemble,
-    l2_penalty,
 )
-
-from helpers import assert_grads_close
 
 # Central 99.99% interval for the zero count of 1e5 Bernoulli(0.9) draws,
 # computed by exact binomial CDF summation.
@@ -103,27 +99,6 @@ def test_apply_sample_mean_tight_tolerance():
     spec = DropoutSpec.seeded(0.9, seed=77)
     out = apply_inverted_dropout(np.ones((20_000, 4)), spec)
     assert np.all(np.abs(out.mean(axis=0) - 1.0) < 0.05)
-
-
-def test_l2_penalty_trivial_values():
-    assert l2_penalty([ad.Tensor([3.0, 4.0])], 0.0).item() == 0.0
-    assert l2_penalty([ad.Tensor([3.0, 4.0])], 1.0).item() == 25.0
-
-
-def test_l2_penalty_rejects_negative_coeff():
-    with pytest.raises(ValidationError):
-        l2_penalty([ad.Tensor([1.0])], -0.1)
-
-
-def test_l2_penalty_gradient_is_2cw():
-    rng = np.random.default_rng(13)
-    w = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    coeff = 0.35
-    ad.backward(l2_penalty([w], coeff))
-    np.testing.assert_allclose(w.grad, 2.0 * coeff * w.data, rtol=1e-12)
-
-    fd = ad.finite_diff_grad(lambda p: coeff * float((p[0] ** 2).sum()), [w.data], eps=1e-5)
-    assert_grads_close([w.grad], fd, rtol=1e-6)
 
 
 def test_enumerated_loss_rate_zero_is_squared_loss():
