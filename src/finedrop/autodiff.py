@@ -138,26 +138,25 @@ class ComputationRecord:
 
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationRecord":
+        """Depth-first, parents in order, each tensor after its parents."""
+        if not root._parents:
+            return cls([], [root])
         entries: list[OpRecord] = []
         leaves: list[Tensor] = []
-        visited: set[int] = set()
-
-        def visit(t: Tensor) -> None:
-            if id(t) in visited:
-                return
-            visited.add(id(t))
-            for p in t._parents:
-                visit(p)
-            if t._parents:
-                entries.append(OpRecord(t._op, t._parents, t, t._vjp))
+        visited = {id(root)}
+        stack = [(root, iter(root._parents))]  # ops whose parents are being visited
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in visited:
+                    visited.add(id(p))
+                    if p._parents:
+                        stack.append((p, iter(p._parents)))
+                        break
+                    leaves.append(p)
             else:
-                leaves.append(t)
-
-        visit(root)
-        # visit holds itself through its closure; without this the cycle
-        # keeps the traced graph, activations included, alive until the
-        # next garbage-collection pass instead of freeing it with the record
-        del visit
+                stack.pop()
+                entries.append(OpRecord(t._op, t._parents, t, t._vjp))
         return cls(entries, leaves)
 
 

@@ -17,8 +17,10 @@ pass over proj, blocks, inverted dropout, head and softmax cross-entropy,
 and its hand-derived backward, which repeats the float operations of the
 autodiff ops one for one, so loss and gradients equal the tape's bit for
 bit. Both write into a `StepBuffers` the training loop allocates once, so
-a step allocates no batch-sized array but its dropout mask, and what it
-leaves there, gradients included, holds until the next step. Evaluation
+a step allocates no activation and no dropout mask, only the gather of its
+input rows, and what it leaves there, gradients included, holds until the
+next step. The gradients are views of one flat vector laid out like
+`params`, which the optimizer reads in place. Evaluation
 (`ResidualModel.predict_proba`) has a kernel of its own: it walks the rows
 in chunks of EVAL_CHUNK_ROWS through buffers allocated once per call, keeps
 no activations, and equals `ad.softmax(forward(model, x)[0].data)` bit for
@@ -29,7 +31,9 @@ stays as the reference both are tested against and as the path
 A model's parameters are views of one flat float64 vector, `params`, in
 named_parameters order: the optimizer updates it in place and a checkpoint
 is a copy of it. Write a parameter in place (`t.data[...] = v`); rebinding
-`.data` detaches it, and `checkpoint_from_model` refuses the model.
+`.data` detaches it, and reordering `blocks` in place moves a view off its
+named offset, so `checkpoint_from_model` refuses either model. A copy or a
+pickle round trip rebuilds the model over a copy of `params`.
 
 Checkpoints are a single file: one line of compact JSON (the manifest:
 architecture, parameter shapes, iteration, run id, rng state) terminated by
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +95,13 @@ class ResidualModel:
     head_b: ad.Tensor
     params: np.ndarray  # the flat vector every tensor above is a view of
     meta: dict = field(default_factory=dict)
+    # params, then the parameters' arrays in named_parameters order, as last found at their offsets
+    _placed: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the model over a copy of params, so a copy views its own vector."""
+        shapes = [(name, t.shape) for name, t in self.named_parameters()]
+        return _assemble, (_attached_params(self).copy(), shapes, dict(self.meta))
 
     @property
     def input_dim(self) -> int:
@@ -246,7 +258,9 @@ def _assemble(params: np.ndarray, shapes: list, meta: dict) -> ResidualModel:
         offset += math.prod(shape)
     proj_w, proj_b, *body, head_w, head_b = leaves
     blocks = [ResidualBlockParams(*body[i : i + 4]) for i in range(0, len(body), 4)]
-    return ResidualModel(proj_w, proj_b, blocks, head_w, head_b, params, meta)
+    model = ResidualModel(proj_w, proj_b, blocks, head_w, head_b, params, meta)
+    model._placed = (params, *(t.data for t in leaves))
+    return model
 
 
 def new_residual_model(
@@ -343,28 +357,38 @@ def check_labels(labels, n_rows: int, num_classes: int) -> None:
 class StepBuffers:
     """The arrays a fused training step writes into, for one batch size.
 
-    `fused_forward` fills the activations, `fused_backward` the backward
-    scratch and one gradient per parameter, in named_parameters order. Each
-    step overwrites the last one's, so a gradient holds until the next step.
+    `fused_forward` fills the activations and the dropout mask,
+    `fused_backward` the backward scratch and the gradients. `grad` is one
+    flat vector laid out like the model's `params`, and `grads` are its
+    views, one per parameter in named_parameters order, so an optimizer
+    over the model reads `grad` in place. Each step overwrites the last
+    one's, so a gradient holds until the next step.
     """
 
     def __init__(self, model: ResidualModel, batch: int):
         if batch < 1:
             raise ValidationError(f"batch must be >= 1, got {batch}")
         width, hidden, classes = model.width, model.arch()["block_hidden"], model.num_classes
-        self.batch, self.rows = batch, np.arange(batch)
+        self.batch = batch
+        self.row_starts = np.arange(batch) * classes  # flat offset of each row of a [batch, classes] array
+        self.label_at = np.empty(batch, dtype=self.row_starts.dtype)  # flat offset of each row's label
+        self.picked = np.empty(batch)  # the label entries of log_probs, then of d
         self.hs = [np.empty((batch, width)) for _ in range(model.depth + 1)]  # block inputs, then phi
         self.zs = [np.empty((batch, hidden)) for _ in range(model.depth)]  # relu outputs
         # 1.0 where a relu input is > 0, else 0.0: float64, because numpy
         # multiplies by a bool mask through a temporary float copy of it
         self.actives = [np.empty((batch, hidden)) for _ in range(model.depth)]
+        self.mask = np.empty((batch, width))  # the dropout mask, when there is one
         self.head_in = np.empty((batch, width))  # phi after dropout
         self.logits, self.probs, self.d = (np.empty((batch, classes)) for _ in range(3))
         self.top, self.total = np.empty((batch, 1)), np.empty((batch, 1))  # softmax row max and sum
         self.dh = (np.empty((batch, width)), np.empty((batch, width)))  # the current one and a spare
         self.dz = np.empty((batch, hidden))
-        self.grads = tuple(np.empty(t.shape) for t in model.parameters())
-        self.x = self.labels = self.keep = None  # what fused_forward leaves for fused_backward
+        self.grad = np.empty(model.params.size)
+        ends = np.cumsum([t.data.size for t in model.parameters()]).tolist()
+        self.grads = tuple(self.grad[end - t.data.size : end].reshape(t.shape)
+                           for t, end in zip(model.parameters(), ends))
+        self.x = self.keep = None  # what fused_forward leaves for fused_backward
         self.scale = 1.0
 
 
@@ -392,10 +416,10 @@ def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels,
         _affine(z, blk.w2.data, blk.b2.data, h_next, tile_w)
         h_next += h
         h = h_next
-    buf.x, buf.labels, buf.keep, buf.scale = x, labels, None, 1.0
+    buf.x, buf.keep, buf.scale = x, None, 1.0
     head_in = h
     if dropout is not None and dropout.active:
-        buf.keep = batch_dropout_mask(h.shape[0], h.shape[1], dropout.rate, dropout._require_rng())
+        buf.keep = batch_dropout_mask(h.shape[0], h.shape[1], dropout.rate, dropout._require_rng(), out=buf.mask)
         buf.scale = 1.0 / (1.0 - dropout.rate)
         head_in = np.multiply(h, buf.keep, out=buf.head_in)
         head_in *= buf.scale
@@ -405,7 +429,9 @@ def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels,
     np.subtract(logits, buf.top, out=log_probs)
     np.add.reduce(np.exp(log_probs, out=buf.d), 1, keepdims=True, out=buf.total)
     log_probs -= np.log(buf.total, out=buf.total)
-    loss = np.asarray(-log_probs[buf.rows, labels].mean())
+    np.add(buf.row_starts, labels, out=buf.label_at, casting="unsafe")  # "unsafe" takes uint64 labels too
+    picked = np.take(log_probs, buf.label_at, out=buf.picked, mode="clip")  # "raise" would buffer out
+    loss = np.asarray(-(np.add.reduce(picked) / buf.batch))  # the bits of -picked.mean()
     np.exp(log_probs, out=buf.probs)
     return loss
 
@@ -422,7 +448,9 @@ def fused_backward(model: ResidualModel, buf: StepBuffers, g) -> tuple[np.ndarra
     """
     grads, d = buf.grads, buf.d
     np.copyto(d, buf.probs)
-    d[buf.rows, buf.labels] -= 1.0
+    picked = np.take(d, buf.label_at, out=buf.picked, mode="clip")
+    picked -= 1.0
+    d.put(buf.label_at, picked)
     d *= float(g) / buf.batch
     head_in = buf.hs[-1] if buf.keep is None else buf.head_in
     np.matmul(head_in.T, d, out=grads[-2])
@@ -487,11 +515,26 @@ class Checkpoint:
 
 
 def _attached_params(model: ResidualModel) -> np.ndarray:
-    """model.params, once each parameter is checked by identity to still view it."""
-    for name, t in model.named_parameters():
-        if t.data.base is not model.params:
+    """model.params, once each parameter is checked to view it at its named_parameters offset.
+
+    Arrays found in place before are checked by identity; the offsets are
+    compared only when the vector, an array or the order changed, as
+    rebinding `params` or a `.data`, or reordering `blocks` in place, does.
+    """
+    named = model.named_parameters()
+    arrays = (model.params, *(t.data for _, t in named))
+    if len(arrays) == len(model._placed) and all(map(operator.is_, arrays, model._placed)):
+        return model.params
+    params, offset = model.params, 0
+    for (name, _), a in zip(named, arrays[1:]):
+        if a.base is not params:
             raise UsageError(f"parameter {name} no longer views model.params: write it in place, t.data[...] = v")
-    return model.params
+        if not a.flags.c_contiguous or a.ctypes.data != params.ctypes.data + 8 * offset:
+            raise UsageError(f"parameter {name} is not at its offset {offset} in model.params: "
+                             "the blocks were reordered in place, or its .data rebound to another view")
+        offset += a.size
+    model._placed = arrays
+    return params
 
 
 def checkpoint_from_model(

@@ -13,13 +13,19 @@ multipliers so the head can train 10x faster than the trunk.
 The parameters must be views that tile one float64 vector end to end, as a
 model's views of its `params` do (else ValidationError): the optimizer
 adopts the span they cover, next to one momentum vector and one per-element
-multiplier vector. A step gathers the gradients into one vector and updates
-all three in place, through one scratch vector, with the same elementwise
-float operations as a per-tensor loop. Rebinding a parameter's `.data`
-after the optimizer is built detaches it, so `step` refuses with a UsageError.
+learning-rate vector. A step reads the gradients in place when they tile a
+vector the way the weights do, as a `StepBuffers`' views of its `grad` do;
+only other gradients (the tape's, say) are gathered into a vector of the
+optimizer's own. It then updates the weights and momentum in place, through
+one scratch vector, with the same elementwise float operations as a
+per-tensor loop, and never writes a gradient. Rebinding a parameter's
+`.data` after the optimizer is built detaches it, so `step` refuses with a
+UsageError.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -76,11 +82,16 @@ class SgdOptimizer:
             raise ValidationError("a tensor appears more than once in the parameter groups")
         owned.sort(key=lambda slot: slot[1].data.ctypes.data)  # by address: the span's order
         self._w = _tiled_span([t.data for _, t in owned])
+        if self._w is None:
+            raise ValidationError("optimizer parameters must be views that tile one float64 vector end to end")
         self._v = np.zeros_like(self._w)
-        self._g = np.empty_like(self._w)
+        self._g = np.empty_like(self._w)  # the gathered gradients, when they tile no vector
         self._scratch = np.empty_like(self._w)
         self._lr_mult = np.repeat([self.multipliers[name] for name, _ in owned], [t.data.size for _, t in owned])
+        self._rate, self._rate_base = np.empty_like(self._w), None  # base lr * _lr_mult, for base _rate_base
         self._slots = [(name, t, t.data) for name, t in owned]  # (group, tensor, the view its .data must still be)
+        self._grads_seen: tuple = ()  # the gradient arrays last validated
+        self._grad_span: np.ndarray | None = None  # the span they tile, None if they tile none
 
     def lr_at(self, iteration: int, group: str | None = None) -> float:
         """Effective learning rate at an iteration, including the group multiplier."""
@@ -100,11 +111,11 @@ class SgdOptimizer:
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters.
 
-        The gradients are copied first, so they need to hold only until
-        this call returns, as the fused step's buffers do; every update
-        writes into vectors allocated with the optimizer. Gradients are left
-        in place; the training loop is responsible for reset_grads, which
-        keeps the no-silent-accumulation contract of backward() intact.
+        The gradients need to hold only until this call returns, as the
+        fused step's buffers do, and are never written; every update writes
+        into vectors allocated with the optimizer. Gradients are left in
+        place; the training loop is responsible for reset_grads, which keeps
+        the no-silent-accumulation contract of backward() intact.
         """
         grads = []
         for name, t, view in self._slots:
@@ -115,21 +126,41 @@ class SgdOptimizer:
                 )
             if t.grad is None:
                 raise UsageError(f"parameter in group {name!r} has no gradient; run backward first")
-            grads.append(t.grad.reshape(-1))
+            grads.append(t.grad)
         base = self.lr_at(self.iteration)
-        w, v, g, tmp = self._w, self._v, self._g, self._scratch
-        if grads:
-            np.concatenate(grads, out=g)
+        if base != self._rate_base:  # a new lr phase
+            np.multiply(base, self._lr_mult, out=self._rate)
+            self._rate_base = base
+        w, v, g, tmp = self._w, self._v, self._gradients(grads), self._scratch
         if self.weight_decay != 0.0:
-            g += np.multiply(self.weight_decay, w, out=tmp)
+            np.multiply(self.weight_decay, w, out=tmp)
+            tmp += g  # = g + weight_decay * w, bit for bit: IEEE addition commutes
+            g = tmp
         v *= self.momentum
         v += g
-        w -= np.multiply(np.multiply(base, self._lr_mult, out=tmp), v, out=tmp)
+        w -= np.multiply(self._rate, v, out=tmp)
         self.iteration += 1
 
+    def _gradients(self, grads: list) -> np.ndarray:
+        """The slots' gradients as one vector in the weights' order: read in
+        place when each sits at its weight's offset in one vector, else gathered.
 
-def _tiled_span(arrays: list[np.ndarray]) -> np.ndarray:
-    """The 1-D view of the one float64 vector that arrays, in address order, tile end to end."""
+        Gradient arrays seen before are recognized by identity, so the
+        layout is validated once per set of arrays.
+        """
+        if len(grads) != len(self._grads_seen) or not all(map(operator.is_, grads, self._grads_seen)):
+            fits = all(gr.size == view.size for gr, (_, _, view) in zip(grads, self._slots))
+            self._grad_span = _tiled_span(grads) if fits else None
+            self._grads_seen = tuple(grads)
+        if self._grad_span is not None:
+            return self._grad_span
+        if grads:
+            np.concatenate([gr.reshape(-1) for gr in grads], out=self._g)
+        return self._g
+
+
+def _tiled_span(arrays) -> np.ndarray | None:
+    """The 1-D view of the one float64 vector that arrays, in their order, tile end to end; None if none."""
     if not arrays:
         return np.empty(0)
     root = arrays[0] if arrays[0].base is None else arrays[0].base
@@ -139,5 +170,5 @@ def _tiled_span(arrays: list[np.ndarray]) -> np.ndarray:
         tiled = tiled and (a if a.base is None else a.base) is root and a.flags.c_contiguous and a.ctypes.data == end
         end += a.nbytes
     if not tiled:
-        raise ValidationError("optimizer parameters must be views that tile one float64 vector end to end")
+        return None
     return root.reshape(-1)[(start - root.ctypes.data) // 8 : (end - root.ctypes.data) // 8]

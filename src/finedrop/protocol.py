@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 _STREAM_ROOT = 0x1C3B00DA  # fixed entropy root for every derived stream
+_INDEX_BLOCK = 16384  # batch indices `_batches` draws per call: 128 KiB of int64
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +446,20 @@ def build_variants(records) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _batches(batch_rng, n: int, batch_size: int, iterations: int):
+    """The batch indices of each step, as `batch_rng.integers(0, n, size=batch_size)`
+    per step would draw them, but drawn a block of steps per call.
+
+    A block's rows are those per-step draws, bit for bit, and a block never
+    reaches past the last step, so after a full run the generator is where
+    per-step draws leave it. A run that stops early has also drawn the rest
+    of its last block, which no step uses.
+    """
+    rows = max(1, _INDEX_BLOCK // batch_size)
+    for start in range(0, iterations, rows):
+        yield from batch_rng.integers(0, n, size=(min(rows, iterations - start), batch_size))
+
+
 def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, on_checkpoint) -> None:
     """The one training loop: batch, fused forward and loss, backward, SGD step.
 
@@ -453,7 +468,8 @@ def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, 
     fills every `.grad` for the optimizer as the op-by-op graph would. The
     steps write into one `StepBuffers` built here, so those `.grad` arrays
     are the buffer's and hold only until the next step. Labels are checked
-    once, on the whole of y. After every `every`-th step and after the last
+    once, on the whole of y, and batch indices are drawn in blocks
+    (`_batches`). After every `every`-th step and after the last
     one, on_checkpoint(steps done) runs; a true return ends training.
     every=None never calls back. A non-finite loss raises RunError at its
     iteration.
@@ -463,8 +479,7 @@ def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, 
     params = tuple(model.parameters())
     buf = StepBuffers(model, batch_size)
     backward = partial(fused_backward, model, buf)
-    for it in range(iterations):
-        idx = batch_rng.integers(0, n, size=batch_size)
+    for it, idx in enumerate(_batches(batch_rng, n, batch_size, iterations)):
         loss = fused_forward(model, x[idx], dropout, y[idx], buf)
         loss = ad.make_node(loss, "fused_step", params, backward)
         if not np.isfinite(loss.item()):
@@ -650,17 +665,27 @@ def _score_single_run_arms(record: RunRecord, split: EnvSplit, val_idx: np.ndarr
     The ensemble's holdout probabilities are the mean of those each trail
     point kept, the same `np.stack(...).mean(axis=0)` that ensemble_predict
     takes, so the scores are equal; only its held-out environment
-    probabilities are computed here, once per checkpoint.
+    probabilities are computed here, once per checkpoint, through one model
+    whose vector each checkpoint's is copied into in turn.
     """
     trail = [p.checkpoint for p in record.trail]
     scores = _score_arms({"wa_single": weight_average(trail)}, split, val_idx)
     ds = split.dataset
-    ensemble = EnsemblePredictor([model_from_checkpoint(c) for c in trail])
+    x_test, y_test = ds.env_arrays(split.test_env)
+    member, test_probs = model_from_checkpoint(trail[0]), []
+    for ckpt in trail:
+        member.params[...] = ckpt.params
+        test_probs.append(member.predict_proba(x_test))
     scores["ensemble_single"] = {
-        "iid": _accuracy(np.stack([p.holdout_probs for p in record.trail]).mean(axis=0), ds.labels[val_idx]),
-        "ood": evaluate(ensemble, *ds.env_arrays(split.test_env)),
+        "iid": _ensemble_accuracy([p.holdout_probs for p in record.trail], ds.labels[val_idx]),
+        "ood": _ensemble_accuracy(test_probs, y_test),
     }
     return scores
+
+
+def _ensemble_accuracy(member_probs: list, labels: np.ndarray) -> float:
+    """The accuracy of the mean of member probabilities, as ensemble_predict averages them."""
+    return _accuracy(np.stack(member_probs).mean(axis=0), labels)
 
 
 def _execute_sweep_run(args) -> RunRecord:

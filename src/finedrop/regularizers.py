@@ -88,18 +88,28 @@ def dropout_mask(dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     return batch_dropout_mask(1, dim, rate, rng)[0]
 
 
-def batch_dropout_mask(n_rows: int, dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+def batch_dropout_mask(n_rows: int, dim: int, rate: float, rng: np.random.Generator,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """[n_rows, dim] mask with a fresh, independent mask per row.
 
     Draw order is row-major, i.e. identical to calling dropout_mask once
-    per row in row order.
+    per row in row order. The uniforms are drawn into the mask array and
+    compared in place. out, a C-contiguous float64 [n_rows, dim] array,
+    is that array when given, so a caller's buffer gets the same draws and
+    the same 0/1 values with no allocation.
     """
     if n_rows < 1:
         raise ValidationError(f"n_rows must be >= 1, got {n_rows}")
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     rate = _validate_rate(rate)
-    return (rng.random((n_rows, dim)) >= rate).astype(np.float64)
+    if out is None:
+        out = np.empty((n_rows, dim))
+    elif out.shape != (n_rows, dim) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be a C-contiguous float64 array of shape {(n_rows, dim)}, "
+                              f"got {out.dtype} {out.shape}")
+    rng.random(out=out)
+    return np.greater_equal(out, rate, out=out)
 
 
 def apply_inverted_dropout(phi: np.ndarray, spec: DropoutSpec) -> np.ndarray:

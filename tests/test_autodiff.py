@@ -250,3 +250,15 @@ def test_computation_record_is_topologically_ordered():
             assert id(parent) in produced, "entry consumed a tensor produced later"
         produced.add(id(entry.output))
     assert record.entries[-1].output is loss
+
+
+def test_trace_walks_graphs_deeper_than_the_recursion_limit():
+    # the trace is iterative: a chain of 3000 ops traces and differentiates
+    x = ad.Tensor(np.array([[2.0]]), requires_grad=True)
+    h = x
+    for _ in range(3000):
+        h = ad.add(h, ad.Tensor(np.zeros((1, 1))))
+    record = ad.ComputationRecord.trace(h)
+    assert len(record.entries) == 3000 and record.leaves[0] is x and len(record.leaves) == 3001
+    ad.backward(ad.tensor_sum(h))
+    assert x.grad.tolist() == [[1.0]]

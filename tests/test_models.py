@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import tracemalloc
 import weakref
 from functools import partial
@@ -351,17 +353,73 @@ def test_rebound_parameter_is_refused():
             make(model)
 
 
+def test_reordered_blocks_are_refused():
+    # swapping two blocks in place keeps every view on model.params, but a
+    # checkpoint names the vector in the new order and would rebuild a
+    # different model
+    model = new_residual_model(5, 6, 3, 2, seed=58)
+    rng = np.random.default_rng(58)
+    for t in model.parameters():
+        t.data[...] = rng.normal(size=t.shape)
+    checkpoint_from_model(model)  # accepted before the swap, which leaves every array it checked in place
+    model.blocks[0], model.blocks[2] = model.blocks[2], model.blocks[0]
+    for make in (checkpoint_from_model, lambda m: reinit_head(m, 2, seed=0)):
+        with pytest.raises(UsageError, match="block0.w1 is not at its offset"):
+            make(model)
+
+
+def test_rebound_parameter_vector_is_refused():
+    model = new_residual_model(5, 5, 1, 2, seed=61)
+    checkpoint_from_model(model)
+    model.params = model.params.copy()  # the parameters still view the old vector
+    with pytest.raises(UsageError, match="proj_w no longer views"):
+        checkpoint_from_model(model)
+
+
+@pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_model_copies_view_their_own_vector(round_trip):
+    model = new_residual_model(4, 5, 2, 3, seed=59)
+    model.meta["provenance"] = "pretrained-rich"
+    rng = np.random.default_rng(59)
+    x = rng.normal(size=(7, 4))
+    twin, before = round_trip(model), model.params.copy()
+    assert all(t.data.base is twin.params for t in twin.parameters())
+    assert not np.shares_memory(twin.params, model.params) and twin.meta == model.meta
+    assert _bits(twin.params) == _bits(model.params)
+    assert _bits(twin.predict_proba(x)) == _bits(model.predict_proba(x))
+    assert _bits(checkpoint_from_model(twin).params) == _bits(model.params)
+    opt = SgdOptimizer({"trunk": twin.trunk_parameters(), "head": twin.head_parameters()}, lr=0.1,
+                       total_iterations=4)
+    for t in twin.parameters():
+        t.grad = np.ones(t.shape)
+    opt.step()
+    assert not np.array_equal(twin.params, before) and _bits(model.params) == _bits(before)
+
+
+def test_copy_of_a_detached_model_is_refused():
+    model = new_residual_model(5, 5, 1, 2, seed=60)
+    model.head_b.data = np.zeros(2)
+    with pytest.raises(UsageError, match="head_b"):
+        copy.deepcopy(model)
+
+
 def _bits(a) -> bytes:
     a = np.asarray(a)
     return bytes(str((a.dtype, a.shape)), "ascii") + a.tobytes()
 
 
-def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3):
+def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3, permute=None):
     # `steps` consecutive SGD steps through one StepBuffers against the tape
     # (forward + softmax_cross_entropy + backward) on a copy of the model
     # with its own optimizer: loss, logits, every gradient and every
-    # parameter after each step, bit for bit
-    tape_model = model_from_checkpoint(checkpoint_from_model(model))  # deepcopy would not keep the views
+    # parameter after each step, bit for bit. permute, a block order,
+    # reorders both models' blocks in place first, so the gradients no
+    # longer sit at their weights' offsets and the optimizer gathers them
+    tape_model = copy.deepcopy(model)
+    if permute is not None:
+        for m in (model, tape_model):
+            m.blocks[:] = [m.blocks[i] for i in permute]
 
     def sgd(m):
         return SgdOptimizer({"trunk": m.trunk_parameters(), "head": m.head_parameters()}, lr=0.05,
@@ -390,6 +448,7 @@ def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3)
             assert t.grad is buf.grads[params.index(t)]
             assert _bits(t.grad) == _bits(want), (step, name)
         fused_opt.step()
+        assert (fused_opt._grad_span is None) == (permute is not None), step  # read in place, or gathered
         ad.reset_grads(params)
         for (name, t), want in zip(model.named_parameters(), tape_params):
             assert _bits(t.data) == _bits(want.data), (step, name)
@@ -433,10 +492,21 @@ def test_fused_step_matches_tape_bitwise_at_finetune_wide_shape():
     _assert_fused_steps_match_tape(model, x, labels, 0.9, 43, 256)
 
 
+def test_fused_step_matches_tape_bitwise_with_blocks_reordered_in_place():
+    # the optimizer's gather fallback: with blocks 0 and 2 swapped, the step
+    # buffers' gradient views follow the new block order, not the weights'
+    rng = np.random.default_rng(45)
+    model = new_residual_model(5, 6, 3, 3, seed=45, block_hidden=4)
+    for t in model.parameters():
+        t.data[...] = rng.normal(size=t.shape)
+    x, labels = rng.normal(size=(40, 5)), rng.integers(0, 3, size=40)
+    _assert_fused_steps_match_tape(model, x, labels, 0.5, 45, 8, permute=[2, 1, 0])
+
+
 def test_fused_step_allocates_no_activation():
     # after a warm-up step, a step writes only into its StepBuffers and the
-    # optimizer's vectors; what is left is per-row label bookkeeping and the
-    # tape node's small Python objects
+    # optimizer's vectors, the dropout mask included (rate 0.9); what is
+    # left is the tape node's small Python objects
     batch, width = 64, 32
     model = new_residual_model(10, width, 2, 3, seed=44)
     rng = np.random.default_rng(44)
@@ -447,26 +517,27 @@ def test_fused_step_allocates_no_activation():
     buf = StepBuffers(model, batch)
     backward = partial(fused_backward, model, buf)
 
-    def step():
-        ad.backward(ad.make_node(fused_forward(model, x, None, labels, buf), "fused_step", params,
+    def step(spec):
+        ad.backward(ad.make_node(fused_forward(model, x, spec, labels, buf), "fused_step", params,
                                  backward))
         opt.step()
         ad.reset_grads(params)
 
-    step()
-    tracemalloc.start()
-    try:
-        step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < batch * width * 8, peak
+    for spec in (None, DropoutSpec.seeded(0.9, seed=44)):
+        step(spec)
+        tracemalloc.start()
+        try:
+            step(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch * width * 8, (spec, peak)
 
 
 def test_fused_step_frees_its_activations_without_gc():
-    # the step buffers must go with the last reference to them (a training
-    # loop's frame), and a step's dropout mask with the step after it;
-    # waiting for a garbage-collection pass let dozens of steps pile up
+    # the step buffers, the dropout mask among them, must go with the last
+    # reference to them (a training loop's frame); waiting for a
+    # garbage-collection pass let dozens of steps pile up
     model = new_residual_model(4, 8, 2, 3, seed=38)
     rng = np.random.default_rng(38)
     x, labels = rng.normal(size=(16, 4)), rng.integers(0, 3, size=16)
@@ -482,7 +553,7 @@ def test_fused_step_frees_its_activations_without_gc():
             ad.backward(node)
             ad.reset_grads(params)
             masks.append(weakref.ref(buf.keep))
-        assert masks[0]() is None and masks[1]() is not None
+        assert masks[0]() is masks[1]() is buf.mask  # every step draws into the buffers' mask
         held = weakref.ref(buf.zs[0])
         del buf, backward, node
         assert held() is None and masks[1]() is None

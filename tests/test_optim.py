@@ -167,6 +167,9 @@ def _per_tensor_sgd(groups, grad_steps, lr, total, momentum, weight_decay, multi
 
 @pytest.mark.parametrize("head_only", [False, True])
 def test_flat_update_equals_per_tensor_loop_bitwise(head_only):
+    # the gradients come gathered (separate arrays, copied into one vector)
+    # or in place (views of one vector laid out like the weights, as a
+    # StepBuffers' are, which the optimizer reads and must never write)
     rng = np.random.default_rng(7)
     shapes = {"trunk": [(3, 4), (4,), (4, 4), (4,)], "head": [(4, 3), (3,)]}
     init = {name: [rng.normal(size=s) for s in ss] for name, ss in shapes.items()}
@@ -180,21 +183,28 @@ def test_flat_update_equals_per_tensor_loop_bitwise(head_only):
     want = _per_tensor_sgd({n: init[n] for n in shapes}, grad_steps, total=total,
                            multipliers=multipliers, **settings)
 
-    views = iter(_views(*init["trunk"], *init["head"]))
-    tensors = {name: [next(views) for _ in init[name]] for name in init}
-    opt = SgdOptimizer({n: tensors[n] for n in shapes}, total_iterations=total,
-                       group_multipliers=multipliers, **settings)
-    for grads in grad_steps:  # crosses the midpoint decay at step 6
+    for in_place in (False, True):
+        views = iter(_views(*init["trunk"], *init["head"]))
+        tensors = {name: [next(views) for _ in init[name]] for name in init}
+        opt = SgdOptimizer({n: tensors[n] for n in shapes}, total_iterations=total,
+                           group_multipliers=multipliers, **settings)
+        slots = [t for name in shapes for t in tensors[name]]
+        grad_vector = _views(*[t.data for t in slots])  # laid out like the optimized weights
+        for grads in grad_steps:  # crosses the midpoint decay at step 6
+            for t, g, view in zip(slots, [g for name in shapes for g in grads[name]], grad_vector):
+                if in_place:
+                    view.data[...] = g
+                t.grad = view.data if in_place else g
+            written = np.concatenate([t.grad.ravel() for t in slots])
+            opt.step()
+            assert np.concatenate([t.grad.ravel() for t in slots]).tobytes() == written.tobytes()
+        assert (opt._grad_span is not None) == in_place  # read in place, or gathered
         for name in shapes:
-            for t, g in zip(tensors[name], grads[name]):
-                t.grad = g
-        opt.step()
-    for name in shapes:
-        for t, w in zip(tensors[name], want[name]):
-            assert t.data.tobytes() == w.tobytes()
-    if head_only:
-        for t, a in zip(tensors["trunk"], init["trunk"]):
-            assert t.data.tobytes() == a.tobytes()
+            for t, w in zip(tensors[name], want[name]):
+                assert t.data.tobytes() == w.tobytes(), in_place
+        if head_only:
+            for t, a in zip(tensors["trunk"], init["trunk"]):
+                assert t.data.tobytes() == a.tobytes()
 
 
 def test_rebinding_data_after_construction_is_usage_error():

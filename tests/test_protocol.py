@@ -189,6 +189,42 @@ def test_finetune_patience_halts_early(small_task, small_start):
     assert record.trail[-1].iteration < 400
 
 
+@pytest.mark.parametrize("block", [None, 7], ids=["default_block", "block_of_7_steps"])
+@pytest.mark.parametrize("batch", [1, 32, 33, 64])
+def test_batch_index_blocks_equal_per_step_draws(batch, block, monkeypatch):
+    from finedrop import protocol
+
+    if block is not None:
+        monkeypatch.setattr(protocol, "_INDEX_BLOCK", block * batch)
+    iterations = 2 * (protocol._INDEX_BLOCK // batch) + 3  # two block boundaries, then a short block
+    per_step, blocked = np.random.default_rng(batch), np.random.default_rng(batch)
+    want = [per_step.integers(0, 997, size=batch) for _ in range(iterations)]
+    got = list(protocol._batches(blocked, 997, batch, iterations))
+    assert len(got) == iterations
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert blocked.bit_generator.state == per_step.bit_generator.state
+
+
+def test_finetune_stopped_by_patience_inside_a_block_is_unchanged(small_task, small_start, monkeypatch):
+    # the per-step draws (a block a step) against blocks of 30 steps and the
+    # default one block: patience stops the run inside a block
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[0]
+    cfg = _small_cfg(dropout_rate=0.5, total_iterations=400, checkpoint_interval=20, patience=2)
+    runs = []
+    for block in (cfg.batch_size, 30 * cfg.batch_size, protocol._INDEX_BLOCK):
+        monkeypatch.setattr(protocol, "_INDEX_BLOCK", block)
+        runs.append(finetune(small_start, split, cfg))
+    stop = runs[0].trail[-1].iteration
+    assert stop < 400 and stop % 30 != 0
+    for run in runs[1:]:
+        assert [p.iteration for p in run.trail] == [p.iteration for p in runs[0].trail]
+        for p, q in zip(run.trail, runs[0].trail):
+            assert p.checkpoint.params.tobytes() == q.checkpoint.params.tobytes()
+        assert run.ood_acc == runs[0].ood_acc
+
+
 def test_evaluate_perfect_and_tie_and_empty(small_task):
     split = leave_one_out_splits(small_task)[0]
     x, y = small_task.env_arrays(split.test_env)

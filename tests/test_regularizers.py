@@ -54,6 +54,29 @@ def test_batch_mask_is_per_example_row_major():
     np.testing.assert_array_equal(batch, np.stack(rows))
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9, 0.95])
+def test_batch_mask_into_out_equals_allocating_call(rate):
+    # same 0/1 values, same draws consumed, over several masks into one
+    # buffer, as the allocating call and the mask's definition
+    fresh, alloc, into = (np.random.default_rng(12) for _ in range(3))
+    out = np.full((16, 7), np.nan)
+    for _ in range(3):
+        want = (fresh.random((16, 7)) >= rate).astype(np.float64)
+        allocated = batch_dropout_mask(16, 7, rate, alloc)
+        assert batch_dropout_mask(16, 7, rate, into, out=out) is out
+        for got, rng in ((allocated, alloc), (out, into)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_batch_mask_out_must_fit():
+    rng = np.random.default_rng(13)
+    for out in (np.empty((4, 9)), np.empty((4, 8), dtype=np.float32), np.empty((8, 4)).T):
+        with pytest.raises(ValidationError, match="out must be"):
+            batch_dropout_mask(4, 8, 0.5, rng, out=out)
+    assert rng.bit_generator.state == np.random.default_rng(13).bit_generator.state  # nothing drawn
+
+
 def test_rate_one_rejected():
     with pytest.raises(ValidationError):
         dropout_mask(4, 1.0, np.random.default_rng(0))
