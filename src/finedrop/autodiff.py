@@ -68,10 +68,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() needs a single-element tensor, got shape {self.shape}")

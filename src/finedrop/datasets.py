@@ -140,6 +140,8 @@ class EnvSplit:
             )
         if not self.train_envs:
             raise ValidationError("at least one fine-tune environment is required")
+        if self.dataset.env_indices(self.test_env).size == 0:
+            raise ValidationError(f"test env {self.test_env} has no rows")
         if self.test_env in self.train_envs:
             raise ValidationError(f"test env {self.test_env} must not appear in train envs")
         if not 0.0 < self.holdout_fraction < 1.0:

@@ -129,6 +129,8 @@ class FineTuneConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.head_lr_mult) and self.head_lr_mult > 0):
             raise ValidationError(f"head_lr_mult must be positive and finite, got {self.head_lr_mult}")
+        if self.patience is not None and self.patience < 0:
+            raise ValidationError(f"patience must be >= 0, got {self.patience}")
         interval = self.effective_interval()
         if self.total_iterations > 0 and self.total_iterations < 2 * interval:
             raise ValidationError(
@@ -368,6 +370,8 @@ def evaluate(model, data, labels=None) -> float:
         labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
+    if labels.shape != features.shape[:1]:
+        raise ValidationError(f"labels must have shape ({features.shape[0]},), got {labels.shape}")
     return _accuracy(model.predict_proba(features), labels)
 
 
@@ -413,6 +417,16 @@ def weight_average(checkpoints) -> ResidualModel:
             )
     mean = np.mean(np.stack([c.params for c in checkpoints]), axis=0)
     return model_from_checkpoint(Checkpoint(mean, first.manifest, 0, "weight_average"))
+
+
+def _member_probs(checkpoints, features: np.ndarray) -> list:
+    """Each member checkpoint's class probabilities for features, predicted
+    through one model whose vector each member's is copied into in turn."""
+    model, probs = model_from_checkpoint(checkpoints[0]), []
+    for ckpt in checkpoints:
+        model.params[...] = ckpt.params
+        probs.append(model.predict_proba(features))
+    return probs
 
 
 def build_variants(records) -> dict:
@@ -599,7 +613,8 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=No
         checkpoint(0)
 
     best_index = int(np.argmax([p.iid_val_acc for p in trail]))  # earliest checkpoint wins ties
-    ood_acc = evaluate(model_from_checkpoint(trail[best_index].checkpoint), *ds.env_arrays(split.test_env))
+    model.params[...] = trail[best_index].checkpoint.params
+    ood_acc = evaluate(model, *ds.env_arrays(split.test_env))
     return RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
                      grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, ood_acc=ood_acc,
                      wall_clock=time.perf_counter() - t0, run_id=run_id)
@@ -648,44 +663,24 @@ class SweepResult:
             fh.write("\n")
 
 
-def _score_arms(arms: dict, split: EnvSplit, val_idx: np.ndarray) -> dict:
-    """{arm name: {"iid": holdout accuracy, "ood": held-out environment accuracy}}."""
+def _score_arms(checkpoints: list, val_probs: list, split: EnvSplit, val_idx: np.ndarray) -> dict:
+    """{"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
+    accuracy} of the members' weight average and of their ensemble.
+
+    val_probs are the members' holdout probabilities. The ensemble's are the
+    mean of the members', the `np.stack(...).mean(axis=0)` that
+    ensemble_predict takes, so the scores equal those of build_variants' arms.
+    """
     ds = split.dataset
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
     x_test, y_test = ds.env_arrays(split.test_env)
+    wa = weight_average(checkpoints)  # first: it refuses members of another architecture
+    test_probs = _member_probs(checkpoints, x_test)
     return {
-        name: {"iid": evaluate(arm, x_val, y_val), "ood": evaluate(arm, x_test, y_test)}
-        for name, arm in sorted(arms.items())
+        "wa": {"iid": evaluate(wa, x_val, y_val), "ood": evaluate(wa, x_test, y_test)},
+        "ensemble": {"iid": _accuracy(np.stack(val_probs).mean(axis=0), y_val),
+                     "ood": _accuracy(np.stack(test_probs).mean(axis=0), y_test)},
     }
-
-
-def _score_single_run_arms(record: RunRecord, split: EnvSplit, val_idx: np.ndarray) -> dict:
-    """`_score_arms(build_variants(record), split, val_idx)`, from the trail's cache.
-
-    The ensemble's holdout probabilities are the mean of those each trail
-    point kept, the same `np.stack(...).mean(axis=0)` that ensemble_predict
-    takes, so the scores are equal; only its held-out environment
-    probabilities are computed here, once per checkpoint, through one model
-    whose vector each checkpoint's is copied into in turn.
-    """
-    trail = [p.checkpoint for p in record.trail]
-    scores = _score_arms({"wa_single": weight_average(trail)}, split, val_idx)
-    ds = split.dataset
-    x_test, y_test = ds.env_arrays(split.test_env)
-    member, test_probs = model_from_checkpoint(trail[0]), []
-    for ckpt in trail:
-        member.params[...] = ckpt.params
-        test_probs.append(member.predict_proba(x_test))
-    scores["ensemble_single"] = {
-        "iid": _ensemble_accuracy([p.holdout_probs for p in record.trail], ds.labels[val_idx]),
-        "ood": _ensemble_accuracy(test_probs, y_test),
-    }
-    return scores
-
-
-def _ensemble_accuracy(member_probs: list, labels: np.ndarray) -> float:
-    """The accuracy of the mean of member probabilities, as ensemble_predict averages them."""
-    return _accuracy(np.stack(member_probs).mean(axis=0), labels)
 
 
 def _execute_sweep_run(args) -> RunRecord:
@@ -698,7 +693,9 @@ def _execute_sweep_run(args) -> RunRecord:
                          train_envs=split.train_envs, grid_index=grid_index, seed=cfg.seed,
                          status="failed", error=str(exc), error_iteration=exc.iteration, run_id=cfg.run_id)
     record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-    record.variants = _score_single_run_arms(record, split, holdout[1])
+    arms = _score_arms([p.checkpoint for p in record.trail], [p.holdout_probs for p in record.trail],
+                       split, holdout[1])
+    record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
     for point in record.trail:  # scored: not worth shipping back from a worker
         point.holdout_probs = None
     return record
@@ -811,8 +808,9 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
                     key = (split_index, group[0])
                     if key not in holdouts:
                         holdouts[key] = split_holdout(split, group[0])[1]
-                    scores = _score_arms(build_variants(members), split, holdouts[key])
-                    per_split[tag] = {"wa": scores["wa_multi"], "ensemble": scores["ensemble_multi"]}
+                    best, val_idx = [r.best.checkpoint for r in members], holdouts[key]
+                    per_split[tag] = _score_arms(best, _member_probs(best, split.dataset.features[val_idx]),
+                                                 split, val_idx)
 
     meta = {
         "schema_version": 1,

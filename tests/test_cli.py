@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -385,6 +386,22 @@ def test_finetune_architecture_flags_that_cannot_apply_exit_2_before_training(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and needle in err
+    assert not (tmp_path / "ft").exists()
+
+
+def test_finetune_on_a_test_env_with_no_rows_exits_2_before_training(pipeline_dirs, tmp_path, capsys,
+                                                                     monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline_dirs["data"], data)
+    header = (data / "env_2.csv").read_text().splitlines()[0]
+    (data / "env_2.csv").write_text(header + "\n")
+    _no_training(monkeypatch)
+    capsys.readouterr()
+    code = main(["finetune", "--data", str(data), "--start", str(pipeline_dirs["ckpt"]),
+                 "--test-env", "2", "--iterations", "40", "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "test env 2 has no rows" in err
     assert not (tmp_path / "ft").exists()
 
 

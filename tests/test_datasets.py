@@ -236,6 +236,17 @@ def test_env_split_validation():
         EnvSplit(ds, (0, 1), 2, holdout_fraction=0.0)
 
 
+def test_split_refuses_a_test_env_with_no_rows():
+    ds = gen_multienv_task(3, 2, 2, 1.0, n_per_env=5, seed=19)
+    keep = ds.env_ids != 1
+    ds = EnvDataset(ds.features[keep], ds.labels[keep], ds.env_ids[keep], ds.manifest)
+    with pytest.raises(ValidationError, match="test env 1 has no rows"):
+        EnvSplit(ds, (0, 2), 1)
+    with pytest.raises(ValidationError, match="test env 1 has no rows"):
+        leave_one_out_splits(ds)
+    assert EnvSplit(ds, (0, 1), 2).test_env == 2  # an empty training environment is allowed
+
+
 def test_leave_one_out_splits_cover_every_env():
     ds = gen_multienv_task(4, 4, 4, 1.0, n_per_env=10, seed=17)
     splits = leave_one_out_splits(ds)

@@ -507,8 +507,87 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
         member = model_from_checkpoint(point.checkpoint)
         assert point.holdout_probs.tobytes() == member.predict_proba(x_val).tobytes()
         assert point.iid_val_acc == evaluate(member, x_val, y_val)
-    oracle = protocol._score_arms(build_variants(record), split, holdout[1])
-    assert protocol._score_single_run_arms(record, split, holdout[1]) == oracle
+    oracle = _scored_arms(build_variants(record), split, holdout[1])
+    scores = protocol._score_arms([p.checkpoint for p in record.trail], [p.holdout_probs for p in record.trail],
+                                  split, holdout[1])
+    assert scores == {"wa": oracle["wa_single"], "ensemble": oracle["ensemble_single"]}
+
+
+def _scored_arms(arms, split, val_idx):
+    """The oracle: evaluate of each build_variants arm on the holdout and the test environment."""
+    ds = split.dataset
+    x_test, y_test = ds.env_arrays(split.test_env)
+    return {name: {"iid": evaluate(arm, ds.features[val_idx], ds.labels[val_idx]),
+                   "ood": evaluate(arm, x_test, y_test)} for name, arm in arms.items()}
+
+
+@pytest.mark.parametrize("pool_seeds", [False, True], ids=["per-seed", "pooled"])
+def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds):
+    splits = leave_one_out_splits(small_task)[:2]
+    recipes, seeds = ["erm", "dropout90"], [1, 2]
+    result = run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=recipes, seeds=seeds,
+                       base_cfg=_small_cfg(), pool_seeds=pool_seeds)
+    assert {r.status for r in result.runs} == {"ok"}
+    for run in result.runs:
+        split = splits[run.split_index]
+        oracle = _scored_arms(build_variants(run), split, split_holdout(split, run.seed)[1])
+        assert run.variants == oracle
+    groups = [("pooled", seeds)] if pool_seeds else [(str(s), [s]) for s in seeds]
+    for recipe in recipes:
+        for split_index, split in enumerate(splits):
+            assert sorted(result.multi_run[recipe][str(split_index)]) == sorted(tag for tag, _ in groups)
+            for tag, group in groups:
+                members = [r for r in result.runs
+                           if r.recipe == recipe and r.split_index == split_index and r.seed in group]
+                oracle = _scored_arms(build_variants(members), split, split_holdout(split, group[0])[1])
+                assert result.multi_run[recipe][str(split_index)][tag] == {
+                    "wa": oracle["wa_multi"], "ensemble": oracle["ensemble_multi"]}
+
+
+def test_arm_members_of_another_architecture_are_refused_before_any_copy(small_task, small_start,
+                                                                          monkeypatch):
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[0]
+    val_idx = split_holdout(split, 1)[1]
+    other = checkpoint_from_model(new_residual_model(small_task.n_features, 6, 1, 2, seed=0))
+    probs = [np.full((val_idx.size, 2), 0.5)] * 2
+    monkeypatch.setattr(protocol, "model_from_checkpoint", lambda ckpt: pytest.fail("a model was built"))
+    for members in ([small_start, other], [other, small_start]):
+        with pytest.raises(ValidationError, match="checkpoint manifests disagree"):
+            protocol._score_arms(members, probs, split, val_idx)
+    with pytest.raises(ValidationError, match="at least one checkpoint"):
+        protocol._score_arms([], [], split, val_idx)
+
+
+def test_sweep_builds_one_member_model_per_arm_scoring(small_task, small_start, monkeypatch):
+    from finedrop import protocol
+
+    built = []
+    real = protocol.model_from_checkpoint
+    monkeypatch.setattr(protocol, "model_from_checkpoint", lambda ckpt: built.append(ckpt.run_id) or real(ckpt))
+    monkeypatch.setattr(protocol, "build_variants", lambda records: pytest.fail("build_variants called"))
+    splits = [leave_one_out_splits(small_task)[0]]
+    run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm"], seeds=[1],
+              base_cfg=_small_cfg())
+    # per run: the start, the trail's weight average and one trail member; for the multi-run
+    # arms: the weight average and one member model each for the holdout and the test environment
+    assert len(built) == 2 * 3 + 3
+    assert built.count("weight_average") == 2 + 1
+
+
+def test_evaluate_refuses_labels_that_are_not_one_per_row():
+    model = new_residual_model(4, 6, 1, 2, seed=0)
+    x = np.zeros((5, 4))
+    for labels in (np.array([1]), np.array([0, 1]), np.zeros((5, 1), dtype=int), np.array(1)):
+        with pytest.raises(ValidationError, match=r"labels must have shape \(5,\)"):
+            evaluate(model, x, labels)
+
+
+def test_finetune_config_rejects_negative_patience():
+    with pytest.raises(ValidationError, match="patience must be >= 0, got -3"):
+        _small_cfg(patience=-3)
+    assert _small_cfg(patience=0).patience == 0
 
 
 def test_sweep_runs_drop_their_cached_probabilities(small_task, small_start):
