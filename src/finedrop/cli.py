@@ -7,14 +7,15 @@ paths are resolved under $FINEDROP_OUTPUT_ROOT when that variable is set.
 
 Exit codes: 0 success, 2 usage or validation error, 3 run failure.
 
-The sweep command also accepts a flat key=value config file (# comments,
-blank lines allowed); explicit flags override file values. Recognized keys
-and defaults match the corresponding flags: data, start, out,
-recipes=erm,dropout90, lrs=1e-3,5e-4, wds=1e-4,5e-5,1e-5, seeds=0,1,2,
-splits=all, iterations=1000, batch_size=32, checkpoint_interval (T//33),
-holdout=0.2, head_lr_mult=1, parallel=1, pool_seeds=false. Unknown keys,
-values that do not parse, split indices out of range and repeated splits,
-seeds or recipes are rejected (exit 2) before any training starts.
+`finetune --help` and `sweep --help` list each option's default. The sweep
+command also accepts a flat key=value config file (# comments, blank lines
+allowed). Its keys are the names of the sweep options other than --config,
+with underscores for dashes (batch_size for --batch-size); pool_seeds takes
+true or false. A file value replaces its option's default, so an explicit
+flag still overrides it. Unknown keys, values that do not parse, split
+indices out of range and repeated splits, seeds or recipes are rejected
+(exit 2) before any training starts. gen-data likewise refuses a flag that
+its --task does not read.
 
 Recipes (see protocol.Recipe) are tokens joined by '+': "erm" means
 dropout 0, "dropoutNN" sets the rate in percent and "headlrN" the head
@@ -59,25 +60,6 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-_CONFIG_KEYS = {
-    "data": str,
-    "start": str,
-    "out": str,
-    "recipes": str,
-    "lrs": str,
-    "wds": str,
-    "seeds": str,
-    "splits": str,
-    "iterations": int,
-    "batch_size": int,
-    "checkpoint_interval": int,
-    "holdout": float,
-    "head_lr_mult": float,
-    "parallel": int,
-    "pool_seeds": _parse_bool,
-}
-
-
 def _resolve_out(path: str) -> str:
     root = os.environ.get("FINEDROP_OUTPUT_ROOT")
     if root and not os.path.isabs(path):
@@ -99,8 +81,42 @@ def _parse_list(text: str, convert, what: str) -> list:
         ) from None
 
 
+def _run_options() -> argparse.ArgumentParser:
+    """Parent parser of the run options finetune and sweep share; a new one per command, since
+    argparse shares a parent's actions and a config file's sweep defaults must not reach finetune."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--iterations", type=int, default=1000, help="fine-tuning steps per run")
+    p.add_argument("--batch-size", type=int, default=32, help="rows per step")
+    p.add_argument("--checkpoint-interval", type=int, default=None,
+                   help="steps between trail checkpoints; None means iterations // 33")
+    p.add_argument("--holdout", type=float, default=0.20,
+                   help="iid validation share of each training environment")
+    p.add_argument("--head-lr-mult", type=float, default=1.0,
+                   help="head learning-rate multiplier of recipes without a headlrN token")
+    return p
+
+
+def _sweep_options() -> argparse.ArgumentParser:
+    """Parent parser of every sweep option; their dests, config aside, are the config file's keys."""
+    p = argparse.ArgumentParser(add_help=False, parents=[_run_options()])
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--data", default=None, help="dataset directory; required as a flag or config key")
+    p.add_argument("--start", default=None, help="checkpoint to start from; required as a flag or config key")
+    p.add_argument("--out", default=None, help="results directory; required as a flag or config key")
+    p.add_argument("--recipes", default="erm,dropout90", help="comma list of recipes")
+    p.add_argument("--lrs", default="1e-3,5e-4", help="comma list of learning rates")
+    p.add_argument("--wds", default="1e-4,5e-5,1e-5", help="comma list of weight decays")
+    p.add_argument("--seeds", default="0,1,2", help="comma list of integer seeds")
+    p.add_argument("--splits", default="all", help="'all' or comma list of split indices")
+    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--pool-seeds", action="store_true", help="multi-run arms pool the seeds too")
+    return p
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat key=value file; unknown keys are a validation error."""
+    """Flat key=value file whose keys are the sweep options' dests, config aside; each value is
+    converted by its option's type (_parse_bool for --pool-seeds). Unknown keys are refused."""
+    options = {a.dest: a for a in _sweep_options()._actions if a.dest != "config"}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -110,15 +126,32 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValidationError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValidationError(
-                    f"{path}:{line_no}: unknown key {key!r} (known: {sorted(_CONFIG_KEYS)})"
-                )
+            if key not in options:
+                raise ValidationError(f"{path}:{line_no}: unknown key {key!r} (known: {sorted(options)})")
+            convert = _parse_bool if options[key].nargs == 0 else options[key].type or str
             try:
-                values[key] = _CONFIG_KEYS[key](value)
+                values[key] = convert(value)
             except ValueError:
                 raise ValidationError(f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
     return values
+
+
+# gen-data's task flags: flag -> (the tasks that read it, default, help, argparse keywords).
+# A flag given with any other --task is refused rather than ignored.
+_GEN_DATA_FLAGS = {
+    "--n-features": (("redundant",), 8, "feature count", {"type": int}),
+    "--n-samples": (("redundant",), 2000, "sample count", {"type": int}),
+    "--label-noise": (("redundant",), 0.0, "flip fraction", {"type": float}),
+    "--missing": (("redundant",), "", "also emit an env with these features zeroed", {}),
+    "--envs": (("multienv", "xor"), 4, "environment count", {"type": int}),
+    "--n-core": (("multienv",), 12, "invariant feature count", {"type": int}),
+    "--n-inert": (("multienv",), 2, "label-free columns", {"type": int}),
+    "--n-spurious": (("multienv",), 4, "shortcut feature count", {"type": int}),
+    "--flip": (("multienv",), 1.0, "spurious reversal in last env", {"type": float}),
+    "--n-per-env": (("multienv", "xor"), 2000, "rows per environment", {"type": int}),
+    "--rich": (("pretrain",), False, "apply erasing augmentation", {"action": "store_true"}),
+    "--size": (("pretrain",), 50_000, "corpus size", {"type": int}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +160,11 @@ def parse_config_file(path: str) -> dict:
 
 
 def cmd_gen_data(args) -> int:
+    for flag, (tasks, default, _, _) in _GEN_DATA_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if hasattr(args, dest) and args.task not in tasks:
+            raise ValidationError(f"--task {args.task} does not read {flag} (a {'/'.join(tasks)} flag)")
+        setattr(args, dest, getattr(args, dest, default))
     out = _resolve_out(args.out)
     if args.task == "redundant":
         ds = gen_redundant_features(args.n_features, args.n_samples, args.label_noise, args.seed)
@@ -139,16 +177,12 @@ def cmd_gen_data(args) -> int:
                 ood.manifest,
             )
     elif args.task == "multienv":
-        ds = gen_multienv_task(
-            args.envs, args.n_core, args.n_spurious, args.flip, args.n_per_env, args.seed,
-            n_inert=args.n_inert,
-        )
+        ds = gen_multienv_task(args.envs, args.n_core, args.n_spurious, args.flip, args.n_per_env,
+                               args.seed, n_inert=args.n_inert)
     elif args.task == "pretrain":
         ds = gen_pretrain_corpus(args.rich, args.size, args.seed)
-    elif args.task == "xor":
+    else:  # xor: argparse restricts the choices
         ds = gen_xor_task(args.envs, args.n_per_env, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown task {args.task!r}")
     save_dataset(ds, out)
     manifest_path = os.path.join(out, "manifest.json")
     print(f"manifest sha256={_sha256(manifest_path)} {manifest_path}")
@@ -194,6 +228,12 @@ def _load_start(args, dataset) -> "object":
     return load_checkpoint(args.start)
 
 
+def _base_config(args) -> FineTuneConfig:
+    """The FineTuneConfig the run options spell out; recipes and the grid set the rest."""
+    return FineTuneConfig(head_lr_mult=args.head_lr_mult, total_iterations=args.iterations,
+                          batch_size=args.batch_size, checkpoint_interval=args.checkpoint_interval)
+
+
 def cmd_finetune(args) -> int:
     dataset = load_dataset(args.data)
     start = _load_start(args, dataset)
@@ -203,12 +243,10 @@ def cmd_finetune(args) -> int:
         args.test_env,
         args.holdout,
     )
-    cfg = FineTuneConfig(head_lr_mult=args.head_lr_mult, total_iterations=args.iterations,
-                         batch_size=args.batch_size, checkpoint_interval=args.checkpoint_interval)
     # the label carries a headlr token only when the multiplier is not the default 1
     recipe = Recipe(args.dropout, None if args.head_lr_mult == 1.0 else args.head_lr_mult)
     result = run_sweep(start, [split], [(args.lr, args.weight_decay)], [recipe.name], [args.seed],
-                       base_cfg=cfg)
+                       base_cfg=_base_config(args))
     out = _resolve_out(args.out)
     result.save(out)
     best = result.runs[0].best.checkpoint
@@ -219,34 +257,22 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-
-    def pick(name, default):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        return file_values.get(name, default)
-
-    data = pick("data", None)
-    start_path = pick("start", None)
-    out = pick("out", None)
-    if not data or not start_path or not out:
+    if not (args.data and args.start and args.out):
         raise ValidationError("sweep needs data, start, and out (flags or config file)")
 
-    dataset = load_dataset(data)
-    start = load_checkpoint(start_path)
-    recipes = [r.strip() for r in pick("recipes", "erm,dropout90").split(",") if r.strip()]
-    lrs = _parse_list(pick("lrs", "1e-3,5e-4"), float, "lrs")
-    wds = _parse_list(pick("wds", "1e-4,5e-5,1e-5"), float, "wds")
-    seeds = _parse_list(pick("seeds", "0,1,2"), int, "seeds")
+    dataset = load_dataset(args.data)
+    start = load_checkpoint(args.start)
+    recipes = [r.strip() for r in args.recipes.split(",") if r.strip()]
+    lrs = _parse_list(args.lrs, float, "lrs")
+    wds = _parse_list(args.wds, float, "wds")
+    seeds = _parse_list(args.seeds, int, "seeds")
     grid = [(lr, wd) for lr in lrs for wd in wds]
 
-    splits_spec = pick("splits", "all")
-    all_splits = leave_one_out_splits(dataset, pick("holdout", 0.20))
-    if splits_spec == "all":
+    all_splits = leave_one_out_splits(dataset, args.holdout)
+    if args.splits == "all":
         splits = all_splits
     else:
-        wanted = _parse_list(splits_spec, int, "splits")
+        wanted = _parse_list(args.splits, int, "splits")
         bad = [i for i in wanted if not 0 <= i < len(all_splits)]
         if bad:
             raise ValidationError(
@@ -254,12 +280,9 @@ def cmd_sweep(args) -> int:
             )
         splits = [all_splits[i] for i in wanted]
 
-    base_cfg = FineTuneConfig(total_iterations=pick("iterations", 1000), batch_size=pick("batch_size", 32),
-                              checkpoint_interval=pick("checkpoint_interval", None),
-                              head_lr_mult=pick("head_lr_mult", 1.0))
-    result = run_sweep(start, splits, grid, recipes, seeds, base_cfg=base_cfg,
-                       parallel=pick("parallel", 1), pool_seeds=pick("pool_seeds", False))
-    out = _resolve_out(out)
+    result = run_sweep(start, splits, grid, recipes, seeds, base_cfg=_base_config(args),
+                       parallel=args.parallel, pool_seeds=args.pool_seeds)
+    out = _resolve_out(args.out)
     result.save(out)
     for recipe in result.meta["recipes"]:
         print(f"{recipe}: mean_ood={result.aggregate_ood[recipe]:.4f}")
@@ -282,29 +305,23 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(sweep_defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; sweep_defaults, a parsed config file, replace sweep option defaults."""
     parser = argparse.ArgumentParser(
         prog="finedrop",
         description="Fine-tuning with very large penultimate dropout: data, runs, reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_defaults = argparse.ArgumentDefaultsHelpFormatter
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     g.add_argument("--task", required=True, choices=["redundant", "multienv", "pretrain", "xor"])
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--n-features", type=int, default=8, help="redundant: feature count")
-    g.add_argument("--n-samples", type=int, default=2000, help="redundant: sample count")
-    g.add_argument("--label-noise", type=float, default=0.0, help="redundant: flip fraction")
-    g.add_argument("--missing", default="", help="redundant: also emit an env with these features zeroed")
-    g.add_argument("--envs", type=int, default=4, help="multienv/xor: environment count")
-    g.add_argument("--n-core", type=int, default=12, help="multienv: invariant feature count")
-    g.add_argument("--n-inert", type=int, default=2, help="multienv: label-free columns")
-    g.add_argument("--n-spurious", type=int, default=4, help="multienv: shortcut feature count")
-    g.add_argument("--flip", type=float, default=1.0, help="multienv: spurious reversal in last env")
-    g.add_argument("--n-per-env", type=int, default=2000)
-    g.add_argument("--rich", action="store_true", help="pretrain: apply erasing augmentation")
-    g.add_argument("--size", type=int, default=50_000, help="pretrain: corpus size")
+    for flag, (tasks, default, text, kwargs) in _GEN_DATA_FLAGS.items():
+        # no argparse default: cmd_gen_data tells a given flag by its presence
+        g.add_argument(flag, default=argparse.SUPPRESS,
+                       help=f"{'/'.join(tasks)}: {text} (default: {default!r})", **kwargs)
     g.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="train a trunk on a pretraining corpus")
@@ -321,45 +338,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pretrain)
 
-    f = sub.add_parser("finetune", help="fine-tune one split under one recipe")
+    f = sub.add_parser("finetune", parents=[_run_options()], formatter_class=with_defaults,
+                       help="fine-tune one split under one recipe")
     f.add_argument("--data", required=True)
     f.add_argument("--start", default=None, help="checkpoint to start from")
     f.add_argument("--scratch", action="store_true", help="start from random initialization")
-    f.add_argument("--width", type=int, default=None, help="scratch: trunk width (default 16)")
-    f.add_argument("--depth", type=int, default=None, help="scratch: residual blocks (default 2)")
-    f.add_argument("--block-hidden", type=int, default=None, help="scratch: block hidden units "
-                   "(default: the width)")
+    f.add_argument("--width", type=int, default=None, help="scratch: trunk width; None means 16")
+    f.add_argument("--depth", type=int, default=None, help="scratch: residual blocks; None means 2")
+    f.add_argument("--block-hidden", type=int, default=None,
+                   help="scratch: block hidden units; None means the width")
     f.add_argument("--test-env", type=int, required=True)
-    f.add_argument("--holdout", type=float, default=0.20)
-    f.add_argument("--dropout", type=float, default=0.9)
-    f.add_argument("--lr", type=float, default=1e-3)
-    f.add_argument("--weight-decay", type=float, default=1e-4)
-    f.add_argument("--head-lr-mult", type=float, default=1.0)
-    f.add_argument("--iterations", type=int, default=1000)
-    f.add_argument("--batch-size", type=int, default=32)
-    f.add_argument("--checkpoint-interval", type=int, default=None)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--dropout", type=float, default=0.9, help="penultimate dropout rate")
+    f.add_argument("--lr", type=float, default=1e-3, help="learning rate")
+    f.add_argument("--weight-decay", type=float, default=1e-4, help="weight decay")
+    f.add_argument("--seed", type=int, default=0, help="run seed")
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_finetune)
 
-    s = sub.add_parser("sweep", help="run the (split x recipe x grid x seed) product")
-    s.add_argument("--config", default=None, help="flat key=value config file")
-    s.add_argument("--data", default=None)
-    s.add_argument("--start", default=None)
-    s.add_argument("--out", default=None)
-    s.add_argument("--recipes", default=None, help="comma list, e.g. erm,dropout90")
-    s.add_argument("--lrs", default=None, help="comma list of learning rates")
-    s.add_argument("--wds", default=None, help="comma list of weight decays")
-    s.add_argument("--seeds", default=None, help="comma list of integer seeds")
-    s.add_argument("--splits", default=None, help="'all' or comma list of split indices")
-    s.add_argument("--iterations", type=int, default=None)
-    s.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    s.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=int, default=None)
-    s.add_argument("--holdout", type=float, default=None)
-    s.add_argument("--head-lr-mult", dest="head_lr_mult", type=float, default=None)
-    s.add_argument("--parallel", type=int, default=None)
-    s.add_argument("--pool-seeds", dest="pool_seeds", action="store_const", const=True, default=None)
-    s.set_defaults(func=cmd_sweep)
+    s = sub.add_parser("sweep", parents=[_sweep_options()], formatter_class=with_defaults,
+                       help="run the (split x recipe x grid x seed) product")
+    s.set_defaults(func=cmd_sweep, **(sweep_defaults or {}))
 
     r = sub.add_parser("report", help="render tables from sweep results")
     r.add_argument("--results", required=True)
@@ -369,9 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):  # the file's values become defaults: flags still win
+            args = build_parser(parse_config_file(args.config)).parse_args(argv)
         return args.func(args)
     except RunError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

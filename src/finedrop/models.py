@@ -537,9 +537,7 @@ def _attached_params(model: ResidualModel) -> np.ndarray:
     return params
 
 
-def checkpoint_from_model(
-    model: ResidualModel, iteration: int = 0, run_id: str = "", rng_state: dict | None = None
-) -> Checkpoint:
+def checkpoint_from_model(model: ResidualModel, iteration: int = 0, run_id: str = "") -> Checkpoint:
     params = _attached_params(model)
     manifest = {
         "schema_version": 1,
@@ -549,7 +547,7 @@ def checkpoint_from_model(
         "seed": model.meta.get("seed"),
         "provenance": model.meta.get("provenance", "scratch"),
     }
-    return Checkpoint(params.copy(), manifest, int(iteration), str(run_id), rng_state)
+    return Checkpoint(params.copy(), manifest, int(iteration), str(run_id))
 
 
 def _manifest_shapes(manifest: dict) -> list:

@@ -354,20 +354,10 @@ def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def evaluate(model, data, labels=None) -> float:
-    """Eval-mode argmax accuracy; ties resolve to the lowest class index.
-
-    `model` is anything with predict_proba (a ResidualModel or an
-    EnsemblePredictor). `data` is an EnvDataset or a feature matrix with
-    `labels` passed separately.
-    """
-    if labels is None:
-        if not isinstance(data, EnvDataset):
-            raise ValidationError("evaluate needs an EnvDataset or (features, labels)")
-        features, labels = data.features, data.labels
-    else:
-        features = np.asarray(data, dtype=np.float64)
-        labels = np.asarray(labels)
+def evaluate(model, data, labels) -> float:
+    """Eval-mode argmax accuracy on features `data`; ties resolve to the lowest class index.
+    `model` is anything with predict_proba (a ResidualModel or an EnsemblePredictor)."""
+    features, labels = np.asarray(data, dtype=np.float64), np.asarray(labels)
     if features.shape[0] == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
     if labels.shape != features.shape[:1]:
@@ -397,14 +387,9 @@ def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
     return probs.mean(axis=0)
 
 
-def weight_average(checkpoints) -> ResidualModel:
-    """Model whose parameter vector is the arithmetic mean of the checkpoints'.
-
-    All checkpoints must share the architecture manifest. The mean is a
-    pairwise-summation reduction, so reordering inputs moves the result by
-    at most accumulation noise.
-    """
-    checkpoints = list(checkpoints)
+def _mean_params(checkpoints: list) -> np.ndarray:
+    """The mean of the checkpoints' parameter vectors, once their manifests are checked to agree.
+    It is a pairwise-summation reduction: reordering them moves it by accumulation noise at most."""
     if not checkpoints:
         raise ValidationError("weight_average needs at least one checkpoint")
     first = checkpoints[0]
@@ -415,14 +400,20 @@ def weight_average(checkpoints) -> ResidualModel:
             raise ValidationError(
                 f"checkpoint manifests disagree: {first.manifest['arch']} vs {other.manifest['arch']}"
             )
-    mean = np.mean(np.stack([c.params for c in checkpoints]), axis=0)
-    return model_from_checkpoint(Checkpoint(mean, first.manifest, 0, "weight_average"))
+    return np.mean(np.stack([c.params for c in checkpoints]), axis=0)
 
 
-def _member_probs(checkpoints, features: np.ndarray) -> list:
+def weight_average(checkpoints) -> ResidualModel:
+    """Model whose parameter vector is the mean of the checkpoints' (`_mean_params`)."""
+    checkpoints = list(checkpoints)
+    mean = _mean_params(checkpoints)
+    return model_from_checkpoint(Checkpoint(mean, checkpoints[0].manifest, 0, "weight_average"))
+
+
+def _member_probs(model, checkpoints, features: np.ndarray) -> list:
     """Each member checkpoint's class probabilities for features, predicted
-    through one model whose vector each member's is copied into in turn."""
-    model, probs = model_from_checkpoint(checkpoints[0]), []
+    through `model`, whose vector each member's is copied into in turn."""
+    probs = []
     for ckpt in checkpoints:
         model.params[...] = ckpt.params
         probs.append(model.predict_proba(features))
@@ -663,21 +654,27 @@ class SweepResult:
             fh.write("\n")
 
 
-def _score_arms(checkpoints: list, val_probs: list, split: EnvSplit, val_idx: np.ndarray) -> dict:
+def _score_arms(checkpoints: list, val_probs: list | None, split: EnvSplit, val_idx: np.ndarray) -> dict:
     """{"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
     accuracy} of the members' weight average and of their ensemble.
 
-    val_probs are the members' holdout probabilities. The ensemble's are the
-    mean of the members', the `np.stack(...).mean(axis=0)` that
-    ensemble_predict takes, so the scores equal those of build_variants' arms.
+    val_probs are the members' holdout probabilities, or None to predict
+    them here. One model makes every prediction, holding each member's
+    vector in turn and then their mean. The ensemble's probabilities are
+    the `np.stack(...).mean(axis=0)` of the members' that ensemble_predict
+    takes, so the scores equal those of build_variants' arms.
     """
     ds = split.dataset
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
     x_test, y_test = ds.env_arrays(split.test_env)
-    wa = weight_average(checkpoints)  # first: it refuses members of another architecture
-    test_probs = _member_probs(checkpoints, x_test)
+    mean = _mean_params(checkpoints)  # first: it refuses members of another architecture
+    model = model_from_checkpoint(checkpoints[0])
+    if val_probs is None:
+        val_probs = _member_probs(model, checkpoints, x_val)
+    test_probs = _member_probs(model, checkpoints, x_test)
+    model.params[...] = mean
     return {
-        "wa": {"iid": evaluate(wa, x_val, y_val), "ood": evaluate(wa, x_test, y_test)},
+        "wa": {"iid": evaluate(model, x_val, y_val), "ood": evaluate(model, x_test, y_test)},
         "ensemble": {"iid": _accuracy(np.stack(val_probs).mean(axis=0), y_val),
                      "ood": _accuracy(np.stack(test_probs).mean(axis=0), y_test)},
     }
@@ -720,7 +717,9 @@ def run_sweep(
     then lowest seed. Individual run failures are recorded, not fatal; the
     sweep raises only if some (split, recipe) has no successful run at all.
     Multi-run arms pool the grid's best checkpoints at a fixed seed, or
-    across seeds too when pool_seeds is set.
+    across seeds too when pool_seeds is set. A group's iid score is taken on
+    the holdout of its first seed, so a pooled group's holdout overlaps the
+    training rows of its other seeds' members.
     """
     if not splits or not grid or not recipes or not seeds:
         raise ValidationError("splits, grid, recipes, and seeds must all be nonempty")
@@ -808,9 +807,8 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
                     key = (split_index, group[0])
                     if key not in holdouts:
                         holdouts[key] = split_holdout(split, group[0])[1]
-                    best, val_idx = [r.best.checkpoint for r in members], holdouts[key]
-                    per_split[tag] = _score_arms(best, _member_probs(best, split.dataset.features[val_idx]),
-                                                 split, val_idx)
+                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], None, split,
+                                                 holdouts[key])
 
     meta = {
         "schema_version": 1,

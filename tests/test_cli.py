@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from finedrop.cli import main, parse_config_file
+from finedrop.cli import build_parser, main, parse_config_file
 from finedrop.errors import ValidationError
 
 
@@ -241,6 +241,69 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValidationError) as exc:
         parse_config_file(str(cfg))
     assert "nonsense" in str(exc.value)
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("holdout", "0.3", ["--holdout", "0.3"]),
+    ("pool_seeds", "true", ["--pool-seeds"]),
+    ("splits", "1", ["--splits", "1"]),
+    ("parallel", "2", ["--parallel", "2"]),
+    ("checkpoint_interval", "30", ["--checkpoint-interval", "30"]),
+])
+def test_sweep_config_file_value_equals_its_flag(pipeline_dirs, tmp_path, key, value, flag):
+    _sweep_args(pipeline_dirs, tmp_path)  # makes the tiny task and trunk
+    root, shared = pipeline_dirs["root"], {"splits": "0", "checkpoint_interval": "20", "wds": "1e-4"}
+    for how, lines, extra in (("flag", shared, flag), ("file", {**shared, key: value}, [])):
+        cfg = tmp_path / f"{how}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["sweep", "--config", str(cfg), "--data", str(root / "tinytask"),
+                     "--start", str(root / "trunk6.ckpt"), "--out", str(tmp_path / how),
+                     "--recipes", "dropout90", "--lrs", "1e-2,5e-3", "--seeds", "1,2",
+                     "--iterations", "60", "--batch-size", "16", *extra]) == 0
+    for name in ("runs.jsonl", "summary.json"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+def test_config_keys_are_the_sweep_option_dests(tmp_path):
+    defaults = vars(build_parser().parse_args(["sweep"]))
+    dests = set(defaults) - {"command", "func", "config"}
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{k} = {7 if defaults[k] is None else defaults[k]}\n" for k in sorted(dests)))
+    parsed = parse_config_file(str(cfg))
+    assert set(parsed) == dests
+    # each value is converted by its option's type, so a file of the defaults parses back to them
+    assert {k: v for k, v in parsed.items() if defaults[k] is not None} == {
+        k: defaults[k] for k in dests if defaults[k] is not None}
+    cfg.write_text("config = other.cfg\n")
+    with pytest.raises(ValidationError, match="unknown key 'config'"):
+        parse_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_help_shows_the_run_option_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "rows per step (default: 32)" in text and "(default: 0.2)" in text
+
+
+@pytest.mark.parametrize("task, extra, flag", [
+    ("multienv", ["--n-features", "99", "--rich", "--size", "5", "--label-noise", "0.3",
+                  "--missing", "0,1"], "--n-features"),
+    ("xor", ["--size", "50000"], "--size"),  # refused even at its default
+    ("pretrain", ["--envs", "2"], "--envs"),
+    ("redundant", ["--rich"], "--rich"),
+    ("xor", ["--n-core", "3"], "--n-core"),
+])
+def test_gen_data_refuses_flags_of_other_tasks(tmp_path, capsys, task, extra, flag):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--task", task, "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and f"--task {task}" in err and "Traceback" not in err
+    assert not out.exists()
+    # flags shared by two tasks are read by both
+    assert main(["gen-data", "--task", "xor", "--envs", "2", "--n-per-env", "10", "--out", str(out)]) == 0
 
 
 def test_report_from_sweep_results(pipeline_dirs, tmp_path, capsys):

@@ -570,10 +570,10 @@ def test_sweep_builds_one_member_model_per_arm_scoring(small_task, small_start, 
     splits = [leave_one_out_splits(small_task)[0]]
     run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm"], seeds=[1],
               base_cfg=_small_cfg())
-    # per run: the start, the trail's weight average and one trail member; for the multi-run
-    # arms: the weight average and one member model each for the holdout and the test environment
-    assert len(built) == 2 * 3 + 3
-    assert built.count("weight_average") == 2 + 1
+    # per run: the start and one model for the trail's arms; for the multi-run arms: one model
+    # for the members' holdout and test-environment probabilities and for their weight average
+    assert len(built) == 2 * 2 + 1
+    assert built.count("weight_average") == 0
 
 
 def test_evaluate_refuses_labels_that_are_not_one_per_row():
