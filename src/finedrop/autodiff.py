@@ -36,6 +36,7 @@ __all__ = [
     "elementwise_mul",
     "scale",
     "tensor_sum",
+    "check_labels",
     "softmax_cross_entropy",
     "make_node",
     "backward",
@@ -260,6 +261,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def check_labels(labels, n_rows: int, num_classes: int) -> None:
+    """The label checks of `softmax_cross_entropy`: one integer label per
+    row, each in [0, num_classes). The fused training step runs them once
+    on its whole label vector; every batch is a subset of it.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n_rows:
+        raise ValidationError(
+            f"labels must be a length-{n_rows} integer vector, got shape {labels.shape}"
+        )
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValidationError(
+            f"labels out of range: saw [{labels.min()}, {labels.max()}] for {num_classes} classes"
+        )
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean of -log softmax(logits)[label] over the batch.
 
@@ -271,17 +290,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy: logits must be [batch, classes], got {logits.shape}")
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ValidationError(
-            f"labels must be a length-{logits.shape[0]} integer vector, got shape {labels.shape}"
-        )
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
     n, classes = logits.shape
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValidationError(
-            f"labels out of range: saw [{labels.min()}, {labels.max()}] for {classes} classes"
-        )
+    check_labels(labels, n, classes)
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -154,6 +154,14 @@ _GEN_DATA_FLAGS = {
 }
 
 
+# The architecture flags of pretrain and finetune --scratch: flag -> (default, help).
+_ARCH_FLAGS = {
+    "--width": (16, "trunk width"),
+    "--depth": (2, "residual blocks"),
+    "--block-hidden": (None, "block hidden units; None means the width"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -216,14 +224,14 @@ def _load_start(args, dataset) -> "object":
     """The --start checkpoint, or under --scratch a fresh model the architecture flags size."""
     if args.scratch == bool(args.start):
         raise ValidationError("finetune needs exactly one of --start CKPT and --scratch")
+    arch = {flag[2:].replace("-", "_"): default for flag, (default, _) in _ARCH_FLAGS.items()}
+    given = {dest: getattr(args, dest) for dest in arch if hasattr(args, dest)}
     if args.scratch:
-        model = new_residual_model(
-            dataset.n_features, 16 if args.width is None else args.width,
-            2 if args.depth is None else args.depth, dataset.num_classes, seed=args.seed,
-            block_hidden=args.block_hidden,
-        )
+        arch.update(given)
+        model = new_residual_model(dataset.n_features, arch["width"], arch["depth"], dataset.num_classes,
+                                   seed=args.seed, block_hidden=arch["block_hidden"])
         return checkpoint_from_model(model, 0, f"scratch-seed{args.seed}")
-    if (args.width, args.depth, args.block_hidden) != (None, None, None):
+    if given:
         raise ValidationError("--width, --depth and --block-hidden apply only with --scratch")
     return load_checkpoint(args.start)
 
@@ -327,9 +335,8 @@ def build_parser(sweep_defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="train a trunk on a pretraining corpus")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--block-hidden", type=int, default=None)
+    for flag, (default, text) in _ARCH_FLAGS.items():
+        p.add_argument(flag, type=int, default=default, help=text)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--weight-decay", type=float, default=1e-5)
     p.add_argument("--momentum", type=float, default=0.9)
@@ -343,10 +350,10 @@ def build_parser(sweep_defaults: dict | None = None) -> argparse.ArgumentParser:
     f.add_argument("--data", required=True)
     f.add_argument("--start", default=None, help="checkpoint to start from")
     f.add_argument("--scratch", action="store_true", help="start from random initialization")
-    f.add_argument("--width", type=int, default=None, help="scratch: trunk width; None means 16")
-    f.add_argument("--depth", type=int, default=None, help="scratch: residual blocks; None means 2")
-    f.add_argument("--block-hidden", type=int, default=None,
-                   help="scratch: block hidden units; None means the width")
+    for flag, (default, text) in _ARCH_FLAGS.items():
+        # no argparse default: _load_start tells a given flag by its presence
+        f.add_argument(flag, type=int, default=argparse.SUPPRESS,
+                       help=f"scratch: {text} (default: {default})")
     f.add_argument("--test-env", type=int, required=True)
     f.add_argument("--dropout", type=float, default=0.9, help="penultimate dropout rate")
     f.add_argument("--lr", type=float, default=1e-3, help="learning rate")

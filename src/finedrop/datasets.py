@@ -59,6 +59,7 @@ __all__ = [
     "make_missing_feature_env",
     "gen_multienv_task",
     "gen_pretrain_corpus",
+    "gen_xor_task",
     "save_dataset",
     "load_dataset",
 ]

@@ -36,9 +36,10 @@ named offset, so `checkpoint_from_model` refuses either model. A copy or a
 pickle round trip rebuilds the model over a copy of `params`.
 
 Checkpoints are a single file: one line of compact JSON (the manifest:
-architecture, parameter shapes, iteration, run id, rng state) terminated by
-a newline, followed by the flat parameter vector as raw little-endian
-float64 bytes. Round trips are bit-exact.
+architecture, parameter shapes, iteration, run id, and an "rng_state" that
+is always null, kept so files stay byte-identical) terminated by a newline,
+followed by the flat parameter vector as raw little-endian float64 bytes.
+Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import check_labels
 from .errors import FormatError, UsageError, ValidationError
 from .regularizers import DropoutSpec, batch_dropout_mask
 
@@ -335,25 +337,6 @@ def forward(model: ResidualModel, x, dropout: DropoutSpec | None = None):
     return logits, phi
 
 
-def check_labels(labels, n_rows: int, num_classes: int) -> None:
-    """The label checks of `ad.softmax_cross_entropy`, for the fused step.
-
-    A training loop runs them once on its whole label vector; every batch
-    is a subset of it.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != n_rows:
-        raise ValidationError(
-            f"labels must be a length-{n_rows} integer vector, got shape {labels.shape}"
-        )
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValidationError(
-            f"labels out of range: saw [{labels.min()}, {labels.max()}] for {num_classes} classes"
-        )
-
-
 class StepBuffers:
     """The arrays a fused training step writes into, for one batch size.
 
@@ -507,7 +490,6 @@ class Checkpoint:
     manifest: dict
     iteration: int
     run_id: str
-    rng_state: dict | None = None
 
     @property
     def provenance(self) -> str:
@@ -592,7 +574,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     header = dict(ckpt.manifest)
     header["iteration"] = ckpt.iteration
     header["run_id"] = ckpt.run_id
-    header["rng_state"] = ckpt.rng_state
+    header["rng_state"] = None
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(line.encode("utf-8"))
@@ -638,10 +620,4 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
         raise FormatError(f"{path}: parameter {bad[0]} is {params[bad[0]]}, not finite",
                           offset=newline + 1 + 8 * int(bad[0]))
     manifest = {k: header[k] for k in header if k not in ("iteration", "run_id", "rng_state")}
-    return Checkpoint(
-        params,
-        manifest,
-        int(header.get("iteration", 0)),
-        str(header.get("run_id", "")),
-        header.get("rng_state"),
-    )
+    return Checkpoint(params, manifest, int(header.get("iteration", 0)), str(header.get("run_id", "")))

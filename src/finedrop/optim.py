@@ -6,9 +6,9 @@ gradient before the momentum buffer,
     v <- momentum * v + (g + weight_decay * w)
     w <- w - lr(iteration) * group_multiplier * v
 
-and the learning rate drops by decay_factor (default 0.1) once, at
-iteration total_iterations // 2. Parameter groups carry per-group
-multipliers so the head can train 10x faster than the trunk.
+and the learning rate drops by DECAY_FACTOR (0.1) once, at iteration
+total_iterations // 2. Parameter groups carry per-group multipliers so the
+head can train 10x faster than the trunk.
 
 The parameters must be views that tile one float64 vector end to end, as a
 model's views of its `params` do (else ValidationError): the optimizer
@@ -34,14 +34,17 @@ from .errors import UsageError, ValidationError
 
 __all__ = ["SgdOptimizer", "check_settings"]
 
+DECAY_FACTOR = 0.1  # the learning rate's one drop, at the schedule's midpoint
 
-def check_settings(lr, iterations, momentum, weight_decay, iterations_name="total_iterations") -> None:
-    """SgdOptimizer's checks on its hyperparameters, for a config to run before any training."""
+
+def check_settings(lr, iterations, weight_decay, momentum=None, iterations_name="total_iterations") -> None:
+    """SgdOptimizer's checks on its hyperparameters, for a config to run before any training;
+    momentum is checked when given."""
     if not (np.isfinite(lr) and lr > 0):
         raise ValidationError(f"lr must be positive and finite, got {lr}")
     if iterations < 0:
         raise ValidationError(f"{iterations_name} must be >= 0, got {iterations}")
-    if not 0.0 <= momentum < 1.0:
+    if momentum is not None and not 0.0 <= momentum < 1.0:
         raise ValidationError(f"momentum must be in [0, 1), got {momentum}")
     if not (np.isfinite(weight_decay) and weight_decay >= 0):
         raise ValidationError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
@@ -55,18 +58,14 @@ class SgdOptimizer:
         total_iterations: int,
         momentum: float = 0.9,
         weight_decay: float = 0.0,
-        decay_factor: float = 0.1,
         group_multipliers: dict[str, float] | None = None,
     ):
-        check_settings(lr, total_iterations, momentum, weight_decay)
-        if not (np.isfinite(decay_factor) and decay_factor > 0):
-            raise ValidationError(f"decay_factor must be positive and finite, got {decay_factor}")
+        check_settings(lr, total_iterations, weight_decay, momentum)
         self.groups = {name: list(tensors) for name, tensors in groups.items()}
         self.lr = float(lr)
         self.total_iterations = int(total_iterations)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.decay_factor = float(decay_factor)
         self.multipliers = {name: 1.0 for name in self.groups}
         if group_multipliers:
             for name, mult in group_multipliers.items():
@@ -93,20 +92,15 @@ class SgdOptimizer:
         self._grads_seen: tuple = ()  # the gradient arrays last validated
         self._grad_span: np.ndarray | None = None  # the span they tile, None if they tile none
 
-    def lr_at(self, iteration: int, group: str | None = None) -> float:
-        """Effective learning rate at an iteration, including the group multiplier."""
+    def lr_at(self, iteration: int) -> float:
+        """The base learning rate at an iteration; a group's is this times multipliers[group]."""
         if iteration < 0 or iteration > self.total_iterations:
             raise ValidationError(
                 f"iteration must be in [0, {self.total_iterations}], got {iteration}"
             )
-        base = self.lr
         if self.total_iterations > 0 and iteration >= self.total_iterations // 2:
-            base *= self.decay_factor
-        if group is None:
-            return base
-        if group not in self.multipliers:
-            raise ValidationError(f"unknown parameter group {group!r}")
-        return base * self.multipliers[group]
+            return self.lr * DECAY_FACTOR
+        return self.lr
 
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters.

@@ -80,6 +80,7 @@ __all__ = [
 
 _STREAM_ROOT = 0x1C3B00DA  # fixed entropy root for every derived stream
 _INDEX_BLOCK = 16384  # batch indices `_batches` draws per call: 128 KiB of int64
+_PROBE_ROWS = 2048  # the corpus rows `pretrain_trajectory` scores its trace on
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ class OptimizerSettings:
 
     def __post_init__(self):
         # the optimizer checks these too, but only once its run has started
-        check_settings(self.lr, self.iterations, self.momentum, self.weight_decay, "iterations")
+        check_settings(self.lr, self.iterations, self.weight_decay, self.momentum, "iterations")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -113,24 +114,20 @@ class FineTuneConfig:
     total_iterations: int = 2000
     batch_size: int = 32
     checkpoint_interval: int | None = None  # defaults to total_iterations // 33
-    patience: int | None = None  # checkpoints without iid improvement before halting
     seed: int = 0
-    momentum: float = 0.9
     freeze_trunk: bool = False
     run_id: str = ""
 
     def __post_init__(self):
         # the optimizer checks these too, but only once a run starts; a sweep
         # builds every config first, so a bad value is rejected before training
-        check_settings(self.lr, self.total_iterations, self.momentum, self.weight_decay)
+        check_settings(self.lr, self.total_iterations, self.weight_decay)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.head_lr_mult) and self.head_lr_mult > 0):
             raise ValidationError(f"head_lr_mult must be positive and finite, got {self.head_lr_mult}")
-        if self.patience is not None and self.patience < 0:
-            raise ValidationError(f"patience must be >= 0, got {self.patience}")
         interval = self.effective_interval()
         if self.total_iterations > 0 and self.total_iterations < 2 * interval:
             raise ValidationError(
@@ -457,8 +454,8 @@ def _batches(batch_rng, n: int, batch_size: int, iterations: int):
 
     A block's rows are those per-step draws, bit for bit, and a block never
     reaches past the last step, so after a full run the generator is where
-    per-step draws leave it. A run that stops early has also drawn the rest
-    of its last block, which no step uses.
+    per-step draws leave it. A run that fails with RunError has also drawn
+    the rest of its last block, which no step uses.
     """
     rows = max(1, _INDEX_BLOCK // batch_size)
     for start in range(0, iterations, rows):
@@ -474,10 +471,9 @@ def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, 
     steps write into one `StepBuffers` built here, so those `.grad` arrays
     are the buffer's and hold only until the next step. Labels are checked
     once, on the whole of y, and batch indices are drawn in blocks
-    (`_batches`). After every `every`-th step and after the last
-    one, on_checkpoint(steps done) runs; a true return ends training.
-    every=None never calls back. A non-finite loss raises RunError at its
-    iteration.
+    (`_batches`). After every `every`-th step and after the last one,
+    on_checkpoint(steps done) runs; every=None never calls back. A non-finite
+    loss raises RunError at its iteration.
     """
     n = x.shape[0]
     check_labels(y, n, model.num_classes)
@@ -493,8 +489,8 @@ def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, 
         opt.step()
         ad.reset_grads(params)
         done = it + 1
-        if every and (done % every == 0 or done == iterations) and on_checkpoint(done):
-            break
+        if every and (done % every == 0 or done == iterations):
+            on_checkpoint(done)
 
 
 def pretrain(arch: dict, corpus: EnvDataset, opt_cfg: OptimizerSettings, seed: int) -> Checkpoint:
@@ -515,9 +511,8 @@ def pretrain_trajectory(
     opt_cfg: OptimizerSettings,
     seed: int,
     snapshot_every: int | None = None,
-    probe_size: int = 2048,
 ) -> tuple[Checkpoint, list[tuple[int, float]]]:
-    """pretrain plus an accuracy trace on a fixed probe subset of the corpus.
+    """pretrain plus an accuracy trace on the corpus' first _PROBE_ROWS rows.
 
     Returns (final checkpoint, [(iteration, probe accuracy), ...]) with one
     entry per multiple of snapshot_every; the trace is empty when
@@ -536,13 +531,12 @@ def pretrain_trajectory(
     opt = SgdOptimizer({"trunk": model.trunk_parameters(), "head": model.head_parameters()},
                        lr=opt_cfg.lr, total_iterations=opt_cfg.iterations,
                        momentum=opt_cfg.momentum, weight_decay=opt_cfg.weight_decay)
-    probe = slice(0, min(probe_size, corpus.features.shape[0]))
+    probe = slice(0, _PROBE_ROWS)
     trace: list[tuple[int, float]] = []
 
-    def snapshot(done: int) -> bool:
+    def snapshot(done: int) -> None:
         if done % snapshot_every == 0:  # the last step is not a snapshot point
             trace.append((done, evaluate(model, corpus.features[probe], corpus.labels[probe])))
-        return False
 
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=[_STREAM_ROOT, int(seed), 0xB00]))
     _train(model, opt, corpus.features, corpus.labels, opt_cfg.iterations, opt_cfg.batch_size,
@@ -579,24 +573,16 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=No
     if not cfg.freeze_trunk:
         groups["trunk"] = model.trunk_parameters()
         multipliers["trunk"] = 1.0
-    opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations, momentum=cfg.momentum,
+    opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations,
                        weight_decay=cfg.weight_decay, group_multipliers=multipliers)
     spec = DropoutSpec(cfg.dropout_rate, "train", streams["mask"]) if cfg.dropout_rate > 0.0 else None
 
     run_id = cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}"
     trail: list[TrailPoint] = []
-    best_acc, since_best = -1.0, 0
 
-    def checkpoint(done: int) -> bool:
-        nonlocal best_acc, since_best
+    def checkpoint(done: int) -> None:
         probs = model.predict_proba(x_val)
-        acc = _accuracy(probs, y_val)
-        trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, acc, probs))
-        if acc > best_acc:
-            best_acc, since_best = acc, 0
-        else:
-            since_best += 1
-        return cfg.patience is not None and since_best > cfg.patience
+        trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, _accuracy(probs, y_val), probs))
 
     _train(model, opt, ds.features[train_idx], ds.labels[train_idx], cfg.total_iterations,
            cfg.batch_size, streams["batch"], spec, cfg.effective_interval(), checkpoint)

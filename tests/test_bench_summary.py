@@ -33,8 +33,9 @@ CHANGE = {0: (11, 0.5, 15, 2), 1: (12, 1.5, 25, 2), 2: (13, 2.5, 35, 2), 3: (14,
 NAMES = ("setup_s", "wall_s", "steps_per_s", "peak_rss_mb")
 
 
-def _write(directory, workload, seed, values, failed=0, trace=0, python="3.11"):
+def _write(directory, workload, seed, values, attempted=12, failed=0, trace=0, python="3.11"):
     result = {
+        "attempted": attempted,
         "failed": failed,
         "environment": {"python": python, "cpus": 2},
         "metrics": {name: {"value": v, "unit": "u"} for name, v in zip(NAMES, values)},
@@ -50,7 +51,7 @@ def outs(tmp_path):
     for workload in ("sweep-ref", "pretrain-rich"):
         for seed in PARENT:
             _write(parent, workload, seed, PARENT[seed], failed=seed == 1)
-            _write(change, workload, seed, CHANGE[seed], python="3.11" if seed else "3.12")
+            _write(change, workload, seed, CHANGE[seed], attempted=10 + seed, python="3.11" if seed else "3.12")
     _write(parent, "sweep-ref", 5, (99, 99, 99, 99))  # on one side only: left out
     _write(change, "sweep-ref", 6, (0, 0, 0, 0))
     _write(change, "sweep-ref", 0, (0, 0, 0, 0), trace=1)  # a traced run: not read
@@ -67,6 +68,7 @@ def test_results_pair_by_workload_and_seed(outs, capsys):
     assert sorted(summary["workloads"]) == ["pretrain-rich", "sweep-ref"]
     for entry in summary["workloads"].values():
         assert entry["seeds"] == [0, 1, 2, 3, 4]
+        assert entry["attempted"] == {"parent": 5 * 12, "change": 10 + 11 + 12 + 13 + 14}
         assert entry["failed"] == {"parent": 1, "change": 0}
         assert {m["pairs"] for m in entry["metrics"].values()} == {5}
         assert entry["metrics"]["wall_s"]["parent"]["q3"] == 4  # seed 5's 99 is not in it

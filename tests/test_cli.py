@@ -452,6 +452,15 @@ def test_finetune_architecture_flags_that_cannot_apply_exit_2_before_training(
     assert not (tmp_path / "ft").exists()
 
 
+def test_finetune_scratch_architecture_defaults_are_pretrains(pipeline_dirs, tmp_path):
+    pretrain = build_parser().parse_args(["pretrain", "--data", "D", "--out", "O"])
+    assert main(["finetune", "--data", str(pipeline_dirs["data"]), "--scratch", "--test-env", "2",
+                 "--iterations", "4", "--checkpoint-interval", "2", "--out", str(tmp_path / "ft")]) == 0
+    with open(tmp_path / "ft" / "best.ckpt", "rb") as fh:
+        arch = json.loads(fh.readline())["arch"]
+    assert (arch["width"], arch["depth"]) == (pretrain.width, pretrain.depth)
+
+
 def test_finetune_on_a_test_env_with_no_rows_exits_2_before_training(pipeline_dirs, tmp_path, capsys,
                                                                      monkeypatch):
     data = tmp_path / "data"

@@ -10,7 +10,8 @@ and each end-to-end metric the summary gives both sides' median and
 quartiles, the number of pairs, the seeds, the pairs the change won (by the
 metric's direction in BENCHMARK.json), the relative change of the medians,
 and whether the gap between the medians exceeds the parent's interquartile
-range. The environment block of each side holds the fields its result files
+range. Each workload also sums both sides' attempted and failed operations
+over the paired runs, so their failure shares can be compared. The environment block of each side holds the fields its result files
 agree on. Every number is read from the result files, none is typed in.
 """
 
@@ -79,6 +80,8 @@ def summarize(parent: dict, change: dict, better: dict) -> dict:
             }
         workloads[workload] = {
             "seeds": seeds,
+            "attempted": {"parent": sum(p["attempted"] for p, _ in pairs),
+                          "change": sum(c["attempted"] for _, c in pairs)},
             "failed": {"parent": sum(p["failed"] for p, _ in pairs),
                        "change": sum(c["failed"] for _, c in pairs)},
             "metrics": metrics,
