@@ -12,12 +12,15 @@ must call `reset_grads` between steps, which keeps double-counting bugs
 loud in long sweeps.
 
 Training does not build graphs op by op: `models` computes a whole step
-with array code and enters it as one node through `make_node`. The op set
-stays as the reference that step is checked against, bit for bit.
+with array code and enters it as one node through `make_node`, whose
+parents are the model's parameters. `backward` hands such a node, a root
+whose parents are all leaves, its gradients without tracing a graph. The
+op set stays as the reference that step is checked against, bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -312,6 +315,19 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+_PARENTS = operator.attrgetter("_parents")
+
+
+def _check_unpopulated(leaves) -> None:
+    for leaf in leaves:  # a plain scan first: it runs on every training step
+        if leaf.grad is not None and leaf.requires_grad:
+            populated = {id(t) for t in leaves if t.requires_grad and t.grad is not None}
+            raise UsageError(
+                "gradients already populated on "
+                f"{len(populated)} leaf tensor(s); call reset_grads before backward"
+            )
+
+
 def backward(loss: Tensor) -> None:
     """Populate grad on every requires_grad leaf reachable from a scalar loss.
 
@@ -324,13 +340,17 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
 
+    parents = loss._parents
+    if parents and not any(map(_PARENTS, parents)):
+        # one node over leaves, as a training step is: no trace to walk
+        _check_unpopulated(parents)
+        for parent, pg in zip(parents, loss._vjp(np.ones_like(loss.data))):
+            if parent.requires_grad:  # a leaf listed twice sums its two gradients, as below
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+        return
+
     record = ComputationRecord.trace(loss)
-    populated = [t for t in record.leaves if t.requires_grad and t.grad is not None]
-    if populated:
-        raise UsageError(
-            "gradients already populated on "
-            f"{len(populated)} leaf tensor(s); call reset_grads before backward"
-        )
+    _check_unpopulated(record.leaves)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for entry in reversed(record.entries):

@@ -12,19 +12,19 @@ second layer of every block is zero-initialized: a fresh network computes
 identity-plus-projection, which both stabilizes from-scratch training and
 makes the degenerate decomposition directly testable.
 
-Training runs on `fused_forward` and `fused_backward`: one array-level
-pass over proj, blocks, inverted dropout, head and softmax cross-entropy,
-and its hand-derived backward, which repeats the float operations of the
-autodiff ops one for one, so loss and gradients equal the tape's bit for
-bit. Both write into a `StepBuffers` the training loop allocates once, so
-a step allocates no activation and no dropout mask, only the gather of its
-input rows, and what it leaves there, gradients included, holds until the
-next step. The gradients are views of one flat vector laid out like
-`params`, which the optimizer reads in place. Evaluation
-(`ResidualModel.predict_proba`) has a kernel of its own: it walks the rows
-in chunks of EVAL_CHUNK_ROWS through buffers allocated once per call, keeps
-no activations, and equals `ad.softmax(forward(model, x)[0].data)` bit for
-bit. The tape `forward`
+Training runs on `StackedStep`: one array-level pass over proj, blocks,
+inverted dropout, head and softmax cross-entropy for K models of one
+architecture at once, as [K, ...] arithmetic, and its hand-derived
+backward, which repeats the float operations of the autodiff ops one for
+one, so each model's loss and gradients equal the tape's bit for bit. Its
+arrays are allocated once per training call, so a step allocates no
+activation and no dropout mask, and what it leaves there, gradients
+included, holds until the next step. Each model's gradients are views of
+its row of one [K, P] matrix, laid out like its `params`, which its
+optimizer reads in place. Evaluation (`ResidualModel.predict_proba`) has a
+kernel of its own: it walks the rows in chunks of EVAL_CHUNK_ROWS through
+buffers allocated once per call, keeps no activations, and equals
+`ad.softmax(forward(model, x)[0].data)` bit for bit. The tape `forward`
 stays as the reference both are tested against and as the path
 `block_contributions` takes.
 
@@ -62,9 +62,7 @@ __all__ = [
     "Checkpoint",
     "new_residual_model",
     "forward",
-    "StepBuffers",
-    "fused_forward",
-    "fused_backward",
+    "StackedStep",
     "check_labels",
     "block_contributions",
     "reinit_head",
@@ -203,8 +201,8 @@ def _relu_inplace(a: np.ndarray) -> None:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray, tile: np.ndarray) -> np.ndarray:
-    """out = x @ w + b, adding b through tile (out's shape): numpy adds a
-    broadcast row through a temporary of up to 64 KiB, tiling it is no slower."""
+    """out = x @ w + b, adding b (broadcast over out's rows) through tile (out's shape):
+    numpy adds a broadcast row through a temporary of up to 64 KiB, tiling it is no slower."""
     np.matmul(x, w, out=out)
     np.copyto(tile, b)
     out += tile
@@ -337,128 +335,157 @@ def forward(model: ResidualModel, x, dropout: DropoutSpec | None = None):
     return logits, phi
 
 
-class StepBuffers:
-    """The arrays a fused training step writes into, for one batch size.
+class StackedStep:
+    """One training step of K models of one architecture, as [K, ...] array arithmetic.
 
-    `fused_forward` fills the activations and the dropout mask,
-    `fused_backward` the backward scratch and the gradients. `grad` is one
-    flat vector laid out like the model's `params`, and `grads` are its
-    views, one per parameter in named_parameters order, so an optimizer
-    over the model reads `grad` in place. Each step overwrites the last
-    one's, so a gradient holds until the next step.
+    The caller writes each step's inputs: model k's batch rows into `x[k]`,
+    its labels into `labels[k]` and, at a dropout rate above 0, its
+    `batch_dropout_mask` into `mask[k]`. `forward` copies each model's
+    `params` into row k of `w`, a [K, P] matrix, and returns the K mean
+    cross-entropies; `backward` then fills `grad`, a [K, P] matrix laid out
+    like `w`. `grads[k]` are row k's views, one per parameter of model k in
+    named_parameters order and each at its weight's offset, so an optimizer
+    over model k reads them in place. Each step overwrites the last one's.
+
+    Every float operation is the one the tape ops perform on one model:
+    products are `np.matmul` over [K, m, n] views, which numpy runs as one
+    gemm per model on that model's rows; bias gradients are `np.add.reduce`
+    over the batch axis. So model k's loss and gradients equal `forward` +
+    `ad.softmax_cross_entropy` + `ad.backward` on model k alone, bit for bit,
+    and a step on K = 1 is a step on one model.
     """
 
-    def __init__(self, model: ResidualModel, batch: int):
+    def __init__(self, models: list, batch: int, rate: float = 0.0):
+        if not models:
+            raise ValidationError("a stacked step needs at least one model")
         if batch < 1:
             raise ValidationError(f"batch must be >= 1, got {batch}")
-        width, hidden, classes = model.width, model.arch()["block_hidden"], model.num_classes
-        self.batch = batch
-        self.row_starts = np.arange(batch) * classes  # flat offset of each row of a [batch, classes] array
-        self.label_at = np.empty(batch, dtype=self.row_starts.dtype)  # flat offset of each row's label
-        self.picked = np.empty(batch)  # the label entries of log_probs, then of d
-        self.hs = [np.empty((batch, width)) for _ in range(model.depth + 1)]  # block inputs, then phi
-        self.zs = [np.empty((batch, hidden)) for _ in range(model.depth)]  # relu outputs
+        first, k = models[0], len(models)
+        layout = _layout(first)
+        for model in models[1:]:
+            if model.arch() != first.arch() or _layout(model) != layout:
+                raise ValidationError(f"stacked models must share one architecture and parameter layout: "
+                                      f"{model.arch()} vs {first.arch()}")
+        width, hidden, classes = first.width, first.arch()["block_hidden"], first.num_classes
+        self.models, self.batch, self.rate = list(models), batch, float(rate)
+        self.x = np.empty((k, batch, first.input_dim))
+        self.labels = np.empty((k, batch), dtype=np.intp)
+        self.mask = np.empty((k, batch, width)) if rate > 0.0 else None  # each model's dropout mask
+        self.scale = 1.0 / (1.0 - rate)
+        self.row_starts = np.arange(k * batch).reshape(k, batch) * classes  # flat offset of each row's logits
+        self.label_at = np.empty((k, batch), dtype=np.intp)  # flat offset of each row's label
+        self.picked = np.empty((k, batch))  # the label entries of log_probs, then of d
+        self.sums, self.loss = np.empty(k), np.empty(k)
+        self.hs = [np.empty((k, batch, width)) for _ in range(first.depth + 1)]  # block inputs, then phi
+        self.zs = [np.empty((k, batch, hidden)) for _ in range(first.depth)]  # relu outputs
         # 1.0 where a relu input is > 0, else 0.0: float64, because numpy
         # multiplies by a bool mask through a temporary float copy of it
-        self.actives = [np.empty((batch, hidden)) for _ in range(model.depth)]
-        self.mask = np.empty((batch, width))  # the dropout mask, when there is one
-        self.head_in = np.empty((batch, width))  # phi after dropout
-        self.logits, self.probs, self.d = (np.empty((batch, classes)) for _ in range(3))
-        self.top, self.total = np.empty((batch, 1)), np.empty((batch, 1))  # softmax row max and sum
-        self.dh = (np.empty((batch, width)), np.empty((batch, width)))  # the current one and a spare
-        self.dz = np.empty((batch, hidden))
-        self.grad = np.empty(model.params.size)
-        ends = np.cumsum([t.data.size for t in model.parameters()]).tolist()
-        self.grads = tuple(self.grad[end - t.data.size : end].reshape(t.shape)
-                           for t, end in zip(model.parameters(), ends))
-        self.x = self.keep = None  # what fused_forward leaves for fused_backward
-        self.scale = 1.0
+        self.actives = [np.empty((k, batch, hidden)) for _ in range(first.depth)]
+        self.head_in = np.empty((k, batch, width))  # phi after dropout
+        self.logits, self.probs, self.d = (np.empty((k, batch, classes)) for _ in range(3))
+        self.top, self.total = np.empty((k, batch, 1)), np.empty((k, batch, 1))  # softmax row max and sum
+        self.dh = (np.empty((k, batch, width)), np.empty((k, batch, width)))  # the current one and a spare
+        self.dz = np.empty((k, batch, hidden))
+        self.w, self.grad = np.empty((k, first.params.size)), np.empty((k, first.params.size))
+        # per parameter: [K, m, n] weights and gradients, and [K, 1, n] biases with [K, n] gradients
+        self._w = [self.w[:, a:b].reshape((k, 1) + shape if len(shape) == 1 else (k,) + shape)
+                   for a, b, shape in layout]
+        self._g = [self.grad[:, a:b].reshape((k,) + shape) for a, b, shape in layout]
+        self.grads = [tuple(self.grad[i, a:b].reshape(shape) for a, b, shape in layout) for i in range(k)]
+
+    def rows(self, keep: list) -> "StackedStep":
+        """A step over the models at indices keep, holding their rows of this step's inputs."""
+        step = StackedStep([self.models[i] for i in keep], self.batch, self.rate)
+        np.take(self.x, keep, axis=0, out=step.x)
+        np.take(self.labels, keep, axis=0, out=step.labels)
+        if self.mask is not None:
+            np.take(self.mask, keep, axis=0, out=step.mask)
+        return step
+
+    def forward(self) -> np.ndarray:
+        """The K mean cross-entropies of the loaded inputs, with every activation kept for `backward`."""
+        for row, model in zip(self.w, self.models):
+            np.copyto(row, model.params)
+        ws, tile_w, tile_hidden, tile_classes = self._w, self.dh[0], self.dz, self.d  # scratch until backward
+        h = _affine(self.x, ws[0], ws[1], self.hs[0], tile_w)
+        for i, (z, active, h_next) in enumerate(zip(self.zs, self.actives, self.hs[1:])):
+            w1, b1, w2, b2 = ws[2 + 4 * i : 6 + 4 * i]
+            _affine(h, w1, b1, z, tile_hidden)
+            np.greater(z, 0.0, out=active)
+            _relu_inplace(z)
+            _affine(z, w2, b2, h_next, tile_w)
+            h_next += h
+            h = h_next
+        if self.mask is not None:
+            h = np.multiply(h, self.mask, out=self.head_in)
+            h *= self.scale
+        logits = _affine(h, ws[-2], ws[-1], self.logits, tile_classes)
+        log_probs = self.probs
+        np.maximum.reduce(logits, 2, keepdims=True, out=self.top)
+        np.subtract(logits, self.top, out=log_probs)
+        np.add.reduce(np.exp(log_probs, out=self.d), 2, keepdims=True, out=self.total)
+        log_probs -= np.log(self.total, out=self.total)
+        np.add(self.row_starts, self.labels, out=self.label_at)
+        picked = np.take(log_probs, self.label_at, out=self.picked, mode="clip")  # "raise" would buffer out
+        np.add.reduce(picked, 1, out=self.sums)
+        np.divide(self.sums, self.batch, out=self.loss)
+        np.negative(self.loss, out=self.loss)  # the bits of -picked.mean(), per model
+        np.exp(log_probs, out=self.probs)
+        return self.loss
+
+    def backward(self) -> None:
+        """Every model's gradients of its loss, into `grad`, from what the last `forward` left.
+
+        Repeats the tape's vector-Jacobian products: `g @ w.T` and `a.T @ g`
+        for products, `g.sum(axis=0)` for biases, `g * mask` for relu and
+        dropout. Where the tape adds a block input's two gradients, the sum
+        has two terms, so its order cannot change the bits.
+        """
+        ws, gs, d = self._w, self._g, self.d
+        np.copyto(d, self.probs)
+        picked = np.take(d, self.label_at, out=self.picked, mode="clip")
+        picked -= 1.0
+        d.put(self.label_at, picked)
+        d *= 1.0 / self.batch
+        head_in = self.hs[-1] if self.mask is None else self.head_in
+        np.matmul(head_in.transpose(0, 2, 1), d, out=gs[-2])
+        np.add.reduce(d, 1, out=gs[-1])
+        dh, spare = self.dh
+        np.matmul(d, ws[-2].transpose(0, 2, 1), out=dh)
+        if self.mask is not None:
+            dh *= self.scale
+            dh *= self.mask
+        da = self.dz  # a block's dz, made its da in place
+        for i in reversed(range(len(self.zs))):
+            w1, _, w2, _ = ws[2 + 4 * i : 6 + 4 * i]
+            dw1, db1, dw2, db2 = gs[2 + 4 * i : 6 + 4 * i]
+            np.matmul(dh, w2.transpose(0, 2, 1), out=da)
+            np.matmul(self.zs[i].transpose(0, 2, 1), dh, out=dw2)
+            np.add.reduce(dh, 1, out=db2)
+            da *= self.actives[i]
+            np.matmul(self.hs[i].transpose(0, 2, 1), da, out=dw1)
+            np.add.reduce(da, 1, out=db1)
+            np.matmul(da, w1.transpose(0, 2, 1), out=spare)  # never into dh: a matmul must not write its input
+            spare += dh
+            dh, spare = spare, dh
+        np.matmul(self.x.transpose(0, 2, 1), dh, out=gs[0])
+        np.add.reduce(dh, 1, out=gs[1])
 
 
-def fused_forward(model: ResidualModel, x, dropout: DropoutSpec | None, labels,
-                  buf: StepBuffers) -> np.ndarray:
-    """The forward of `forward`, plus the loss, written into buf.
+def _layout(model: ResidualModel) -> list:
+    """(start, stop, shape) of each parameter in model.params, in named_parameters order.
 
-    Returns the 0-d mean cross-entropy. Each float operation is the one the
-    tape ops perform, so logits and loss equal `forward` +
-    `ad.softmax_cross_entropy` bit for bit, and the mask stream is drawn
-    exactly as `forward` draws it. x must have buf.batch rows, and labels
-    must already have passed `check_labels`.
+    Read from where each parameter's array sits, so blocks reordered in place
+    keep their weights; a parameter that no longer views params is refused.
     """
-    x = _check_batch(model, np.asarray(x, dtype=np.float64, order="C"))
-    if x.shape[0] != buf.batch:
-        raise ValidationError(f"input has {x.shape[0]} rows, the step buffers hold {buf.batch}")
-    # the backward scratch is free until fused_backward: it holds the bias
-    # tiles, and d the softmax's exponentials
-    tile_w, tile_hidden, tile_classes = buf.dh[0], buf.dz, buf.d
-    h = _affine(x, model.proj_w.data, model.proj_b.data, buf.hs[0], tile_w)
-    for blk, z, active, h_next in zip(model.blocks, buf.zs, buf.actives, buf.hs[1:]):
-        _affine(h, blk.w1.data, blk.b1.data, z, tile_hidden)
-        np.greater(z, 0.0, out=active)
-        _relu_inplace(z)
-        _affine(z, blk.w2.data, blk.b2.data, h_next, tile_w)
-        h_next += h
-        h = h_next
-    buf.x, buf.keep, buf.scale = x, None, 1.0
-    head_in = h
-    if dropout is not None and dropout.active:
-        buf.keep = batch_dropout_mask(h.shape[0], h.shape[1], dropout.rate, dropout._require_rng(), out=buf.mask)
-        buf.scale = 1.0 / (1.0 - dropout.rate)
-        head_in = np.multiply(h, buf.keep, out=buf.head_in)
-        head_in *= buf.scale
-    logits = _affine(head_in, model.head_w.data, model.head_b.data, buf.logits, tile_classes)
-    log_probs = buf.probs
-    np.maximum.reduce(logits, 1, keepdims=True, out=buf.top)
-    np.subtract(logits, buf.top, out=log_probs)
-    np.add.reduce(np.exp(log_probs, out=buf.d), 1, keepdims=True, out=buf.total)
-    log_probs -= np.log(buf.total, out=buf.total)
-    np.add(buf.row_starts, labels, out=buf.label_at, casting="unsafe")  # "unsafe" takes uint64 labels too
-    picked = np.take(log_probs, buf.label_at, out=buf.picked, mode="clip")  # "raise" would buffer out
-    loss = np.asarray(-(np.add.reduce(picked) / buf.batch))  # the bits of -picked.mean()
-    np.exp(log_probs, out=buf.probs)
-    return loss
-
-
-def fused_backward(model: ResidualModel, buf: StepBuffers, g) -> tuple[np.ndarray, ...]:
-    """Gradients of g * loss for every parameter, in named_parameters order.
-
-    Reads what the last `fused_forward` left in buf and returns buf's own
-    gradient arrays, overwritten by the next step. Repeats the tape's
-    vector-Jacobian products: `g @ w.T` and `a.T @ g` for products,
-    `g.sum(axis=0)` for biases, `g * mask` for relu and dropout. Where the
-    tape adds a block input's two gradients, the sum has two terms, so its
-    order cannot change the bits.
-    """
-    grads, d = buf.grads, buf.d
-    np.copyto(d, buf.probs)
-    picked = np.take(d, buf.label_at, out=buf.picked, mode="clip")
-    picked -= 1.0
-    d.put(buf.label_at, picked)
-    d *= float(g) / buf.batch
-    head_in = buf.hs[-1] if buf.keep is None else buf.head_in
-    np.matmul(head_in.T, d, out=grads[-2])
-    np.add.reduce(d, 0, out=grads[-1])
-    dh, spare = buf.dh
-    np.matmul(d, model.head_w.data.T, out=dh)
-    if buf.keep is not None:
-        dh *= buf.scale
-        dh *= buf.keep
-    da = buf.dz  # a block's dz, made its da in place
-    for i in reversed(range(model.depth)):
-        blk = model.blocks[i]
-        dw1, db1, dw2, db2 = grads[2 + 4 * i : 6 + 4 * i]
-        np.matmul(dh, blk.w2.data.T, out=da)
-        np.matmul(buf.zs[i].T, dh, out=dw2)
-        np.add.reduce(dh, 0, out=db2)
-        da *= buf.actives[i]
-        np.matmul(buf.hs[i].T, da, out=dw1)
-        np.add.reduce(da, 0, out=db1)
-        np.matmul(da, blk.w1.data.T, out=spare)  # never into dh: a matmul must not write its input
-        spare += dh
-        dh, spare = spare, dh
-    np.matmul(buf.x.T, dh, out=grads[0])
-    np.add.reduce(dh, 0, out=grads[1])
-    return grads
+    params, out = model.params, []
+    for name, t in model.named_parameters():
+        a = t.data
+        if a.base is not params or not a.flags.c_contiguous:
+            raise UsageError(f"parameter {name} no longer views model.params: write it in place, t.data[...] = v")
+        start = (a.ctypes.data - params.ctypes.data) // 8
+        out.append((start, start + a.size, a.shape))
+    return out
 
 
 def block_contributions(model: ResidualModel, x) -> list[ad.Tensor]:

@@ -14,7 +14,7 @@ The parameters must be views that tile one float64 vector end to end, as a
 model's views of its `params` do (else ValidationError): the optimizer
 adopts the span they cover, next to one momentum vector and one per-element
 learning-rate vector. A step reads the gradients in place when they tile a
-vector the way the weights do, as a `StepBuffers`' views of its `grad` do;
+vector the way the weights do, as the views of a `StackedStep`'s gradient row do;
 only other gradients (the tape's, say) are gathered into a vector of the
 optimizer's own. It then updates the weights and momentum in place, through
 one scratch vector, with the same elementwise float operations as a

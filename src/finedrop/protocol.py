@@ -16,8 +16,10 @@ Comparison arms are derived from completed runs: single-run weight average
 and ensemble over one trail, multi-run weight average and ensemble over the
 best checkpoints of a hyperparameter grid. `run_sweep` executes the full
 (split x grid x seed x recipe) product, optionally in parallel worker
-processes; runs own their rng streams, so results are byte-identical no
-matter the worker count.
+processes. The grid points of one (split, recipe, seed) train in lockstep
+as one stacked step (`_train`), and each run owns its rng streams, so
+results are byte-identical to training each run alone, whatever the worker
+count.
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -35,7 +37,7 @@ import time
 from decimal import Decimal, InvalidOperation
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,17 +47,15 @@ from .errors import RunError, ValidationError
 from .models import (
     Checkpoint,
     ResidualModel,
-    StepBuffers,
+    StackedStep,
     check_labels,
     checkpoint_from_model,
-    fused_backward,
-    fused_forward,
     model_from_checkpoint,
     new_residual_model,
     reinit_head,
 )
 from .optim import SgdOptimizer, check_settings
-from .regularizers import DropoutSpec
+from .regularizers import DropoutSpec, batch_dropout_mask
 from .stats import five_number_summary
 
 __all__ = [
@@ -224,17 +224,11 @@ class Recipe:
 
 @dataclass
 class TrailPoint:
-    """One checkpoint of a fine-tune and its accuracy on the iid holdout.
-
-    holdout_probs are the holdout class probabilities the accuracy was
-    taken from, kept so the single-run ensemble is scored without
-    evaluating the trail again; a sweep drops them once its arms are scored.
-    """
+    """One checkpoint of a fine-tune and its accuracy on the iid holdout."""
 
     checkpoint: Checkpoint
     iteration: int
     iid_val_acc: float
-    holdout_probs: np.ndarray | None = None
 
 
 @dataclass
@@ -252,9 +246,12 @@ class RunRecord:
     status: str = "ok"
     error: str | None = None
     error_iteration: int | None = None
-    wall_clock: float = 0.0  # in-memory only; never serialized
+    wall_clock: float = 0.0  # in-memory only, never serialized; a sweep group member times only its record
     run_id: str = ""
     variants: dict = field(default_factory=dict)
+    # in-memory only: the mean of the trail's holdout class probabilities,
+    # which the single-run ensemble is scored from; a sweep drops it once scored
+    holdout_mean_probs: np.ndarray | None = None
 
     @property
     def best(self) -> TrailPoint:
@@ -407,14 +404,12 @@ def weight_average(checkpoints) -> ResidualModel:
     return model_from_checkpoint(Checkpoint(mean, checkpoints[0].manifest, 0, "weight_average"))
 
 
-def _member_probs(model, checkpoints, features: np.ndarray) -> list:
-    """Each member checkpoint's class probabilities for features, predicted
-    through `model`, whose vector each member's is copied into in turn."""
-    probs = []
+def _member_probs(model, checkpoints, features: np.ndarray):
+    """Each member checkpoint's class probabilities for features, one at a
+    time, predicted through `model`, whose vector each member's is copied into in turn."""
     for ckpt in checkpoints:
         model.params[...] = ckpt.params
-        probs.append(model.predict_proba(features))
-    return probs
+        yield model.predict_proba(features)
 
 
 def build_variants(records) -> dict:
@@ -462,35 +457,85 @@ def _batches(batch_rng, n: int, batch_size: int, iterations: int):
         yield from batch_rng.integers(0, n, size=(min(rows, iterations - start), batch_size))
 
 
-def _train(model, opt, x, y, iterations, batch_size, batch_rng, dropout, every, on_checkpoint) -> None:
-    """The one training loop: batch, fused forward and loss, backward, SGD step.
+@dataclass
+class _Run:
+    """One run as `_train` steps it: its model and optimizer, its training
+    rows and labels, its batch stream, its dropout spec (None for none) and
+    the callback its checkpoints go to. error is the RunError that took it
+    off the stack, if one did."""
 
-    Each step's loss is a single tape node whose parents are the model's
-    parameters and whose backward is `fused_backward`, so `ad.backward`
-    fills every `.grad` for the optimizer as the op-by-op graph would. The
-    steps write into one `StepBuffers` built here, so those `.grad` arrays
-    are the buffer's and hold only until the next step. Labels are checked
-    once, on the whole of y, and batch indices are drawn in blocks
-    (`_batches`). After every `every`-th step and after the last one,
-    on_checkpoint(steps done) runs; every=None never calls back. A non-finite
-    loss raises RunError at its iteration.
+    model: ResidualModel
+    opt: SgdOptimizer
+    x: np.ndarray
+    y: np.ndarray
+    batch_rng: np.random.Generator
+    dropout: DropoutSpec | None = None
+    on_checkpoint: Callable[[int], None] | None = None
+    error: RunError | None = None
+
+
+def _train(runs: list, iterations: int, batch_size: int, every: int | None) -> None:
+    """The one training loop: K runs of one architecture and dropout rate, stepped in lockstep.
+
+    Each step gathers every run's batch rows from its own stream (`_batches`,
+    blocks of indices) and draws its dropout mask from its own stream into
+    one `StackedStep`, which computes the K forwards and backwards as
+    [K, ...] arithmetic. Then, run by run, the loss enters the tape as one
+    node whose parents are the run's parameters and whose backward hands
+    back the run's row of the stacked gradients, `ad.backward` fills the
+    `.grad`s, the run's optimizer steps and its gradients are reset. So each
+    run's parameters, streams and checkpoints equal those of training it
+    alone (K = 1), bit for bit. Labels and input width are checked once per
+    run. After every `every`-th step and after the last one, each run's
+    on_checkpoint(steps done) runs; every=None never calls back. A run whose
+    loss is not finite leaves the stack with RunError at that iteration in
+    its `error`, and the others go on; the caller raises or records it.
     """
-    n = x.shape[0]
-    check_labels(y, n, model.num_classes)
-    params = tuple(model.parameters())
-    buf = StepBuffers(model, batch_size)
-    backward = partial(fused_backward, model, buf)
-    for it, idx in enumerate(_batches(batch_rng, n, batch_size, iterations)):
-        loss = fused_forward(model, x[idx], dropout, y[idx], buf)
-        loss = ad.make_node(loss, "fused_step", params, backward)
-        if not np.isfinite(loss.item()):
-            raise RunError("loss is not finite", iteration=it)
-        ad.backward(loss)
-        opt.step()
-        ad.reset_grads(params)
+    rates = {r.dropout.rate if r.dropout is not None and r.dropout.active else 0.0 for r in runs}
+    if len(rates) > 1:
+        raise ValidationError(f"runs stepped together need one dropout rate, got {sorted(rates)}")
+    rate = rates.pop() if rates else 0.0
+    active = []  # (run, its batch indices, its parameters, its rows, its labels, its mask stream)
+    for run in runs:
+        model, x, y = run.model, np.ascontiguousarray(run.x, dtype=np.float64), np.asarray(run.y)
+        if x.ndim != 2 or x.shape[1] != model.input_dim:
+            raise ValidationError(f"input must be [batch, {model.input_dim}], got shape {x.shape}")
+        check_labels(y, x.shape[0], model.num_classes)
+        active.append((run, _batches(run.batch_rng, x.shape[0], batch_size, iterations),
+                       tuple(model.parameters()), x, y.astype(np.intp, copy=False),
+                       run.dropout._require_rng() if rate else None))
+    if not active or iterations == 0:
+        return
+    step = StackedStep([entry[0].model for entry in active], batch_size, rate)
+    width = active[0][0].model.width
+    for it in range(iterations):
+        for k, (_, batches, _, x, y, mask_rng) in enumerate(active):
+            idx = next(batches)
+            x.take(idx, 0, step.x[k], "clip")  # mode "raise" would buffer out
+            y.take(idx, None, step.labels[k], "clip")
+            if mask_rng is not None:
+                batch_dropout_mask(batch_size, width, rate, mask_rng, out=step.mask[k])
+        losses = step.forward()
+        if not np.isfinite(losses).all():
+            for entry, loss in zip(active, losses):
+                if not np.isfinite(loss):
+                    entry[0].error = RunError("loss is not finite", iteration=it)
+            keep = [k for k, entry in enumerate(active) if entry[0].error is None]
+            active = [active[k] for k in keep]
+            if not active:
+                return
+            step = step.rows(keep)
+            losses = step.forward()
+        step.backward()
         done = it + 1
-        if every and (done % every == 0 or done == iterations):
-            on_checkpoint(done)
+        due = every and (done % every == 0 or done == iterations)
+        for k, ((run, _, params, _, _, _), grads) in enumerate(zip(active, step.grads)):
+            # the stacked backward took the seed ad.backward gives a scalar root, 1
+            ad.backward(ad.make_node(losses[k], "fused_step", params, lambda g, grads=grads: grads))
+            run.opt.step()
+            ad.reset_grads(params)
+            if due:
+                run.on_checkpoint(done)
 
 
 def pretrain(arch: dict, corpus: EnvDataset, opt_cfg: OptimizerSettings, seed: int) -> Checkpoint:
@@ -539,62 +584,107 @@ def pretrain_trajectory(
             trace.append((done, evaluate(model, corpus.features[probe], corpus.labels[probe])))
 
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=[_STREAM_ROOT, int(seed), 0xB00]))
-    _train(model, opt, corpus.features, corpus.labels, opt_cfg.iterations, opt_cfg.batch_size,
-           batch_rng, None, snapshot_every, snapshot)
+    run = _Run(model, opt, corpus.features, corpus.labels, batch_rng, None, snapshot)
+    _train([run], opt_cfg.iterations, opt_cfg.batch_size, snapshot_every)
+    if run.error is not None:
+        raise run.error
     return checkpoint_from_model(model, opt_cfg.iterations, f"pretrain-{provenance}-seed{seed}"), trace
 
 
-def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=None) -> RunRecord:
+def _holdout_rows(split: EnvSplit, holdout) -> tuple:
+    """(train features, train labels, holdout features, holdout labels) of a (train, validation) index pair."""
+    ds, (train_idx, val_idx) = split.dataset, holdout
+    return ds.features[train_idx], ds.labels[train_idx], ds.features[val_idx], ds.labels[val_idx]
+
+
+class _FineTune:
+    """A fine-tune from its start to its trail: the `_Run` that `_train`
+    steps, and the trail its checkpoints make, with the running sum of their
+    holdout probabilities. rows are `_holdout_rows`, which the grid points
+    of a sweep group share. The checkpoint callback holds the model and the
+    trail, not this object, so a finished fine-tune is freed without a
+    garbage-collection pass."""
+
+    def __init__(self, start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, rows: tuple):
+        ds = split.dataset
+        model = model_from_checkpoint(start)
+        if model.input_dim != ds.n_features:
+            raise ValidationError(
+                f"checkpoint expects {model.input_dim} input features, dataset has {ds.n_features}"
+            )
+        streams = _streams(cfg.seed, split.test_env)
+        model = reinit_head(model, ds.num_classes, streams["head_seed"])
+        groups = {"head": model.head_parameters()}
+        multipliers = {"head": cfg.head_lr_mult}
+        if not cfg.freeze_trunk:
+            groups["trunk"] = model.trunk_parameters()
+            multipliers["trunk"] = 1.0
+        opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations,
+                           weight_decay=cfg.weight_decay, group_multipliers=multipliers)
+        spec = DropoutSpec(cfg.dropout_rate, "train", streams["mask"]) if cfg.dropout_rate > 0.0 else None
+        x_train, y_train, x_val, y_val = rows
+        self.cfg = cfg
+        self.run_id = run_id = cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}"
+        self.trail: list[TrailPoint] = []
+        # summed and divided as `_score_arms` sums its members
+        self.holdout_sum = np.zeros((y_val.shape[0], model.num_classes))
+        trail, holdout_sum = self.trail, self.holdout_sum
+
+        def checkpoint(done: int) -> None:
+            probs = model.predict_proba(x_val)
+            trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, _accuracy(probs, y_val)))
+            np.add(holdout_sum, probs, out=holdout_sum)
+
+        self.run = _Run(model, opt, x_train, y_train, streams["batch"], spec, checkpoint)
+
+
+def _train_finetunes(group: list) -> None:
+    """`_train` on fine-tunes whose configs differ at most in lr, weight decay and run id."""
+    cfg = group[0].cfg
+    _train([ft.run for ft in group], cfg.total_iterations, cfg.batch_size, cfg.effective_interval())
+
+
+def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=None,
+             trained: _FineTune | None = None) -> RunRecord:
     """Fine-tune from a checkpoint on one split under one config.
 
     Reinitializes the head for the split's label set, trains on the pooled
     training environments minus the iid holdout, applies inverted dropout to
     the penultimate representation in train mode only, checkpoints at the
     configured interval, and evaluates the best-iid checkpoint on the held
-    out environment with dropout off. Each trail point keeps the holdout
-    probabilities its accuracy came from. holdout is the (train,
-    validation) index pair split_holdout(split, cfg.seed) returns, for a
-    caller that already has it; None computes it.
+    out environment with dropout off. The record keeps the mean of the
+    trail's holdout probabilities for the single-run ensemble. holdout is
+    the (train, validation) index pair split_holdout(split, cfg.seed)
+    returns, for a caller that already has it; None computes it.
+
+    trained is this run already trained in lockstep with the other grid
+    points of its sweep group (`_execute_sweep_group`): finetune then
+    builds its record, or raises the RunError that stopped it, and leaves
+    ood_acc at 0.0 for the sweep to read from the predictions its arms
+    are scored from.
     """
     t0 = time.perf_counter()
-    ds = split.dataset
-    model = model_from_checkpoint(start)
-    if model.input_dim != ds.n_features:
-        raise ValidationError(
-            f"checkpoint expects {model.input_dim} input features, dataset has {ds.n_features}"
-        )
-    streams = _streams(cfg.seed, split.test_env)
-    train_idx, val_idx = split_holdout(split, cfg.seed) if holdout is None else holdout
-    x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
+    ft = trained
+    if ft is None:
+        holdout = split_holdout(split, cfg.seed) if holdout is None else holdout
+        ft = _FineTune(start, split, cfg, _holdout_rows(split, holdout))
+        _train_finetunes([ft])
+    if ft.run.error is not None:
+        raise ft.run.error
+    if not ft.trail:  # zero iterations: the fresh head is the only checkpoint
+        ft.run.on_checkpoint(0)
 
-    model = reinit_head(model, ds.num_classes, streams["head_seed"])
-    groups = {"head": model.head_parameters()}
-    multipliers = {"head": cfg.head_lr_mult}
-    if not cfg.freeze_trunk:
-        groups["trunk"] = model.trunk_parameters()
-        multipliers["trunk"] = 1.0
-    opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations,
-                       weight_decay=cfg.weight_decay, group_multipliers=multipliers)
-    spec = DropoutSpec(cfg.dropout_rate, "train", streams["mask"]) if cfg.dropout_rate > 0.0 else None
-
-    run_id = cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}"
-    trail: list[TrailPoint] = []
-
-    def checkpoint(done: int) -> None:
-        probs = model.predict_proba(x_val)
-        trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, _accuracy(probs, y_val), probs))
-
-    _train(model, opt, ds.features[train_idx], ds.labels[train_idx], cfg.total_iterations,
-           cfg.batch_size, streams["batch"], spec, cfg.effective_interval(), checkpoint)
-    if not trail:  # zero iterations: the fresh head is the only checkpoint
-        checkpoint(0)
-
+    trail = ft.trail
     best_index = int(np.argmax([p.iid_val_acc for p in trail]))  # earliest checkpoint wins ties
-    model.params[...] = trail[best_index].checkpoint.params
-    ood_acc = evaluate(model, *ds.env_arrays(split.test_env))
-    return RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
-                     grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, ood_acc=ood_acc,
-                     wall_clock=time.perf_counter() - t0, run_id=run_id)
+    record = RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
+                       grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, run_id=ft.run_id,
+                       holdout_mean_probs=ft.holdout_sum / len(trail))
+    if trained is None:
+        model = ft.run.model
+        model.params[...] = trail[best_index].checkpoint.params
+        record.ood_acc = evaluate(model, *split.dataset.env_arrays(split.test_env))
+    record.wall_clock = time.perf_counter() - t0
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -640,48 +730,91 @@ class SweepResult:
             fh.write("\n")
 
 
-def _score_arms(checkpoints: list, val_probs: list | None, split: EnvSplit, val_idx: np.ndarray) -> dict:
-    """{"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
-    accuracy} of the members' weight average and of their ensemble.
+def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit, val_idx: np.ndarray,
+                best: int | None = None) -> tuple[dict, float | None]:
+    """({"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
+    accuracy} of the members' weight average and of their ensemble; member
+    best's held-out environment accuracy, or None when best is None).
 
-    val_probs are the members' holdout probabilities, or None to predict
-    them here. One model makes every prediction, holding each member's
-    vector in turn and then their mean. The ensemble's probabilities are
-    the `np.stack(...).mean(axis=0)` of the members' that ensemble_predict
-    takes, so the scores equal those of build_variants' arms.
+    val_mean is the mean of the members' holdout probabilities, or None to
+    predict it here. One model makes every prediction, holding each member's
+    vector in turn and then their mean. The members' probabilities are
+    summed as they come, from zero and in member order, and divided by
+    their count: the bits of the `np.stack(...).mean(axis=0)` that
+    ensemble_predict takes, which adds the stacked arrays one after another
+    (probabilities are never -0.0, so the zero start changes no bit). So
+    the scores equal those of build_variants' arms. Member best's accuracy
+    is that of `evaluate` on the model holding its vector, read from the
+    same predictions.
     """
     ds = split.dataset
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
     x_test, y_test = ds.env_arrays(split.test_env)
     mean = _mean_params(checkpoints)  # first: it refuses members of another architecture
     model = model_from_checkpoint(checkpoints[0])
-    if val_probs is None:
-        val_probs = _member_probs(model, checkpoints, x_val)
-    test_probs = _member_probs(model, checkpoints, x_test)
+    if val_mean is None:
+        val_mean = np.zeros((x_val.shape[0], model.num_classes))
+        for probs in _member_probs(model, checkpoints, x_val):
+            val_mean += probs
+        val_mean /= len(checkpoints)
+    test_sum, best_ood = np.zeros((x_test.shape[0], model.num_classes)), None
+    for i, probs in enumerate(_member_probs(model, checkpoints, x_test)):
+        if i == best:
+            best_ood = _accuracy(probs, y_test)
+        test_sum += probs
     model.params[...] = mean
-    return {
+    arms = {
         "wa": {"iid": evaluate(model, x_val, y_val), "ood": evaluate(model, x_test, y_test)},
-        "ensemble": {"iid": _accuracy(np.stack(val_probs).mean(axis=0), y_val),
-                     "ood": _accuracy(np.stack(test_probs).mean(axis=0), y_test)},
+        "ensemble": {"iid": _accuracy(val_mean, y_val), "ood": _accuracy(test_sum / len(checkpoints), y_test)},
     }
+    return arms, best_ood
 
 
-def _execute_sweep_run(args) -> RunRecord:
-    start, split, cfg, recipe, split_index, grid_index = args
-    holdout = split_holdout(split, cfg.seed)  # the run and its single-run arms share it
-    try:
-        record = finetune(start, split, cfg, holdout)
-    except RunError as exc:
-        return RunRecord(cfg, recipe=recipe, split_index=split_index, test_env=split.test_env,
-                         train_envs=split.train_envs, grid_index=grid_index, seed=cfg.seed,
-                         status="failed", error=str(exc), error_iteration=exc.iteration, run_id=cfg.run_id)
-    record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-    arms = _score_arms([p.checkpoint for p in record.trail], [p.holdout_probs for p in record.trail],
-                       split, holdout[1])
-    record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
-    for point in record.trail:  # scored: not worth shipping back from a worker
-        point.holdout_probs = None
-    return record
+def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe: str,
+                         split_index: int) -> list[RunRecord]:
+    """The records of one sweep group, the grid points of one (split, recipe,
+    seed), trained in lockstep, in grid order.
+
+    Each member's record is its `finetune(..., trained=...)`, with its
+    held-out environment accuracy taken from the predictions that score its
+    single-run arms; a member whose loss went non-finite gets a failed
+    record with the iteration a solo run would have stopped at.
+    """
+    holdout = split_holdout(split, cfgs[0].seed)  # shared by the members and their single-run arms
+    rows = _holdout_rows(split, holdout)
+    group = [_FineTune(start, split, cfg, rows) for cfg in cfgs]
+    _train_finetunes(group)
+    records = []
+    for grid_index, (cfg, ft) in enumerate(zip(cfgs, group)):
+        try:
+            record = finetune(start, split, cfg, trained=ft)
+        except RunError as exc:
+            records.append(RunRecord(cfg, recipe=recipe, split_index=split_index, test_env=split.test_env,
+                                     train_envs=split.train_envs, grid_index=grid_index, seed=cfg.seed,
+                                     status="failed", error=str(exc), error_iteration=exc.iteration,
+                                     run_id=cfg.run_id))
+            continue
+        record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
+        arms, record.ood_acc = _score_arms([p.checkpoint for p in record.trail], record.holdout_mean_probs,
+                                           split, holdout[1], best=record.best_index)
+        record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
+        record.holdout_mean_probs = None  # scored: not worth shipping back from a worker
+        records.append(record)
+    return records
+
+
+_POOL_INPUTS: dict = {}  # in a sweep pool worker: the start checkpoint and the splits
+
+
+def _init_pool_worker(start: Checkpoint, splits: list) -> None:
+    """Hand a sweep pool worker the start and the splits once, so a task carries only its configs."""
+    _POOL_INPUTS.update(start=start, splits=splits)
+
+
+def _execute_pooled_group(job) -> list[RunRecord]:
+    cfgs, recipe, split_index = job
+    return _execute_sweep_group(_POOL_INPUTS["start"], _POOL_INPUTS["splits"][split_index], cfgs, recipe,
+                                split_index)
 
 
 def run_sweep(
@@ -698,14 +831,20 @@ def run_sweep(
 
     grid entries are (learning rate, weight decay) pairs. Each run's config
     is its recipe applied to base_cfg, and runs are labelled with canonical
-    recipe names (Recipe.name). Per (split, recipe) the selected run
+    recipe names (Recipe.name). Every config is built before any training.
+    The grid points of one (split, recipe, seed) train in lockstep
+    (`_execute_sweep_group`), and each such group is one task of the worker
+    pool, whose workers get the start and the splits once each. The groups
+    do not depend on parallel, so neither do the records, which come back
+    in (split, recipe, grid point, seed) order; a sweep with fewer groups
+    than workers leaves workers idle. Per (split, recipe) the selected run
     maximizes iid validation accuracy, ties broken by lowest grid index
     then lowest seed. Individual run failures are recorded, not fatal; the
     sweep raises only if some (split, recipe) has no successful run at all.
     Multi-run arms pool the grid's best checkpoints at a fixed seed, or
-    across seeds too when pool_seeds is set. A group's iid score is taken on
-    the holdout of its first seed, so a pooled group's holdout overlaps the
-    training rows of its other seeds' members.
+    across seeds too when pool_seeds is set. Their iid score is taken on the
+    holdout of the first seed they pool, so a pooled arm's holdout overlaps
+    the training rows of its other seeds' members.
     """
     if not splits or not grid or not recipes or not seeds:
         raise ValidationError("splits, grid, recipes, and seeds must all be nonempty")
@@ -719,20 +858,27 @@ def run_sweep(
             raise ValidationError(f"{what} repeat: {values}")
     base_cfg = base_cfg or FineTuneConfig()
 
+    # one job per group: the grid points of a (split, recipe, seed), trained in lockstep
     jobs = [
-        (start, split, recipe.apply(base_cfg, lr=lr, weight_decay=wd, seed=seed,
-                                    run_id=f"s{split_index}-{label}-g{grid_index}-seed{seed}"),
-         label, split_index, grid_index)
-        for split_index, split in enumerate(splits)
+        ([recipe.apply(base_cfg, lr=lr, weight_decay=wd, seed=seed,
+                       run_id=f"s{split_index}-{label}-g{grid_index}-seed{seed}")
+          for grid_index, (lr, wd) in enumerate(grid)], label, split_index)
+        for split_index in range(len(splits))
         for recipe, label in zip(recipes, labels)
-        for grid_index, (lr, wd) in enumerate(grid)
         for seed in seeds
     ]
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            runs = list(pool.map(_execute_sweep_run, jobs))
+        with ProcessPoolExecutor(max_workers=parallel, initializer=_init_pool_worker,
+                                 initargs=(start, splits)) as pool:
+            groups = list(pool.map(_execute_pooled_group, jobs))
     else:
-        runs = [_execute_sweep_run(job) for job in jobs]
+        groups = [_execute_sweep_group(start, splits[split_index], cfgs, label, split_index)
+                  for cfgs, label, split_index in jobs]
+    # in (split, recipe, grid point, seed) order: the seeds of a (split, recipe) are consecutive groups
+    runs = [record
+            for first in range(0, len(groups), len(seeds))
+            for point in zip(*groups[first : first + len(seeds)])
+            for record in point]
 
     return _summarize(runs, splits, grid, labels, seeds, start, pool_seeds)
 
@@ -793,8 +939,8 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
                     key = (split_index, group[0])
                     if key not in holdouts:
                         holdouts[key] = split_holdout(split, group[0])[1]
-                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], None, split,
-                                                 holdouts[key])
+                    per_split[tag], _ = _score_arms([r.best.checkpoint for r in members], None, split,
+                                                    holdouts[key])
 
     meta = {
         "schema_version": 1,

@@ -229,6 +229,28 @@ def test_backward_without_reset_errors():
     np.testing.assert_array_equal(w.grad, [1.0, 1.0])
 
 
+def test_node_over_leaves_gets_the_traced_gradients():
+    # a root whose parents are all leaves skips the trace; behind a scale by
+    # 1 the same node takes the traced path: the same gradients, a leaf
+    # listed twice summed, a leaf without requires_grad left alone, and the
+    # same refusal of populated gradients
+    rng = np.random.default_rng(11)
+    grads = [rng.normal(size=3), rng.normal(size=2), rng.normal(size=3), rng.normal(size=4)]
+
+    def gradients(traced):
+        a, b = ad.Tensor(np.zeros(3), requires_grad=True), ad.Tensor(np.zeros(2), requires_grad=True)
+        frozen = ad.Tensor(np.zeros(4))
+        node = ad.make_node(np.asarray(2.0), "step", (a, b, a, frozen), lambda g: [g * x for x in grads])
+        ad.backward(ad.scale(node, 1.0) if traced else node)
+        assert frozen.grad is None
+        with pytest.raises(UsageError, match="populated on 2 leaf"):
+            ad.backward(ad.scale(node, 1.0) if traced else node)
+        return a.grad.tobytes(), b.grad.tobytes()
+
+    assert gradients(traced=False) == gradients(traced=True)
+    assert gradients(traced=False)[0] == (grads[0] + grads[2]).tobytes()
+
+
 def test_backward_rejects_non_scalar():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(UsageError):

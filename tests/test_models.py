@@ -1,9 +1,9 @@
 import copy
 import gc
+import itertools
 import pickle
 import tracemalloc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,14 +12,12 @@ from finedrop import autodiff as ad
 from finedrop.errors import FormatError, UsageError, ValidationError
 from finedrop.models import (
     EVAL_CHUNK_ROWS,
-    StepBuffers,
+    StackedStep,
     _relu_inplace,
     block_contributions,
     check_labels,
     checkpoint_from_model,
     forward,
-    fused_backward,
-    fused_forward,
     load_checkpoint,
     model_from_checkpoint,
     new_residual_model,
@@ -27,7 +25,7 @@ from finedrop.models import (
     write_checkpoint,
 )
 from finedrop.optim import SgdOptimizer
-from finedrop.regularizers import DropoutSpec
+from finedrop.regularizers import DropoutSpec, batch_dropout_mask
 
 
 def test_same_seed_same_dims_identical():
@@ -409,51 +407,71 @@ def _bits(a) -> bytes:
     return bytes(str((a.dtype, a.shape)), "ascii") + a.tobytes()
 
 
+def _sgd(model, lr=0.05, steps=3):
+    return SgdOptimizer({"trunk": model.trunk_parameters(), "head": model.head_parameters()}, lr=lr,
+                        total_iterations=2 * steps, weight_decay=1e-3, group_multipliers={"head": 10.0})
+
+
+def _tape_node(loss, model, grads):
+    # a training step's tape node: the model's parameters as parents, the
+    # stacked backward's row of gradients as their gradients
+    return ad.make_node(loss, "fused_step", tuple(model.parameters()), lambda g: grads)
+
+
 def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3, permute=None):
-    # `steps` consecutive SGD steps through one StepBuffers against the tape
-    # (forward + softmax_cross_entropy + backward) on a copy of the model
-    # with its own optimizer: loss, logits, every gradient and every
-    # parameter after each step, bit for bit. permute, a block order,
-    # reorders both models' blocks in place first, so the gradients no
-    # longer sit at their weights' offsets and the optimizer gathers them
-    tape_model = copy.deepcopy(model)
-    if permute is not None:
-        for m in (model, tape_model):
-            m.blocks[:] = [m.blocks[i] for i in permute]
-
-    def sgd(m):
-        return SgdOptimizer({"trunk": m.trunk_parameters(), "head": m.head_parameters()}, lr=0.05,
-                            total_iterations=2 * steps, weight_decay=1e-3,
-                            group_multipliers={"head": 10.0})
-
-    fused_opt, tape_opt = sgd(model), sgd(tape_model)
-    params, tape_params = tuple(model.parameters()), tape_model.parameters()
-    fused_spec, tape_spec = DropoutSpec.seeded(rate, seed=seed), DropoutSpec.seeded(rate, seed=seed)
-    buf = StepBuffers(model, batch)
-    batch_rng = np.random.default_rng(seed)
-    for step in range(steps):
-        idx = batch_rng.integers(0, x.shape[0], size=batch)
-        logits, _ = forward(tape_model, x[idx], tape_spec)
-        tape_loss = ad.softmax_cross_entropy(logits, labels[idx])
-        ad.backward(tape_loss)
-        tape_grads = [t.grad for t in tape_params]
-        tape_opt.step()
-        ad.reset_grads(tape_params)
-
-        loss = fused_forward(model, x[idx], fused_spec, labels[idx], buf)
-        ad.backward(ad.make_node(loss, "fused_step", params, partial(fused_backward, model, buf)))
-        assert _bits(loss) == _bits(tape_loss.data), step
-        assert _bits(buf.logits) == _bits(logits.data), step
-        for (name, t), want in zip(model.named_parameters(), tape_grads):
-            assert t.grad is buf.grads[params.index(t)]
-            assert _bits(t.grad) == _bits(want), (step, name)
-        fused_opt.step()
-        assert (fused_opt._grad_span is None) == (permute is not None), step  # read in place, or gathered
-        ad.reset_grads(params)
-        for (name, t), want in zip(model.named_parameters(), tape_params):
-            assert _bits(t.data) == _bits(want.data), (step, name)
-    assert fused_spec.rng.bit_generator.state == tape_spec.rng.bit_generator.state
-    assert _bits(model.predict_proba(x)) == _bits(_eval_oracle(model, x))
+    # `steps` consecutive SGD steps of K = 1 and of K = 3 models through one
+    # StackedStep, each model against the tape (forward +
+    # softmax_cross_entropy + backward) on a copy of it with its own
+    # optimizer: loss, logits, every gradient and every parameter after each
+    # step, bit for bit. Models after the first perturb model's parameters
+    # and have their own lr, batches and masks. permute, a block order,
+    # reorders every model's blocks in place first; the stacked gradients
+    # still sit at their weights' offsets, so the optimizer reads them in place
+    for k_models in (1, 3):
+        rng = np.random.default_rng(seed)
+        models = [copy.deepcopy(model) for _ in range(k_models)]
+        for m in models[1:]:
+            m.params += 0.01 * rng.normal(size=m.params.size)
+        tapes = [copy.deepcopy(m) for m in models]
+        if permute is not None:
+            for m in models + tapes:
+                m.blocks[:] = [m.blocks[i] for i in permute]
+        opts = [_sgd(m, 0.05 / (k + 1), steps) for k, m in enumerate(models)]
+        tape_opts = [_sgd(m, 0.05 / (k + 1), steps) for k, m in enumerate(tapes)]
+        specs = [DropoutSpec.seeded(rate, seed=seed + k) for k in range(k_models)]
+        tape_specs = [DropoutSpec.seeded(rate, seed=seed + k) for k in range(k_models)]
+        batch_rngs = [np.random.default_rng(seed + k) for k in range(k_models)]
+        step = StackedStep(models, batch, rate)
+        for it in range(steps):
+            tape_out = []
+            for k, tape_model in enumerate(tapes):
+                idx = batch_rngs[k].integers(0, x.shape[0], size=batch)
+                logits, _ = forward(tape_model, x[idx], tape_specs[k])
+                tape_loss = ad.softmax_cross_entropy(logits, labels[idx])
+                ad.backward(tape_loss)
+                tape_out.append((tape_loss, logits, [t.grad for t in tape_model.parameters()]))
+                tape_opts[k].step()
+                ad.reset_grads(tape_model.parameters())
+                step.x[k], step.labels[k] = x[idx], labels[idx]
+                if rate > 0:
+                    batch_dropout_mask(batch, model.width, rate, specs[k].rng, out=step.mask[k])
+            losses = step.forward()
+            step.backward()
+            for k, (m, (tape_loss, logits, tape_grads)) in enumerate(zip(models, tape_out)):
+                assert _bits(losses[k]) == _bits(tape_loss.data), (k_models, it, k)
+                assert _bits(step.logits[k]) == _bits(logits.data), (k_models, it, k)
+                ad.backward(_tape_node(losses[k], m, step.grads[k]))
+                for (name, t), grad, want in zip(m.named_parameters(), step.grads[k], tape_grads):
+                    assert t.grad is grad
+                    assert _bits(t.grad) == _bits(want), (k_models, it, k, name)
+                opts[k].step()
+                assert opts[k]._grad_span is not None  # read in place
+                ad.reset_grads(m.parameters())
+                for (name, t), want in zip(m.named_parameters(), tapes[k].parameters()):
+                    assert _bits(t.data) == _bits(want.data), (k_models, it, k, name)
+        for m, spec, tape_spec in zip(models, specs, tape_specs):
+            assert spec.rng.bit_generator.state == tape_spec.rng.bit_generator.state
+            assert _bits(m.predict_proba(x)) == _bits(_eval_oracle(m, x))
 
 
 @pytest.mark.parametrize("case", range(24))
@@ -493,8 +511,8 @@ def test_fused_step_matches_tape_bitwise_at_finetune_wide_shape():
 
 
 def test_fused_step_matches_tape_bitwise_with_blocks_reordered_in_place():
-    # the optimizer's gather fallback: with blocks 0 and 2 swapped, the step
-    # buffers' gradient views follow the new block order, not the weights'
+    # with blocks 0 and 2 swapped, the stacked step reads each weight where
+    # it sits and writes its gradient at the same offset
     rng = np.random.default_rng(45)
     model = new_residual_model(5, 6, 3, 3, seed=45, block_hidden=4)
     for t in model.parameters():
@@ -504,72 +522,90 @@ def test_fused_step_matches_tape_bitwise_with_blocks_reordered_in_place():
 
 
 def test_fused_step_allocates_no_activation():
-    # after a warm-up step, a step writes only into its StepBuffers and the
-    # optimizer's vectors, the dropout mask included (rate 0.9); what is
-    # left is the tape node's small Python objects
+    # after a warm-up step, a step of K = 1 or 3 models writes only into its
+    # StackedStep and the optimizers' vectors, the dropout masks included
+    # (rate 0.9); what is left is the tape nodes' small Python objects
     batch, width = 64, 32
-    model = new_residual_model(10, width, 2, 3, seed=44)
     rng = np.random.default_rng(44)
     x, labels = rng.normal(size=(batch, 10)), rng.integers(0, 3, size=batch)
-    params = tuple(model.parameters())
-    opt = SgdOptimizer({"trunk": model.trunk_parameters(), "head": model.head_parameters()}, lr=0.01,
-                       total_iterations=10, weight_decay=1e-4, group_multipliers={"head": 10.0})
-    buf = StepBuffers(model, batch)
-    backward = partial(fused_backward, model, buf)
+    for k_models, rate in itertools.product((1, 3), (0.0, 0.9)):
+        models = [new_residual_model(10, width, 2, 3, seed=44 + k) for k in range(k_models)]
+        opts = [_sgd(m, 0.01, 5) for m in models]
+        step = StackedStep(models, batch, rate)
+        step.x[...], step.labels[...] = x, labels
+        mask_rng = np.random.default_rng(44)
 
-    def step(spec):
-        ad.backward(ad.make_node(fused_forward(model, x, spec, labels, buf), "fused_step", params,
-                                 backward))
-        opt.step()
-        ad.reset_grads(params)
+        def train_step():
+            for k in range(k_models):
+                if rate > 0:
+                    batch_dropout_mask(batch, width, rate, mask_rng, out=step.mask[k])
+            losses = step.forward()
+            step.backward()
+            for k, m in enumerate(models):
+                ad.backward(_tape_node(losses[k], m, step.grads[k]))
+                opts[k].step()
+                ad.reset_grads(m.parameters())
 
-    for spec in (None, DropoutSpec.seeded(0.9, seed=44)):
-        step(spec)
+        train_step()
         tracemalloc.start()
         try:
-            step(spec)
+            train_step()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < batch * width * 8, (spec, peak)
+        assert peak < batch * width * 8, (k_models, rate, peak)
 
 
 def test_fused_step_frees_its_activations_without_gc():
-    # the step buffers, the dropout mask among them, must go with the last
-    # reference to them (a training loop's frame); waiting for a
+    # the stacked step's arrays, the dropout masks among them, must go with
+    # the last reference to it (a training loop's frame); waiting for a
     # garbage-collection pass let dozens of steps pile up
-    model = new_residual_model(4, 8, 2, 3, seed=38)
+    models = [new_residual_model(4, 8, 2, 3, seed=38 + k) for k in range(2)]
     rng = np.random.default_rng(38)
-    x, labels = rng.normal(size=(16, 4)), rng.integers(0, 3, size=16)
-    spec, params = DropoutSpec.seeded(0.5, seed=1), tuple(model.parameters())
     gc.disable()
     try:
-        buf = StepBuffers(model, 16)
-        backward = partial(fused_backward, model, buf)
-        masks = []
+        step = StackedStep(models, 16, 0.5)
+        step.x[...], step.labels[...] = rng.normal(size=(2, 16, 4)), rng.integers(0, 3, size=(2, 16))
         for _ in range(2):
-            node = ad.make_node(fused_forward(model, x, spec, labels, buf), "fused_step", params,
-                                backward)
-            ad.backward(node)
-            ad.reset_grads(params)
-            masks.append(weakref.ref(buf.keep))
-        assert masks[0]() is masks[1]() is buf.mask  # every step draws into the buffers' mask
-        held = weakref.ref(buf.zs[0])
-        del buf, backward, node
-        assert held() is None and masks[1]() is None
+            for k in range(2):
+                batch_dropout_mask(16, 8, 0.5, rng, out=step.mask[k])
+            losses = step.forward()
+            step.backward()
+            nodes = [_tape_node(losses[k], m, step.grads[k]) for k, m in enumerate(models)]
+            for node, m in zip(nodes, models):
+                ad.backward(node)
+                ad.reset_grads(m.parameters())
+        held, mask = weakref.ref(step.zs[0]), weakref.ref(step.mask)
+        del step
+        assert held() is None and mask() is None
     finally:
         gc.enable()
 
 
 def test_fused_forward_validates_input_shape():
+    # the stacked step refuses what it cannot stack; the training loop, the
+    # rows it cannot gather
+    from finedrop import protocol
+
     model = new_residual_model(4, 5, 1, 2, seed=37)
-    buf = StepBuffers(model, 3)
-    with pytest.raises(ValidationError, match=r"input must be \[batch, 4\]"):
-        fused_forward(model, np.ones((3, 7)), None, np.zeros(3, dtype=np.int64), buf)
-    with pytest.raises(ValidationError, match="input has 2 rows, the step buffers hold 3"):
-        fused_forward(model, np.ones((2, 4)), None, np.zeros(2, dtype=np.int64), buf)
     with pytest.raises(ValidationError, match="batch must be >= 1"):
-        StepBuffers(model, 0)
+        StackedStep([model], 0)
+    with pytest.raises(ValidationError, match="at least one model"):
+        StackedStep([], 3)
+    with pytest.raises(ValidationError, match="one architecture"):
+        StackedStep([model, new_residual_model(4, 5, 2, 2, seed=37)], 3)
+    detached = new_residual_model(4, 5, 1, 2, seed=37)
+    detached.head_b.data = np.zeros(2)
+    with pytest.raises(UsageError, match="head_b"):
+        StackedStep([detached], 3)
+    run = protocol._Run(model, _sgd(model), np.ones((3, 7)), np.zeros(3, dtype=np.int64),
+                        np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=r"input must be \[batch, 4\]"):
+        protocol._train([run], 2, 3, None)
+    with pytest.raises(ValidationError, match="one dropout rate"):
+        protocol._train([protocol._Run(model, _sgd(model), np.ones((3, 4)), np.zeros(3, dtype=np.int64),
+                                       np.random.default_rng(0), DropoutSpec.seeded(rate, seed=0))
+                         for rate in (0.5, 0.9)], 2, 3, None)
 
 
 @pytest.mark.parametrize("labels", [

@@ -166,7 +166,7 @@ def _per_tensor_sgd(groups, grad_steps, lr, total, momentum, weight_decay, multi
 def test_flat_update_equals_per_tensor_loop_bitwise(head_only):
     # the gradients come gathered (separate arrays, copied into one vector)
     # or in place (views of one vector laid out like the weights, as a
-    # StepBuffers' are, which the optimizer reads and must never write)
+    # a StackedStep's gradient rows are, which the optimizer reads and must never write)
     rng = np.random.default_rng(7)
     shapes = {"trunk": [(3, 4), (4,), (4, 4), (4,)], "head": [(4, 3), (3,)]}
     init = {name: [rng.normal(size=s) for s in ss] for name, ss in shapes.items()}

@@ -18,6 +18,7 @@ from finedrop.protocol import (
     FineTuneConfig,
     OptimizerSettings,
     Recipe,
+    RunRecord,
     build_variants,
     ensemble_predict,
     evaluate,
@@ -446,12 +447,15 @@ def test_run_sweep_parallel_matches_serial(small_task, small_start):
         grid=[(0.02, 0.0), (0.01, 1e-4)], recipes=["erm", "dropout90"], seeds=[1, 2],
         base_cfg=_small_cfg(),
     )
-    serial = run_sweep(small_start, splits, parallel=1, **kwargs)
-    parallel = run_sweep(small_start, splits, parallel=2, **kwargs)
-    assert serial.to_jsonl_lines() == parallel.to_jsonl_lines()
-    assert json.dumps(serial.summary_dict(), sort_keys=True) == json.dumps(
-        parallel.summary_dict(), sort_keys=True
-    )
+    # 8 groups of 2 grid points on 2 and 3 workers, then 2 groups on 3 workers
+    for n_splits, seeds, workers in ((2, [1, 2], 2), (2, [1, 2], 3), (1, [1], 3)):
+        kwargs["seeds"] = seeds
+        serial = run_sweep(small_start, splits[:n_splits], parallel=1, **kwargs)
+        parallel = run_sweep(small_start, splits[:n_splits], parallel=workers, **kwargs)
+        assert serial.to_jsonl_lines() == parallel.to_jsonl_lines()
+        assert json.dumps(serial.summary_dict(), sort_keys=True) == json.dumps(
+            parallel.summary_dict(), sort_keys=True
+        )
 
 
 def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatch):
@@ -464,7 +468,8 @@ def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatc
     result = run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm", "dropout90"],
                        seeds=[1], base_cfg=_small_cfg())
     assert len(result.runs) == 4
-    assert len(seeds) == 4 + 1  # one per run (fine-tune and single-run arms), one for the multi-run arms
+    # one per group (its grid points' fine-tunes and single-run arms), one for the multi-run arms
+    assert len(seeds) == 2 + 1
 
 
 @pytest.mark.parametrize("recipe", ["erm", "dropout90"])
@@ -476,14 +481,16 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
     holdout = split_holdout(split, cfg.seed)
     record = finetune(small_start, split, cfg, holdout)
     x_val, y_val = small_task.features[holdout[1]], small_task.labels[holdout[1]]
-    for point in record.trail:
-        member = model_from_checkpoint(point.checkpoint)
-        assert point.holdout_probs.tobytes() == member.predict_proba(x_val).tobytes()
+    members = [model_from_checkpoint(point.checkpoint) for point in record.trail]
+    for point, member in zip(record.trail, members):
         assert point.iid_val_acc == evaluate(member, x_val, y_val)
+    mean = np.stack([member.predict_proba(x_val) for member in members]).mean(axis=0)
+    assert record.holdout_mean_probs.tobytes() == mean.tobytes()
     oracle = _scored_arms(build_variants(record), split, holdout[1])
-    scores = protocol._score_arms([p.checkpoint for p in record.trail], [p.holdout_probs for p in record.trail],
-                                  split, holdout[1])
+    scores, best_ood = protocol._score_arms([p.checkpoint for p in record.trail], record.holdout_mean_probs,
+                                            split, holdout[1], best=record.best_index)
     assert scores == {"wa": oracle["wa_single"], "ensemble": oracle["ensemble_single"]}
+    assert best_ood == record.ood_acc
 
 
 def _scored_arms(arms, split, val_idx):
@@ -524,13 +531,13 @@ def test_arm_members_of_another_architecture_are_refused_before_any_copy(small_t
     split = leave_one_out_splits(small_task)[0]
     val_idx = split_holdout(split, 1)[1]
     other = checkpoint_from_model(new_residual_model(small_task.n_features, 6, 1, 2, seed=0))
-    probs = [np.full((val_idx.size, 2), 0.5)] * 2
+    probs = np.full((val_idx.size, 2), 0.5)
     monkeypatch.setattr(protocol, "model_from_checkpoint", lambda ckpt: pytest.fail("a model was built"))
     for members in ([small_start, other], [other, small_start]):
         with pytest.raises(ValidationError, match="checkpoint manifests disagree"):
             protocol._score_arms(members, probs, split, val_idx)
     with pytest.raises(ValidationError, match="at least one checkpoint"):
-        protocol._score_arms([], [], split, val_idx)
+        protocol._score_arms([], probs, split, val_idx)
 
 
 def test_sweep_builds_one_member_model_per_arm_scoring(small_task, small_start, monkeypatch):
@@ -561,7 +568,7 @@ def test_sweep_runs_drop_their_cached_probabilities(small_task, small_start):
     splits = [leave_one_out_splits(small_task)[0]]
     result = run_sweep(small_start, splits, grid=[(0.01, 0.0)], recipes=["dropout90"], seeds=[1],
                        base_cfg=_small_cfg())
-    assert [p.holdout_probs for p in result.runs[0].trail] == [None] * 3
+    assert len(result.runs[0].trail) == 3 and result.runs[0].holdout_mean_probs is None
 
 
 def test_run_sweep_records_failures_without_dying(small_task, small_start):
@@ -575,6 +582,79 @@ def test_run_sweep_records_failures_without_dying(small_task, small_start):
     assert statuses == ["failed", "ok"]
     failed = [r for r in result.runs if r.status == "failed"][0]
     assert failed.error_iteration is not None
+
+
+def _assert_grouped_equals_solo(grouped, solo, split, holdout):
+    assert grouped.status == solo.status == "ok"
+    assert [(p.iteration, p.iid_val_acc) for p in grouped.trail] == [(p.iteration, p.iid_val_acc) for p in solo.trail]
+    assert [p.checkpoint.params.tobytes() for p in grouped.trail] == [p.checkpoint.params.tobytes() for p in solo.trail]
+    assert grouped.best_index == solo.best_index and grouped.ood_acc == solo.ood_acc
+    oracle = _scored_arms(build_variants(solo), split, holdout[1])
+    assert grouped.variants == {name: oracle[name] for name in ("wa_single", "ensemble_single")}
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.9])
+def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate):
+    # three grid points trained in lockstep against three solo fine-tunes
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[1]
+    grid = [(0.02, 0.0), (0.01, 1e-3), (0.005, 1e-4)]
+    cfgs = [_small_cfg(dropout_rate=rate, lr=lr, weight_decay=wd, run_id=f"g{i}") for i, (lr, wd) in enumerate(grid)]
+    records = protocol._execute_sweep_group(small_start, split, cfgs, "r", 0)
+    holdout = split_holdout(split, cfgs[0].seed)
+    assert [(r.grid_index, r.run_id, r.recipe) for r in records] == [(i, f"g{i}", "r") for i in range(3)]
+    for cfg, grouped in zip(cfgs, records):
+        _assert_grouped_equals_solo(grouped, finetune(small_start, split, cfg, holdout), split, holdout)
+
+
+def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_start):
+    # the diverging member leaves the stack at the iteration its solo run
+    # stops at, and the other members go on with no floating-point warning
+    # of their own: the group raises exactly the solo run's warnings
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[0]
+    grid = [(0.02, 0.0), (1e9, 0.0), (0.01, 1e-4)]
+    cfgs = [_small_cfg(dropout_rate=0.9, lr=lr, weight_decay=wd, run_id=f"g{i}") for i, (lr, wd) in enumerate(grid)]
+    holdout = split_holdout(split, cfgs[0].seed)
+    solo_warnings, group_warnings = [], []
+    with np.errstate(over="call", invalid="call", divide="call", call=lambda kind, flag: solo_warnings.append(kind)):
+        with pytest.raises(RunError) as solo_error:
+            finetune(small_start, split, cfgs[1], holdout)
+    with np.errstate(over="call", invalid="call", divide="call", call=lambda kind, flag: group_warnings.append(kind)):
+        records = protocol._execute_sweep_group(small_start, split, cfgs, "r", 0)
+    assert solo_warnings and group_warnings == solo_warnings
+    failed = RunRecord(cfgs[1], recipe="r", split_index=0, test_env=split.test_env, train_envs=split.train_envs,
+                       grid_index=1, seed=cfgs[1].seed, status="failed", error=str(solo_error.value),
+                       error_iteration=solo_error.value.iteration, run_id="g1")
+    assert records[1].to_json_dict() == failed.to_json_dict()
+    assert records[1].error_iteration is not None
+    for i in (0, 2):
+        _assert_grouped_equals_solo(records[i], finetune(small_start, split, cfgs[i], holdout), split, holdout)
+
+
+def test_finished_finetune_is_freed_without_gc(small_task, small_start):
+    # the checkpoint callback must not hold its fine-tune: a reference
+    # cycle kept every finished run's model, optimizer and rows until a
+    # garbage-collection pass
+    import gc
+    import weakref
+
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[0]
+    holdout = split_holdout(split, 1)
+    gc.disable()
+    try:
+        group = [protocol._FineTune(small_start, split, _small_cfg(dropout_rate=0.9), protocol._holdout_rows(split, holdout))]
+        protocol._train_finetunes(group)
+        record = finetune(small_start, split, group[0].cfg, trained=group[0])
+        model, opt = weakref.ref(group[0].run.model), weakref.ref(group[0].run.opt)
+        del group
+        assert model() is None and opt() is None and len(record.trail) == 3
+    finally:
+        gc.enable()
 
 
 def test_run_sweep_raises_when_all_runs_fail(small_task, small_start):
