@@ -32,8 +32,9 @@ A model's parameters are views of one flat float64 vector, `params`, in
 named_parameters order: the optimizer updates it in place and a checkpoint
 is a copy of it. Write a parameter in place (`t.data[...] = v`); rebinding
 `.data` detaches it, and reordering `blocks` in place moves a view off its
-named offset, so `checkpoint_from_model` refuses either model. A copy or a
-pickle round trip rebuilds the model over a copy of `params`.
+named offset, so `checkpoint_from_model` and `StackedStep` (training)
+refuse either model. A copy or a pickle round trip rebuilds the model over
+a copy of `params`.
 
 Checkpoints are a single file: one line of compact JSON (the manifest:
 architecture, parameter shapes, iteration, run id, and an "rng_state" that
@@ -44,6 +45,7 @@ Round trips are bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -346,6 +348,9 @@ class StackedStep:
     like `w`. `grads[k]` are row k's views, one per parameter of model k in
     named_parameters order and each at its weight's offset, so an optimizer
     over model k reads them in place. Each step overwrites the last one's.
+    A model whose parameters left their offsets in `params` (a rebound
+    `.data`, blocks reordered in place) is refused, as `checkpoint_from_model`
+    refuses it.
 
     Every float operation is the one the tape ops perform on one model:
     products are `np.matmul` over [K, m, n] views, which numpy runs as one
@@ -361,11 +366,13 @@ class StackedStep:
         if batch < 1:
             raise ValidationError(f"batch must be >= 1, got {batch}")
         first, k = models[0], len(models)
-        layout = _layout(first)
-        for model in models[1:]:
-            if model.arch() != first.arch() or _layout(model) != layout:
-                raise ValidationError(f"stacked models must share one architecture and parameter layout: "
-                                      f"{model.arch()} vs {first.arch()}")
+        for model in models:
+            _attached_params(model)  # so each parameter sits at its canonical offset
+            if model.arch() != first.arch():
+                raise ValidationError(f"stacked models must share one architecture: {model.arch()} vs {first.arch()}")
+        shapes = [t.shape for t in first.parameters()]
+        stops = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        layout = list(zip([0, *stops], stops, shapes))  # (start, stop, shape) of each parameter in params
         width, hidden, classes = first.width, first.arch()["block_hidden"], first.num_classes
         self.models, self.batch, self.rate = list(models), batch, float(rate)
         self.x = np.empty((k, batch, first.input_dim))
@@ -470,22 +477,6 @@ class StackedStep:
             dh, spare = spare, dh
         np.matmul(self.x.transpose(0, 2, 1), dh, out=gs[0])
         np.add.reduce(dh, 1, out=gs[1])
-
-
-def _layout(model: ResidualModel) -> list:
-    """(start, stop, shape) of each parameter in model.params, in named_parameters order.
-
-    Read from where each parameter's array sits, so blocks reordered in place
-    keep their weights; a parameter that no longer views params is refused.
-    """
-    params, out = model.params, []
-    for name, t in model.named_parameters():
-        a = t.data
-        if a.base is not params or not a.flags.c_contiguous:
-            raise UsageError(f"parameter {name} no longer views model.params: write it in place, t.data[...] = v")
-        start = (a.ctypes.data - params.ctypes.data) // 8
-        out.append((start, start + a.size, a.shape))
-    return out
 
 
 def block_contributions(model: ResidualModel, x) -> list[ad.Tensor]:

@@ -17,9 +17,12 @@ and ensemble over one trail, multi-run weight average and ensemble over the
 best checkpoints of a hyperparameter grid. `run_sweep` executes the full
 (split x grid x seed x recipe) product, optionally in parallel worker
 processes. The grid points of one (split, recipe, seed) train in lockstep
-as one stacked step (`_train`), and each run owns its rng streams, so
-results are byte-identical to training each run alone, whatever the worker
-count.
+as one stacked step (`_finetune_group` over `_train`), and each run owns its
+rng streams, so results are byte-identical to training each run alone,
+whatever the worker count. `_train` is the one training loop: a generator
+that yields the steps done at each checkpoint, so pretraining and
+fine-tuning take their checkpoints in their own loop bodies, and a run it
+steps is plain data (`_Run`).
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -33,11 +36,9 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from decimal import Decimal, InvalidOperation
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .models import (
     reinit_head,
 )
 from .optim import SgdOptimizer, check_settings
-from .regularizers import DropoutSpec, batch_dropout_mask
+from .regularizers import batch_dropout_mask
 from .stats import five_number_summary
 
 __all__ = [
@@ -246,12 +247,8 @@ class RunRecord:
     status: str = "ok"
     error: str | None = None
     error_iteration: int | None = None
-    wall_clock: float = 0.0  # in-memory only, never serialized; a sweep group member times only its record
     run_id: str = ""
     variants: dict = field(default_factory=dict)
-    # in-memory only: the mean of the trail's holdout class probabilities,
-    # which the single-run ensemble is scored from; a sweep drops it once scored
-    holdout_mean_probs: np.ndarray | None = None
 
     @property
     def best(self) -> TrailPoint:
@@ -262,7 +259,7 @@ class RunRecord:
         return self.best.iid_val_acc
 
     def to_json_dict(self) -> dict:
-        """Serializable record; wall clock and raw parameters are omitted."""
+        """Serializable record; raw parameters are omitted."""
         return {
             "schema_version": 1,
             "run_id": self.run_id,
@@ -460,23 +457,25 @@ def _batches(batch_rng, n: int, batch_size: int, iterations: int):
 @dataclass
 class _Run:
     """One run as `_train` steps it: its model and optimizer, its training
-    rows and labels, its batch stream, its dropout spec (None for none) and
-    the callback its checkpoints go to. error is the RunError that took it
-    off the stack, if one did."""
+    rows and labels, its batch stream and its dropout-mask stream (never
+    read at rate 0). error is the RunError that took it off the stack, if
+    one did."""
 
     model: ResidualModel
     opt: SgdOptimizer
     x: np.ndarray
     y: np.ndarray
     batch_rng: np.random.Generator
-    dropout: DropoutSpec | None = None
-    on_checkpoint: Callable[[int], None] | None = None
+    mask_rng: np.random.Generator | None = None
     error: RunError | None = None
 
 
-def _train(runs: list, iterations: int, batch_size: int, every: int | None) -> None:
-    """The one training loop: K runs of one architecture and dropout rate, stepped in lockstep.
+def _train(runs: list, iterations: int, batch_size: int, rate: float, every: int | None):
+    """The one training loop: K runs of one architecture, stepped in lockstep at one dropout rate.
 
+    A generator: it yields the steps done after every `every`-th step and
+    after the last one (every=None yields nothing), so its caller takes
+    checkpoints in its own loop body, and the caller runs it to the end.
     Each step gathers every run's batch rows from its own stream (`_batches`,
     blocks of indices) and draws its dropout mask from its own stream into
     one `StackedStep`, which computes the K forwards and backwards as
@@ -485,57 +484,50 @@ def _train(runs: list, iterations: int, batch_size: int, every: int | None) -> N
     back the run's row of the stacked gradients, `ad.backward` fills the
     `.grad`s, the run's optimizer steps and its gradients are reset. So each
     run's parameters, streams and checkpoints equal those of training it
-    alone (K = 1), bit for bit. Labels and input width are checked once per
-    run. After every `every`-th step and after the last one, each run's
-    on_checkpoint(steps done) runs; every=None never calls back. A run whose
-    loss is not finite leaves the stack with RunError at that iteration in
-    its `error`, and the others go on; the caller raises or records it.
+    alone (K = 1), bit for bit. Rows are made float64 and labels intp in
+    place on each run, once their shapes are checked. A run whose loss is
+    not finite leaves the stack with RunError at that iteration in its
+    `error`, and the others go on; the caller raises or records it.
     """
-    rates = {r.dropout.rate if r.dropout is not None and r.dropout.active else 0.0 for r in runs}
-    if len(rates) > 1:
-        raise ValidationError(f"runs stepped together need one dropout rate, got {sorted(rates)}")
-    rate = rates.pop() if rates else 0.0
-    active = []  # (run, its batch indices, its parameters, its rows, its labels, its mask stream)
     for run in runs:
-        model, x, y = run.model, np.ascontiguousarray(run.x, dtype=np.float64), np.asarray(run.y)
-        if x.ndim != 2 or x.shape[1] != model.input_dim:
-            raise ValidationError(f"input must be [batch, {model.input_dim}], got shape {x.shape}")
-        check_labels(y, x.shape[0], model.num_classes)
-        active.append((run, _batches(run.batch_rng, x.shape[0], batch_size, iterations),
-                       tuple(model.parameters()), x, y.astype(np.intp, copy=False),
-                       run.dropout._require_rng() if rate else None))
-    if not active or iterations == 0:
+        run.x = np.ascontiguousarray(run.x, dtype=np.float64)
+        if run.x.ndim != 2 or run.x.shape[1] != run.model.input_dim:
+            raise ValidationError(f"input must be [batch, {run.model.input_dim}], got shape {run.x.shape}")
+        check_labels(np.asarray(run.y), run.x.shape[0], run.model.num_classes)
+        run.y = np.asarray(run.y).astype(np.intp, copy=False)
+    if not runs or iterations == 0:
         return
-    step = StackedStep([entry[0].model for entry in active], batch_size, rate)
-    width = active[0][0].model.width
+    batches = [_batches(run.batch_rng, run.x.shape[0], batch_size, iterations) for run in runs]
+    params = [tuple(run.model.parameters()) for run in runs]
+    step = StackedStep([run.model for run in runs], batch_size, rate)
+    width = runs[0].model.width
     for it in range(iterations):
-        for k, (_, batches, _, x, y, mask_rng) in enumerate(active):
-            idx = next(batches)
-            x.take(idx, 0, step.x[k], "clip")  # mode "raise" would buffer out
-            y.take(idx, None, step.labels[k], "clip")
-            if mask_rng is not None:
-                batch_dropout_mask(batch_size, width, rate, mask_rng, out=step.mask[k])
+        for k, (run, rows) in enumerate(zip(runs, batches)):
+            idx = next(rows)
+            run.x.take(idx, 0, step.x[k], "clip")  # mode "raise" would buffer out
+            run.y.take(idx, None, step.labels[k], "clip")
+            if rate:
+                batch_dropout_mask(batch_size, width, rate, run.mask_rng, out=step.mask[k])
         losses = step.forward()
         if not np.isfinite(losses).all():
-            for entry, loss in zip(active, losses):
+            for run, loss in zip(runs, losses):
                 if not np.isfinite(loss):
-                    entry[0].error = RunError("loss is not finite", iteration=it)
-            keep = [k for k, entry in enumerate(active) if entry[0].error is None]
-            active = [active[k] for k in keep]
-            if not active:
+                    run.error = RunError("loss is not finite", iteration=it)
+            keep = [k for k, run in enumerate(runs) if run.error is None]
+            if not keep:
                 return
+            runs, batches, params = ([items[k] for k in keep] for items in (runs, batches, params))
             step = step.rows(keep)
             losses = step.forward()
         step.backward()
-        done = it + 1
-        due = every and (done % every == 0 or done == iterations)
-        for k, ((run, _, params, _, _, _), grads) in enumerate(zip(active, step.grads)):
+        for run, leaves, grads, loss in zip(runs, params, step.grads, losses):
             # the stacked backward took the seed ad.backward gives a scalar root, 1
-            ad.backward(ad.make_node(losses[k], "fused_step", params, lambda g, grads=grads: grads))
+            ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g, grads=grads: grads))
             run.opt.step()
-            ad.reset_grads(params)
-            if due:
-                run.on_checkpoint(done)
+            ad.reset_grads(leaves)
+        done = it + 1
+        if every and (done % every == 0 or done == iterations):
+            yield done
 
 
 def pretrain(arch: dict, corpus: EnvDataset, opt_cfg: OptimizerSettings, seed: int) -> Checkpoint:
@@ -578,35 +570,42 @@ def pretrain_trajectory(
                        momentum=opt_cfg.momentum, weight_decay=opt_cfg.weight_decay)
     probe = slice(0, _PROBE_ROWS)
     trace: list[tuple[int, float]] = []
-
-    def snapshot(done: int) -> None:
+    batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=[_STREAM_ROOT, int(seed), 0xB00]))
+    run = _Run(model, opt, corpus.features, corpus.labels, batch_rng)
+    for done in _train([run], opt_cfg.iterations, opt_cfg.batch_size, 0.0, snapshot_every):
         if done % snapshot_every == 0:  # the last step is not a snapshot point
             trace.append((done, evaluate(model, corpus.features[probe], corpus.labels[probe])))
-
-    batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=[_STREAM_ROOT, int(seed), 0xB00]))
-    run = _Run(model, opt, corpus.features, corpus.labels, batch_rng, None, snapshot)
-    _train([run], opt_cfg.iterations, opt_cfg.batch_size, snapshot_every)
     if run.error is not None:
         raise run.error
     return checkpoint_from_model(model, opt_cfg.iterations, f"pretrain-{provenance}-seed{seed}"), trace
 
 
-def _holdout_rows(split: EnvSplit, holdout) -> tuple:
-    """(train features, train labels, holdout features, holdout labels) of a (train, validation) index pair."""
-    ds, (train_idx, val_idx) = split.dataset, holdout
-    return ds.features[train_idx], ds.labels[train_idx], ds.features[val_idx], ds.labels[val_idx]
-
-
+@dataclass
 class _FineTune:
-    """A fine-tune from its start to its trail: the `_Run` that `_train`
-    steps, and the trail its checkpoints make, with the running sum of their
-    holdout probabilities. rows are `_holdout_rows`, which the grid points
-    of a sweep group share. The checkpoint callback holds the model and the
-    trail, not this object, so a finished fine-tune is freed without a
-    garbage-collection pass."""
+    """A fine-tune as `_finetune_group` leaves it: its config, the `_Run`
+    `_train` stepped, its run id, its checkpoint trail and the sum of the
+    trail's holdout class probabilities, summed as `_score_arms` sums its
+    members."""
 
-    def __init__(self, start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, rows: tuple):
-        ds = split.dataset
+    cfg: FineTuneConfig
+    run: _Run
+    run_id: str
+    trail: list[TrailPoint]
+    holdout_sum: np.ndarray
+
+
+def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list, holdout) -> list[_FineTune]:
+    """Fine-tunes from start on split under configs that differ at most in
+    lr, weight decay and run id, trained in lockstep by one `_train` and
+    checkpointed at the configs' interval on the holdout rows of holdout, a
+    (train, validation) index pair. A run whose loss went non-finite keeps
+    the trail it had and its error; at zero iterations the fresh head is
+    the only checkpoint."""
+    ds, (train_idx, val_idx) = split.dataset, holdout
+    x_train, y_train = ds.features[train_idx], ds.labels[train_idx]
+    x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
+    group = []
+    for cfg in cfgs:
         model = model_from_checkpoint(start)
         if model.input_dim != ds.n_features:
             raise ValidationError(
@@ -621,27 +620,25 @@ class _FineTune:
             multipliers["trunk"] = 1.0
         opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations,
                            weight_decay=cfg.weight_decay, group_multipliers=multipliers)
-        spec = DropoutSpec(cfg.dropout_rate, "train", streams["mask"]) if cfg.dropout_rate > 0.0 else None
-        x_train, y_train, x_val, y_val = rows
-        self.cfg = cfg
-        self.run_id = run_id = cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}"
-        self.trail: list[TrailPoint] = []
-        # summed and divided as `_score_arms` sums its members
-        self.holdout_sum = np.zeros((y_val.shape[0], model.num_classes))
-        trail, holdout_sum = self.trail, self.holdout_sum
+        run = _Run(model, opt, x_train, y_train, streams["batch"], streams["mask"])
+        group.append(_FineTune(cfg, run, cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}", [],
+                               np.zeros((y_val.shape[0], model.num_classes))))
 
-        def checkpoint(done: int) -> None:
-            probs = model.predict_proba(x_val)
-            trail.append(TrailPoint(checkpoint_from_model(model, done, run_id), done, _accuracy(probs, y_val)))
-            np.add(holdout_sum, probs, out=holdout_sum)
+    def checkpoint(done: int) -> None:
+        for ft in group:
+            if ft.run.error is None:
+                probs = ft.run.model.predict_proba(x_val)
+                point = TrailPoint(checkpoint_from_model(ft.run.model, done, ft.run_id), done, _accuracy(probs, y_val))
+                ft.trail.append(point)
+                np.add(ft.holdout_sum, probs, out=ft.holdout_sum)
 
-        self.run = _Run(model, opt, x_train, y_train, streams["batch"], spec, checkpoint)
-
-
-def _train_finetunes(group: list) -> None:
-    """`_train` on fine-tunes whose configs differ at most in lr, weight decay and run id."""
-    cfg = group[0].cfg
-    _train([ft.run for ft in group], cfg.total_iterations, cfg.batch_size, cfg.effective_interval())
+    cfg = cfgs[0]
+    for done in _train([ft.run for ft in group], cfg.total_iterations, cfg.batch_size, cfg.dropout_rate,
+                       cfg.effective_interval()):
+        checkpoint(done)
+    if cfg.total_iterations == 0:
+        checkpoint(0)
+    return group
 
 
 def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=None,
@@ -652,38 +649,32 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=No
     training environments minus the iid holdout, applies inverted dropout to
     the penultimate representation in train mode only, checkpoints at the
     configured interval, and evaluates the best-iid checkpoint on the held
-    out environment with dropout off. The record keeps the mean of the
-    trail's holdout probabilities for the single-run ensemble. holdout is
-    the (train, validation) index pair split_holdout(split, cfg.seed)
-    returns, for a caller that already has it; None computes it.
+    out environment with dropout off. holdout is the (train, validation)
+    index pair split_holdout(split, cfg.seed) returns, for a caller that
+    already has it; None computes it.
 
-    trained is this run already trained in lockstep with the other grid
-    points of its sweep group (`_execute_sweep_group`): finetune then
-    builds its record, or raises the RunError that stopped it, and leaves
-    ood_acc at 0.0 for the sweep to read from the predictions its arms
-    are scored from.
+    trained is this run already trained by `_finetune_group` in lockstep
+    with the other grid points of its sweep group (`_execute_sweep_group`):
+    finetune then builds its record, or raises the RunError that stopped
+    it, and leaves ood_acc at 0.0 for the sweep to read from the
+    predictions its arms are scored from. It exists so that every run,
+    grouped or not, is one `finetune` call: perfbench's traced run
+    reconciles one `protocol.finetune` call per run.
     """
-    t0 = time.perf_counter()
     ft = trained
     if ft is None:
         holdout = split_holdout(split, cfg.seed) if holdout is None else holdout
-        ft = _FineTune(start, split, cfg, _holdout_rows(split, holdout))
-        _train_finetunes([ft])
+        (ft,) = _finetune_group(start, split, [cfg], holdout)
     if ft.run.error is not None:
         raise ft.run.error
-    if not ft.trail:  # zero iterations: the fresh head is the only checkpoint
-        ft.run.on_checkpoint(0)
-
     trail = ft.trail
     best_index = int(np.argmax([p.iid_val_acc for p in trail]))  # earliest checkpoint wins ties
     record = RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
-                       grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, run_id=ft.run_id,
-                       holdout_mean_probs=ft.holdout_sum / len(trail))
+                       grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, run_id=ft.run_id)
     if trained is None:
         model = ft.run.model
         model.params[...] = trail[best_index].checkpoint.params
         record.ood_acc = evaluate(model, *split.dataset.env_arrays(split.test_env))
-    record.wall_clock = time.perf_counter() - t0
     return record
 
 
@@ -781,11 +772,8 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
     record with the iteration a solo run would have stopped at.
     """
     holdout = split_holdout(split, cfgs[0].seed)  # shared by the members and their single-run arms
-    rows = _holdout_rows(split, holdout)
-    group = [_FineTune(start, split, cfg, rows) for cfg in cfgs]
-    _train_finetunes(group)
     records = []
-    for grid_index, (cfg, ft) in enumerate(zip(cfgs, group)):
+    for grid_index, (cfg, ft) in enumerate(zip(cfgs, _finetune_group(start, split, cfgs, holdout))):
         try:
             record = finetune(start, split, cfg, trained=ft)
         except RunError as exc:
@@ -795,10 +783,9 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
                                      run_id=cfg.run_id))
             continue
         record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-        arms, record.ood_acc = _score_arms([p.checkpoint for p in record.trail], record.holdout_mean_probs,
+        arms, record.ood_acc = _score_arms([p.checkpoint for p in record.trail], ft.holdout_sum / len(ft.trail),
                                            split, holdout[1], best=record.best_index)
         record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
-        record.holdout_mean_probs = None  # scored: not worth shipping back from a worker
         records.append(record)
     return records
 

@@ -3,7 +3,11 @@
 The sweep covers every recipe form (`erm`, `dropout90`, `headlr10`,
 `dropout90+headlr10`) with `--pool-seeds`; the fine-tune run sets both
 `--dropout` and `--head-lr-mult`. The digests pin the output bytes, so a
-refactor that changes any number, label or file layout fails here.
+refactor that changes any number, label or file layout fails here. Two more
+digests pin the library paths the CLI does not take: a standalone
+`protocol.finetune` record (its `ood_acc` comes from `evaluate`, not from a
+sweep's arm predictions) and a `pretrain_trajectory` trace with its
+checkpoint.
 
 Bit-exact outputs depend on the numpy version and the OpenBLAS kernel, so
 the digests are checked only under the build they were recorded with
@@ -28,6 +32,9 @@ import numpy as np
 import pytest
 
 from finedrop.cli import main
+from finedrop.datasets import leave_one_out_splits, load_dataset
+from finedrop.models import load_checkpoint
+from finedrop.protocol import FineTuneConfig, OptimizerSettings, finetune, pretrain_trajectory
 
 RECIPES = ("erm", "dropout90", "headlr10", "dropout90+headlr10")
 SEEDS = (1, 2)
@@ -39,6 +46,8 @@ GOLDEN_ENV = {
     "blas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
 }
 DIGESTS = {
+    "api/finetune": "6b5602f7039132f5e52eef2d271327afb4004eedfd0f7d3dbf0b2d4e3d429754",
+    "api/pretrain_trajectory": "586bec1cd8314483472e55424bec09218b14e7a16a45c863ec8d0c5a22bc406b",
     "ft/best.ckpt": "96555efd638726b8006f002bae03e0994dfda5d444b2c02bf104c30f6177338b",
     "ft/runs.jsonl": "42bb1854792e7bab7e006b4f2d203100dd1e9faf529a4e6e661364dce1457a18",
     "ft/summary.json": "da243f0cdc23df1ebd37d86b84d780ff959d38c363b364646a38b8207f7cba8a",
@@ -91,7 +100,29 @@ def produce(root):
     for sub in ("sweep", "report", "ft"):
         for path in sorted((root / sub).iterdir()):
             digests[f"{sub}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    digests.update(_api_digests(data, corpus, ckpt))
     return digests
+
+
+def _digest(summary, params) -> str:
+    """sha256 of a JSON summary (floats in repr) followed by a parameter vector's bytes."""
+    return hashlib.sha256(json.dumps(summary).encode() + params.tobytes()).hexdigest()
+
+
+def _api_digests(data, corpus, ckpt) -> dict:
+    """One standalone fine-tune and one traced pretrain, from the pipeline's own data and trunk."""
+    split = leave_one_out_splits(load_dataset(data))[1]
+    cfg = FineTuneConfig(dropout_rate=0.9, lr=1e-2, weight_decay=1e-4, total_iterations=60, batch_size=16,
+                         checkpoint_interval=20, seed=2)
+    record = finetune(load_checkpoint(ckpt), split, cfg)
+    ft = {"trail": [[p.iteration, p.iid_val_acc] for p in record.trail],
+          "best_iteration": record.best.iteration, "ood_acc": record.ood_acc}
+    # 60 steps at snapshot_every=20: the last step is also a snapshot point
+    final, trace = pretrain_trajectory({"width": 8, "depth": 1}, load_dataset(corpus),
+                                       OptimizerSettings(iterations=60, batch_size=16), seed=5, snapshot_every=20)
+    pt = {"trace": trace, "iteration": final.iteration, "run_id": final.run_id}
+    return {"api/finetune": _digest(ft, record.best.checkpoint.params),
+            "api/pretrain_trajectory": _digest(pt, final.params)}
 
 
 @pytest.fixture(scope="module")

@@ -199,6 +199,27 @@ def test_batch_index_blocks_equal_per_step_draws(batch, block, monkeypatch):
     assert blocked.bit_generator.state == per_step.bit_generator.state
 
 
+def test_train_yields_its_checkpoint_steps():
+    # after every `every`-th step and after the last one; every=None yields
+    # nothing, and the generator still runs every step
+    from finedrop import protocol
+
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(20, 4)), rng.integers(0, 2, size=20)
+
+    def run():
+        model = new_residual_model(4, 6, 1, 2, seed=5)
+        opt = SgdOptimizer({"trunk": model.trunk_parameters(), "head": model.head_parameters()}, lr=0.05,
+                           total_iterations=10)
+        return protocol._Run(model, opt, x, y, np.random.default_rng(6))
+
+    yielded, silent = run(), run()
+    assert list(protocol._train([yielded], 10, 3, 0.0, 4)) == [4, 8, 10]
+    assert list(protocol._train([silent], 10, 3, 0.0, None)) == []
+    assert yielded.opt.iteration == silent.opt.iteration == 10
+    assert yielded.model.params.tobytes() == silent.model.params.tobytes()
+
+
 def test_evaluate_perfect_and_tie_and_empty(small_task):
     split = leave_one_out_splits(small_task)[0]
     x, y = small_task.env_arrays(split.test_env)
@@ -480,14 +501,17 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
     cfg = Recipe.parse(recipe).apply(_small_cfg())
     holdout = split_holdout(split, cfg.seed)
     record = finetune(small_start, split, cfg, holdout)
+    (ft,) = protocol._finetune_group(small_start, split, [cfg], holdout)
+    assert [p.checkpoint.params.tobytes() for p in ft.trail] == [p.checkpoint.params.tobytes() for p in record.trail]
     x_val, y_val = small_task.features[holdout[1]], small_task.labels[holdout[1]]
     members = [model_from_checkpoint(point.checkpoint) for point in record.trail]
     for point, member in zip(record.trail, members):
         assert point.iid_val_acc == evaluate(member, x_val, y_val)
     mean = np.stack([member.predict_proba(x_val) for member in members]).mean(axis=0)
-    assert record.holdout_mean_probs.tobytes() == mean.tobytes()
+    holdout_mean = ft.holdout_sum / len(ft.trail)  # what a sweep scores the single-run ensemble from
+    assert holdout_mean.tobytes() == mean.tobytes()
     oracle = _scored_arms(build_variants(record), split, holdout[1])
-    scores, best_ood = protocol._score_arms([p.checkpoint for p in record.trail], record.holdout_mean_probs,
+    scores, best_ood = protocol._score_arms([p.checkpoint for p in record.trail], holdout_mean,
                                             split, holdout[1], best=record.best_index)
     assert scores == {"wa": oracle["wa_single"], "ensemble": oracle["ensemble_single"]}
     assert best_ood == record.ood_acc
@@ -564,13 +588,6 @@ def test_evaluate_refuses_labels_that_are_not_one_per_row():
             evaluate(model, x, labels)
 
 
-def test_sweep_runs_drop_their_cached_probabilities(small_task, small_start):
-    splits = [leave_one_out_splits(small_task)[0]]
-    result = run_sweep(small_start, splits, grid=[(0.01, 0.0)], recipes=["dropout90"], seeds=[1],
-                       base_cfg=_small_cfg())
-    assert len(result.runs[0].trail) == 3 and result.runs[0].holdout_mean_probs is None
-
-
 def test_run_sweep_records_failures_without_dying(small_task, small_start):
     splits = [leave_one_out_splits(small_task)[0]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -635,9 +652,9 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
 
 
 def test_finished_finetune_is_freed_without_gc(small_task, small_start):
-    # the checkpoint callback must not hold its fine-tune: a reference
-    # cycle kept every finished run's model, optimizer and rows until a
-    # garbage-collection pass
+    # nothing the training leaves behind may hold a finished fine-tune, so a
+    # sweep group's models, optimizers and rows go with its last reference,
+    # not at some later garbage-collection pass
     import gc
     import weakref
 
@@ -647,8 +664,7 @@ def test_finished_finetune_is_freed_without_gc(small_task, small_start):
     holdout = split_holdout(split, 1)
     gc.disable()
     try:
-        group = [protocol._FineTune(small_start, split, _small_cfg(dropout_rate=0.9), protocol._holdout_rows(split, holdout))]
-        protocol._train_finetunes(group)
+        group = protocol._finetune_group(small_start, split, [_small_cfg(dropout_rate=0.9)], holdout)
         record = finetune(small_start, split, group[0].cfg, trained=group[0])
         model, opt = weakref.ref(group[0].run.model), weakref.ref(group[0].run.opt)
         del group
