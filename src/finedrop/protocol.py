@@ -15,14 +15,14 @@ extended), and reports eval-mode accuracy on the held-out environment.
 Comparison arms are derived from completed runs: single-run weight average
 and ensemble over one trail, multi-run weight average and ensemble over the
 best checkpoints of a hyperparameter grid. `run_sweep` executes the full
-(split x grid x seed x recipe) product, optionally in parallel worker
-processes. The grid points of one (split, recipe, seed) train in lockstep
-as one stacked step (`_finetune_group` over `_train`), and each run owns its
-rng streams, so results are byte-identical to training each run alone,
-whatever the worker count. `_train` is the one training loop: a generator
-that yields the steps done at each checkpoint, so pretraining and
-fine-tuning take their checkpoints in their own loop bodies, and a run it
-steps is plain data (`_Run`).
+(split x grid x seed x recipe) product, optionally in worker processes. The
+grid points of one (split, recipe, seed) train in lockstep as one stacked
+step (`_finetune_group` over `_train`), and each run owns its rng streams, so
+results are byte-identical to training each run alone, whatever the worker
+count. Once its single-run arms are scored, a sweep record keeps only its
+best checkpoint. `_train` is the one training loop: a generator that yields
+the steps done at each checkpoint, so pretraining and fine-tuning checkpoint
+in their own loop bodies, and a run it steps is plain data (`_Run`).
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -225,15 +225,17 @@ class Recipe:
 
 @dataclass
 class TrailPoint:
-    """One checkpoint of a fine-tune and its accuracy on the iid holdout."""
+    """One checkpoint of a fine-tune (None, unless best, in a sweep record) and its iid holdout accuracy."""
 
-    checkpoint: Checkpoint
+    checkpoint: Checkpoint | None
     iteration: int
     iid_val_acc: float
 
 
 @dataclass
 class RunRecord:
+    """One fine-tune's JSON line and trail; a `run_sweep` record keeps only its best checkpoint."""
+
     config: FineTuneConfig
     recipe: str
     split_index: int
@@ -412,15 +414,15 @@ def _member_probs(model, checkpoints, features: np.ndarray):
 def build_variants(records) -> dict:
     """Comparison arms from finished runs.
 
-    One RunRecord: {"wa_single", "ensemble_single"} over its checkpoint
-    trail (a single-point trail degenerates to that checkpoint). A list of
-    two or more RunRecords: {"wa_multi", "ensemble_multi"} over each run's
-    best-iid checkpoint.
+    A `finetune` record, whose trail is complete: {"wa_single",
+    "ensemble_single"} over the trail (a single-point trail degenerates to
+    that checkpoint). Two or more RunRecords, sweep records too:
+    {"wa_multi", "ensemble_multi"} over each run's best-iid checkpoint.
     """
     if isinstance(records, RunRecord):
         trail = [p.checkpoint for p in records.trail]
-        if not trail:
-            raise ValidationError("single-run variants need a non-empty checkpoint trail")
+        if not trail or None in trail:
+            raise ValidationError("single-run arms need a complete trail, which a standalone finetune record has")
         return {
             "wa_single": weight_average(trail),
             "ensemble_single": EnsemblePredictor([model_from_checkpoint(c) for c in trail]),
@@ -766,10 +768,10 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
     """The records of one sweep group, the grid points of one (split, recipe,
     seed), trained in lockstep, in grid order.
 
-    Each member's record is its `finetune(..., trained=...)`, with its
-    held-out environment accuracy taken from the predictions that score its
-    single-run arms; a member whose loss went non-finite gets a failed
-    record with the iteration a solo run would have stopped at.
+    Each member's record is its `finetune(..., trained=...)`: its arms and
+    held-out environment accuracy are scored from its own trail, then it
+    keeps only its best checkpoint. A member whose loss went non-finite gets
+    a failed record with the iteration a solo run would have stopped at.
     """
     holdout = split_holdout(split, cfgs[0].seed)  # shared by the members and their single-run arms
     records = []
@@ -783,9 +785,10 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
                                      run_id=cfg.run_id))
             continue
         record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-        arms, record.ood_acc = _score_arms([p.checkpoint for p in record.trail], ft.holdout_sum / len(ft.trail),
+        arms, record.ood_acc = _score_arms([p.checkpoint for p in ft.trail], ft.holdout_sum / len(ft.trail),
                                            split, holdout[1], best=record.best_index)
         record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
+        record.trail = [p if i == record.best_index else replace(p, checkpoint=None) for i, p in enumerate(ft.trail)]
         records.append(record)
     return records
 
@@ -822,16 +825,16 @@ def run_sweep(
     The grid points of one (split, recipe, seed) train in lockstep
     (`_execute_sweep_group`), and each such group is one task of the worker
     pool, whose workers get the start and the splits once each. The groups
-    do not depend on parallel, so neither do the records, which come back
-    in (split, recipe, grid point, seed) order; a sweep with fewer groups
-    than workers leaves workers idle. Per (split, recipe) the selected run
-    maximizes iid validation accuracy, ties broken by lowest grid index
-    then lowest seed. Individual run failures are recorded, not fatal; the
-    sweep raises only if some (split, recipe) has no successful run at all.
-    Multi-run arms pool the grid's best checkpoints at a fixed seed, or
-    across seeds too when pool_seeds is set. Their iid score is taken on the
-    holdout of the first seed they pool, so a pooled arm's holdout overlaps
-    the training rows of its other seeds' members.
+    do not depend on parallel, so neither do the records, which come back in
+    (split, recipe, grid point, seed) order, each holding only its best
+    checkpoint; a sweep with fewer groups than workers leaves workers idle.
+    Per (split, recipe) the selected run maximizes iid validation accuracy,
+    ties broken by lowest grid index then lowest seed. Individual run
+    failures are recorded, not fatal; the sweep raises only if some (split,
+    recipe) has no successful run at all. Multi-run arms pool the grid's
+    best checkpoints at a fixed seed, or across seeds too when pool_seeds is
+    set. Their iid score is taken on the holdout of the first seed they
+    pool, so a pooled arm's holdout overlaps its other seeds' training rows.
     """
     if not splits or not grid or not recipes or not seeds:
         raise ValidationError("splits, grid, recipes, and seeds must all be nonempty")

@@ -533,9 +533,12 @@ def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds):
                        base_cfg=_small_cfg(), pool_seeds=pool_seeds)
     assert {r.status for r in result.runs} == {"ok"}
     for run in result.runs:
+        # a sweep record keeps only its best checkpoint: the oracle is the solo record of its config
         split = splits[run.split_index]
-        oracle = _scored_arms(build_variants(run), split, split_holdout(split, run.seed)[1])
-        assert run.variants == oracle
+        holdout = split_holdout(split, run.seed)
+        solo = finetune(small_start, split, run.config, holdout)
+        assert run.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
+        assert run.variants == _scored_arms(build_variants(solo), split, holdout[1])
     groups = [("pooled", seeds)] if pool_seeds else [(str(s), [s]) for s in seeds]
     for recipe in recipes:
         for split_index, split in enumerate(splits):
@@ -601,11 +604,18 @@ def test_run_sweep_records_failures_without_dying(small_task, small_start):
     assert failed.error_iteration is not None
 
 
-def _assert_grouped_equals_solo(grouped, solo, split, holdout):
+def _trail_bytes(trail):
+    return [p.checkpoint.params.tobytes() for p in trail]
+
+
+def _assert_grouped_equals_solo(trained, grouped, solo, split, holdout):
+    # trained is the member as `_finetune_group` left it, with its whole
+    # trail; grouped is its sweep record, which keeps only its best checkpoint
+    assert _trail_bytes(trained.trail) == _trail_bytes(solo.trail)
     assert grouped.status == solo.status == "ok"
     assert [(p.iteration, p.iid_val_acc) for p in grouped.trail] == [(p.iteration, p.iid_val_acc) for p in solo.trail]
-    assert [p.checkpoint.params.tobytes() for p in grouped.trail] == [p.checkpoint.params.tobytes() for p in solo.trail]
     assert grouped.best_index == solo.best_index and grouped.ood_acc == solo.ood_acc
+    assert grouped.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
     oracle = _scored_arms(build_variants(solo), split, holdout[1])
     assert grouped.variants == {name: oracle[name] for name in ("wa_single", "ensemble_single")}
 
@@ -620,9 +630,10 @@ def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate):
     cfgs = [_small_cfg(dropout_rate=rate, lr=lr, weight_decay=wd, run_id=f"g{i}") for i, (lr, wd) in enumerate(grid)]
     records = protocol._execute_sweep_group(small_start, split, cfgs, "r", 0)
     holdout = split_holdout(split, cfgs[0].seed)
+    group = protocol._finetune_group(small_start, split, cfgs, holdout)
     assert [(r.grid_index, r.run_id, r.recipe) for r in records] == [(i, f"g{i}", "r") for i in range(3)]
-    for cfg, grouped in zip(cfgs, records):
-        _assert_grouped_equals_solo(grouped, finetune(small_start, split, cfg, holdout), split, holdout)
+    for cfg, trained, grouped in zip(cfgs, group, records):
+        _assert_grouped_equals_solo(trained, grouped, finetune(small_start, split, cfg, holdout), split, holdout)
 
 
 def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_start):
@@ -647,8 +658,34 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
                        error_iteration=solo_error.value.iteration, run_id="g1")
     assert records[1].to_json_dict() == failed.to_json_dict()
     assert records[1].error_iteration is not None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        group = protocol._finetune_group(small_start, split, cfgs, holdout)
     for i in (0, 2):
-        _assert_grouped_equals_solo(records[i], finetune(small_start, split, cfgs[i], holdout), split, holdout)
+        solo = finetune(small_start, split, cfgs[i], holdout)
+        _assert_grouped_equals_solo(group[i], records[i], solo, split, holdout)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_records_keep_only_their_best_checkpoint(small_task, small_start, parallel):
+    # what crosses the worker pool and stays in SweepResult.runs: every trail
+    # point's iteration and accuracy, and one checkpoint, the best; none for a failed run
+    splits = [leave_one_out_splits(small_task)[0]]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = run_sweep(small_start, splits, grid=[(0.02, 0.0), (1e9, 0.0), (0.01, 1e-4)], recipes=["erm"],
+                           seeds=[1, 2], base_cfg=_small_cfg(), parallel=parallel)
+    assert sorted(r.status for r in result.runs) == ["failed"] * 2 + ["ok"] * 4
+    for record in result.runs:
+        kept = [i for i, p in enumerate(record.trail) if p.checkpoint is not None]
+        if record.status == "ok":
+            assert kept == [record.best_index] and len(record.trail) == 3
+        else:
+            assert kept == [] and record.trail == []
+    # single-run arms need a whole trail; multi-run arms pool the best checkpoints
+    ok = [r for r in result.runs if r.status == "ok"]
+    with pytest.raises(ValidationError, match="single-run arms need a complete trail.*standalone finetune"):
+        build_variants(ok[0])
+    best = np.stack([r.best.checkpoint.params for r in ok])
+    np.testing.assert_array_equal(build_variants(ok)["wa_multi"].params, np.mean(best, axis=0))
 
 
 def test_finished_finetune_is_freed_without_gc(small_task, small_start):
