@@ -24,9 +24,11 @@ its row of one [K, P] matrix, laid out like its `params`, which its
 optimizer reads in place. Evaluation (`ResidualModel.predict_proba`) has a
 kernel of its own: it walks the rows in chunks of EVAL_CHUNK_ROWS through
 buffers allocated once per call, keeps no activations, and equals
-`ad.softmax(forward(model, x)[0].data)` bit for bit. The tape `forward`
-stays as the reference both are tested against and as the path
-`block_contributions` takes.
+`ad.softmax(forward(model, x)[0].data)` bit for bit. Below 8 classes both
+kernels fold the softmax's class max and sum over the class columns
+(`_reduce_classes`), as numpy's per-row reductions are slow at a few classes.
+The tape `forward` stays as the reference both are tested against and as
+the path `block_contributions` takes.
 
 A model's parameters are views of one flat float64 vector, `params`, in
 named_parameters order: the optimizer updates it in place and a checkpoint
@@ -211,12 +213,33 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray, tile: 
     return out
 
 
+def _reduce_classes(op: np.ufunc, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op.reduce(p, -1, keepdims=True, out=out) bit for bit, for op np.maximum or np.add.
+
+    From 2 to 7 classes it folds the class columns, one elementwise op per
+    column over all rows instead of numpy's inner loop per row, in the
+    reduction's order and from its start: +0.0 for a sum, and for a max the
+    first column with a NaN made numpy's default NaN. The columns are strided,
+    so numpy's scalar loop keeps a tie's first operand, as the reduction does.
+    From 8 classes numpy sums pairwise, which a fold would not repeat."""
+    classes = p.shape[-1]
+    if not 1 < classes < 8:
+        return op.reduce(p, -1, keepdims=True, out=out)
+    if op is np.add:
+        np.add(p[..., :1], 0.0, out=out)
+    else:
+        np.fmax(np.nan, p[..., :1], out=out)
+    for j in range(1, classes):
+        op(out, p[..., j : j + 1], out=out)
+    return out
+
+
 def _softmax_rows(p: np.ndarray, top: np.ndarray, total: np.ndarray) -> None:
     """`ad.softmax` in place on p, with [rows, 1] scratch for its row max and sum."""
-    np.max(p, axis=1, keepdims=True, out=top)
+    _reduce_classes(np.maximum, p, top)
     p -= top
     np.exp(p, out=p)
-    np.sum(p, axis=1, keepdims=True, out=total)
+    _reduce_classes(np.add, p, total)
     p /= total
 
 
@@ -355,9 +378,11 @@ class StackedStep:
     Every float operation is the one the tape ops perform on one model:
     products are `np.matmul` over [K, m, n] views, which numpy runs as one
     gemm per model on that model's rows; bias gradients are `np.add.reduce`
-    over the batch axis. So model k's loss and gradients equal `forward` +
-    `ad.softmax_cross_entropy` + `ad.backward` on model k alone, bit for bit,
-    and a step on K = 1 is a step on one model.
+    over the batch axis; the softmax's class max and sum are `_reduce_classes`,
+    below 8 classes a fold of the class columns over all K x batch rows in
+    the order of the tape's per-row reductions. So model k's loss and
+    gradients equal `forward` + `ad.softmax_cross_entropy` + `ad.backward` on
+    model k alone, bit for bit, and a step on K = 1 is a step on one model.
     """
 
     def __init__(self, models: list, batch: int, rate: float = 0.0):
@@ -428,9 +453,9 @@ class StackedStep:
             h *= self.scale
         logits = _affine(h, ws[-2], ws[-1], self.logits, tile_classes)
         log_probs = self.probs
-        np.maximum.reduce(logits, 2, keepdims=True, out=self.top)
+        _reduce_classes(np.maximum, logits, self.top)
         np.subtract(logits, self.top, out=log_probs)
-        np.add.reduce(np.exp(log_probs, out=self.d), 2, keepdims=True, out=self.total)
+        _reduce_classes(np.add, np.exp(log_probs, out=self.d), self.total)
         log_probs -= np.log(self.total, out=self.total)
         np.add(self.row_starts, self.labels, out=self.label_at)
         picked = np.take(log_probs, self.label_at, out=self.picked, mode="clip")  # "raise" would buffer out

@@ -34,8 +34,10 @@ never consumed at rate 0.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from decimal import Decimal, InvalidOperation
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -712,15 +714,33 @@ class SweepResult:
         }
 
     def save(self, directory) -> None:
-        import os
-
         os.makedirs(directory, exist_ok=True)
-        with open(f"{directory}/runs.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+        with _replacing(f"{directory}/runs.jsonl") as fh:
             for line in self.to_jsonl_lines():
                 fh.write(line + "\n")
-        with open(f"{directory}/summary.json", "w", encoding="utf-8", newline="\n") as fh:
+        with _replacing(f"{directory}/summary.json") as fh:
             json.dump(self.summary_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file that replaces path once the block ends without an error.
+
+    It is written under path's name plus ".tmp" and moved onto path with
+    os.replace, so path holds either its old bytes or all the new ones; on an
+    error the temporary file is removed. There is no fsync: this guards
+    against a failed or killed writer, not against a crash of the machine.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit, val_idx: np.ndarray,

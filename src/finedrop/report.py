@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .errors import ValidationError
-from .protocol import Recipe
+from .protocol import Recipe, _replacing
 from .stats import five_number_summary
 
 __all__ = ["ReportBundle", "load_results", "build_report", "write_report"]
@@ -247,19 +247,19 @@ def render_markdown(bundle: ReportBundle) -> str:
 
 
 def _write_csv(path: str, headers: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(headers) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def write_report(bundle: ReportBundle, directory) -> list[str]:
-    """Write report.md plus the CSV tables; returns the files written."""
+    """Write report.md plus the CSV tables, each replacing its old file whole; returns the files written."""
     os.makedirs(directory, exist_ok=True)
     written = []
 
     md_path = os.path.join(directory, "report.md")
-    with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(md_path) as fh:
         fh.write(render_markdown(bundle))
         fh.write("\n")
     written.append(md_path)

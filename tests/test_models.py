@@ -13,7 +13,10 @@ from finedrop.errors import FormatError, UsageError, ValidationError
 from finedrop.models import (
     EVAL_CHUNK_ROWS,
     StackedStep,
+    _affine,
+    _reduce_classes,
     _relu_inplace,
+    _softmax_rows,
     block_contributions,
     check_labels,
     checkpoint_from_model,
@@ -418,15 +421,15 @@ def _tape_node(loss, model, grads):
     return ad.make_node(loss, "fused_step", tuple(model.parameters()), lambda g: grads)
 
 
-def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3):
-    # `steps` consecutive SGD steps of K = 1 and of K = 3 models through one
+def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3, stacks=(1, 3)):
+    # `steps` consecutive SGD steps of K models, for each K in stacks, through one
     # StackedStep, each model against the tape (forward +
     # softmax_cross_entropy + backward) on a copy of it with its own
     # optimizer: loss, logits, every gradient and every parameter after each
     # step, bit for bit. Models after the first perturb model's parameters
     # and have their own lr, batches and masks; the optimizer reads the
     # stacked gradients in place
-    for k_models in (1, 3):
+    for k_models in stacks:
         rng = np.random.default_rng(seed)
         models = [copy.deepcopy(model) for _ in range(k_models)]
         for m in models[1:]:
@@ -504,6 +507,22 @@ def test_fused_step_matches_tape_bitwise_at_finetune_wide_shape():
     x = rng.normal(size=(600, 18))
     labels = rng.integers(0, 2, size=600)
     _assert_fused_steps_match_tape(model, x, labels, 0.9, 43, 256)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.9])
+def test_fused_step_matches_tape_bitwise_at_sweep_shape(rate):
+    # a sweep group's shape: six grid points of a width-16 depth-2 model
+    # with 2 classes, where the softmax folds its class columns
+    rng = np.random.default_rng(47)
+    model = new_residual_model(18, 16, 2, 2, seed=47)
+    for blk in model.blocks:
+        blk.w2.data[...] = rng.uniform(-0.25, 0.25, size=blk.w2.shape)
+        blk.b1.data[...] = 0.1 * rng.normal(size=blk.b1.shape)
+        blk.b2.data[...] = 0.1 * rng.normal(size=blk.b2.shape)
+    model.head_b.data[...] = rng.normal(size=2)
+    x = rng.normal(size=(300, 18))
+    labels = rng.integers(0, 2, size=300)
+    _assert_fused_steps_match_tape(model, x, labels, rate, 47, 32, stacks=(6,))
 
 
 def test_stacked_step_refuses_blocks_reordered_in_place():
@@ -622,7 +641,7 @@ def test_predict_proba_matches_tape_bitwise(depth, hidden_side):
     # chunk boundaries at every row count that can split differently, and
     # class counts on both sides of the 8 where numpy's row sum turns pairwise
     c = EVAL_CHUNK_ROWS
-    for classes in (1, 2, 3, 8, 10):
+    for classes in (1, 2, 3, 7, 8, 9, 10):
         rng = np.random.default_rng(100 * depth + classes)
         width = 6
         hidden = width - 2 if hidden_side == "below" else width + 3
@@ -686,3 +705,94 @@ def test_predict_proba_holds_no_whole_batch_activation():
         tracemalloc.stop()
     # the output plus three chunk-sized buffers; one [5000, 64] activation is 2.56 MB
     assert peak < 4 * out_bytes, peak
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+
+
+def _edge_logits(classes, rng):
+    # rows of logits with exact ties, 0.0 next to -0.0 in both orders, +-inf
+    # and NaNs (numpy's default one, the negative one that inf - inf makes,
+    # and one with a payload): whole rows of one value, then every pair below
+    # at every two positions among lower random logits, then random rows
+    nan = np.nan
+    values = [0.0, -0.0, 1.5, np.inf, -np.inf, nan, -nan, _NAN_PAYLOAD]
+    pairs = [(0.0, -0.0), (1.5, 1.5), (np.inf, 1.0), (-np.inf, 1.0), (nan, 1.0), (-nan, 1.0),
+             (np.inf, np.inf), (np.inf, -np.inf), (nan, -nan), (-nan, _NAN_PAYLOAD), (-nan, np.inf)]
+    rows = [np.full(classes, v) for v in values]
+    for (a, b), (i, j) in itertools.product(pairs, itertools.permutations(range(classes), 2)):
+        row = rng.uniform(-3.0, -1.0, size=classes)
+        row[i], row[j] = a, b
+        rows.append(row)
+    return np.concatenate([rows, 3.0 * rng.normal(size=(40, classes))])
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9])
+def test_reduce_classes_has_the_bits_of_the_reduction(classes):
+    # the class fold against numpy's own reduction, also on the [K, batch,
+    # classes] layout of the stacked step
+    p = _edge_logits(classes, np.random.default_rng(classes))
+    with np.errstate(invalid="ignore"):
+        for q in (p, p.reshape(1, *p.shape), p[: len(p) // 2 * 2].reshape(2, -1, classes)):
+            for op in (np.maximum, np.add):
+                want = op.reduce(q, -1, keepdims=True)
+                assert _bits(_reduce_classes(op, q, np.empty_like(want))) == _bits(want), op
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9])
+def test_predict_proba_matches_tape_on_edge_logits(classes, monkeypatch):
+    # the affine never makes -0.0 (BLAS sums from +0.0), so the edge rows are
+    # written over the head's output before the softmax; two chunks at 7 or more classes
+    logits = _edge_logits(classes, np.random.default_rng(classes))
+    model = new_residual_model(3, 4, 1, classes, seed=classes)
+    at = [0]
+
+    def edge_softmax_rows(p, top, total):
+        p[...] = logits[at[0] : at[0] + len(p)]
+        at[0] += len(p)
+        _softmax_rows(p, top, total)
+
+    monkeypatch.setattr("finedrop.models._softmax_rows", edge_softmax_rows)
+    with np.errstate(invalid="ignore"):
+        got = model.predict_proba(np.random.default_rng(0).normal(size=(len(logits), 3)))
+        assert _bits(got) == _bits(ad.softmax(logits))
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9])
+def test_stacked_step_matches_tape_on_edge_logits(classes, monkeypatch):
+    # K = 2 models whose head outputs are overwritten by edge rows (model 1's
+    # in reverse order), against the tape with the same rows written into its
+    # logits: loss, logits, every gradient, and the logits' gradient (the
+    # probabilities less the one-hot labels, over the batch) against the
+    # tape's softmax_cross_entropy on the rows as a leaf
+    rng = np.random.default_rng(classes)
+    edge = _edge_logits(classes, rng)
+    batch, edges = len(edge), (edge, edge[::-1].copy())
+    models = [new_residual_model(3, 4, 1, classes, seed=classes + k) for k in range(2)]
+    x, labels = rng.normal(size=(2, batch, 3)), rng.integers(0, classes, size=(2, batch))
+    step = StackedStep(models, batch)
+    step.x[...], step.labels[...] = x, labels
+
+    def edge_affine(a, w, b, out, tile):
+        _affine(a, w, b, out, tile)
+        if out is step.logits:
+            out[...] = edges
+        return out
+
+    monkeypatch.setattr("finedrop.models._affine", edge_affine)
+    with np.errstate(invalid="ignore"):
+        losses = step.forward()
+        step.backward()
+        for k, model in enumerate(models):
+            tape_model = copy.deepcopy(model)
+            logits, _ = forward(tape_model, x[k])
+            logits.data[...] = edges[k]  # the vjps read the parents' data, not this
+            loss = ad.softmax_cross_entropy(logits, labels[k])
+            ad.backward(loss)
+            assert _bits(losses[k]) == _bits(loss.data), k
+            assert _bits(step.logits[k]) == _bits(logits.data), k
+            for (name, t), grad in zip(tape_model.named_parameters(), step.grads[k]):
+                assert _bits(grad) == _bits(t.grad), (k, name)
+            leaf = ad.Tensor(edges[k], requires_grad=True)
+            ad.backward(ad.softmax_cross_entropy(leaf, labels[k]))
+            assert _bits(step.d[k]) == _bits(leaf.grad), k

@@ -19,6 +19,7 @@ from finedrop.protocol import (
     OptimizerSettings,
     Recipe,
     RunRecord,
+    SweepResult,
     build_variants,
     ensemble_predict,
     evaluate,
@@ -781,3 +782,16 @@ def test_rich_pretraining_probes_better_on_transformed_data():
         wins += accs[True] > accs[False]
     assert np.mean(diffs) > 0.0
     assert wins >= 4
+
+
+def test_sweep_result_save_replaces_each_file_whole(tmp_path):
+    # a save whose summary fails partway leaves the earlier summary.json as
+    # it was and no temporary file behind; runs.jsonl, written first, is whole
+    result = SweepResult([], {"erm": {}}, {"erm": 0.5}, {}, {}, {"splits": 2})
+    result.save(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["runs.jsonl", "summary.json"]
+    result.multi_run = {"erm": 1, "zz": object()}  # sorted last, so json.dump has begun writing
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        result.save(tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

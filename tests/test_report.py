@@ -137,6 +137,25 @@ def test_write_report_emits_quartile_csv(toy_results, tmp_path):
     assert header == "sweep,recipe,min,q25,median,q75,max,run_ids"
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("unprintable cell")
+
+
+def test_write_report_replaces_each_file_whole(toy_results, tmp_path):
+    # a CSV write that fails after its header and first rows leaves the
+    # earlier file as it was and no temporary file behind
+    bundle = build_report(load_results(toy_results))
+    out = tmp_path / "out"
+    write_report(bundle, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(bundle.quartile_rows) > 1
+    bundle.quartile_rows[-1]["run_ids"] = _Unprintable()
+    with pytest.raises(RuntimeError, match="unprintable cell"):
+        write_report(bundle, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _recipe_sweep(tmp_path, name, recipes):
     runs = [_run(r, 0, 0, 1, iid=0.9, ood=0.5 + 0.01 * i) for i, r in enumerate(recipes)]
     summary = {
