@@ -7,7 +7,8 @@ refactor that changes any number, label or file layout fails here. Two more
 digests pin the library paths the CLI does not take: a standalone
 `protocol.finetune` record (its `ood_acc` comes from `evaluate`, not from a
 sweep's arm predictions) and a `pretrain_trajectory` trace with its
-checkpoint.
+checkpoint. The `gen-data/*` digests pin the directory `gen-data` writes for
+every task (GEN_DATA), the default feature layouts and `--missing` included.
 
 Bit-exact outputs depend on the numpy version and the OpenBLAS kernel, so
 the digests are checked only under the build they were recorded with
@@ -41,6 +42,16 @@ SEEDS = (1, 2)
 GRID = ((1e-2, 1e-4), (5e-3, 1e-4))
 SPLITS = 3
 
+# gen-data tasks whose output directories are pinned: name -> flags besides --out
+GEN_DATA = {
+    "redundant-missing": ("--task", "redundant", "--n-features", 5, "--n-samples", 120, "--label-noise", 0.1,
+                          "--missing", "0,3", "--seed", 11),
+    "multienv": ("--task", "multienv", "--envs", 3, "--flip", 0.5, "--n-per-env", 40, "--seed", 12),
+    "pretrain-plain": ("--task", "pretrain", "--size", 150, "--seed", 13),
+    "pretrain-rich": ("--task", "pretrain", "--rich", "--size", 150, "--seed", 14),
+    "xor": ("--task", "xor", "--envs", 3, "--n-per-env", 40, "--seed", 15),
+}
+
 GOLDEN_ENV = {
     "numpy": "2.4.6",
     "blas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
@@ -51,6 +62,11 @@ DIGESTS = {
     "ft/best.ckpt": "96555efd638726b8006f002bae03e0994dfda5d444b2c02bf104c30f6177338b",
     "ft/runs.jsonl": "42bb1854792e7bab7e006b4f2d203100dd1e9faf529a4e6e661364dce1457a18",
     "ft/summary.json": "da243f0cdc23df1ebd37d86b84d780ff959d38c363b364646a38b8207f7cba8a",
+    "gen-data/multienv": "14fcce087c314b8f1b31055302bee435ad402e7362b4e40754ac3cd5f4876f84",
+    "gen-data/pretrain-plain": "9c68107e061129ea035517dc14c9310a0c079f48a37ff177726147bf891d17c3",
+    "gen-data/pretrain-rich": "b0726332780737b8f74bafeba1ba27f6a22e70be236946deb190e93798001ea4",
+    "gen-data/redundant-missing": "51a5b21c0cdce672b05dd3831d28f814fbd008c3a79d31fcf2d1f192b0cc3a13",
+    "gen-data/xor": "608c122aefb654f5ce165c4119d8ce9fdc39de11636cdd4dc0b7f0d9f8e2b522",
     "report/methods_0.csv": "9f19641c90e32d264240994995d9425ed970bcd8af56e638715e0899b1ed8b35",
     "report/quartiles.csv": "70b90a09aa0c07d0bf8162735fca572f4d07430e8fb9b17e360d2e1f345600b7",
     "report/rate_curve_0.csv": "d7e1b1c228588f83408b7f6f803a4a254e895f081256fe96b9f0d30c27c776ab",
@@ -101,6 +117,13 @@ def produce(root):
         for path in sorted((root / sub).iterdir()):
             digests[f"{sub}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     digests.update(_api_digests(data, corpus, ckpt))
+    for name, flags in GEN_DATA.items():
+        out = root / "gen-data" / name
+        _run("gen-data", *flags, "--out", out)
+        tree = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            tree.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests[f"gen-data/{name}"] = tree.hexdigest()
     return digests
 
 
