@@ -9,7 +9,7 @@ all it has left.
 
 import numpy as np
 
-from finedrop.datasets import EnvDataset, EnvSplit, gen_redundant_features, make_missing_feature_env
+from finedrop.datasets import EnvSplit, gen_redundant_features, make_missing_feature_env
 from finedrop.models import checkpoint_from_model, model_from_checkpoint, new_residual_model
 from finedrop.protocol import FineTuneConfig, finetune
 from finedrop.stats import normalized_entropy
@@ -18,14 +18,7 @@ MISSING = [0, 1, 2, 3, 4, 5, 6]  # keep only feature 7 at test time
 
 
 def task(seed):
-    base = gen_redundant_features(8, 2000, label_noise=0.0, seed=seed)
-    ood = make_missing_feature_env(base, MISSING)
-    return EnvDataset(
-        np.vstack([base.features, ood.features]),
-        np.concatenate([base.labels, ood.labels]),
-        np.concatenate([np.zeros(2000, dtype=int), np.ones(2000, dtype=int)]),
-        ood.manifest,
-    )
+    return make_missing_feature_env(gen_redundant_features(8, 2000, label_noise=0.0, seed=seed), MISSING)
 
 
 # the features are the representation: identity trunk, trained head only

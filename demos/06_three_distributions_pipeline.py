@@ -7,7 +7,8 @@ shortcut reverses. Compared arms: plain fine-tuning, its single-run weight
 average and checkpoint ensemble, and very-large-dropout fine-tuning.
 """
 
-from finedrop.datasets import gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
+from finedrop.datasets import (N_CORE, N_GIVEAWAY, N_SPURIOUS, gen_multienv_task, gen_pretrain_corpus,
+                               leave_one_out_splits)
 from finedrop.protocol import (
     FineTuneConfig,
     OptimizerSettings,
@@ -17,13 +18,14 @@ from finedrop.protocol import (
     pretrain,
 )
 
-task = gen_multienv_task(4, 12, 4, spurious_flip_per_env=1.0, n_per_env=2000,
-                         seed=500, n_inert=2)
+# the corpus's feature layout, its giveaway columns inert here
+task = gen_multienv_task(4, N_CORE, N_SPURIOUS, spurious_flip_per_env=1.0, n_per_env=2000,
+                         seed=500, n_inert=N_GIVEAWAY)
 split = leave_one_out_splits(task)[3]  # the environment where the shortcut reverses
 print(f"fine-tune envs {split.train_envs}, shifted test env {split.test_env}")
 
 corpus = gen_pretrain_corpus(rich=True, size=50_000, seed=902)
-trunk = pretrain({"width": 16, "depth": 2, "block_hidden": 16, "input_dim": 18},
+trunk = pretrain({"width": 16, "depth": 2, "block_hidden": 16, "input_dim": corpus.n_features},
                  corpus, OptimizerSettings(lr=0.01, weight_decay=1e-5,
                                            iterations=3000, batch_size=64), seed=2)
 print(f"pretrained trunk: {trunk.provenance}, {trunk.params.size} parameters")

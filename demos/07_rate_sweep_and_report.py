@@ -8,15 +8,16 @@ single source every report cell is recomputed from.
 import pathlib
 import tempfile
 
-from finedrop.datasets import gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
+from finedrop.datasets import (N_CORE, N_GIVEAWAY, N_SPURIOUS, gen_multienv_task, gen_pretrain_corpus,
+                               leave_one_out_splits)
 from finedrop.protocol import FineTuneConfig, OptimizerSettings, pretrain, run_sweep
 from finedrop.report import build_report, load_results, render_markdown
 
-task = gen_multienv_task(4, 12, 4, 1.0, n_per_env=800, seed=500, n_inert=2)
+task = gen_multienv_task(4, N_CORE, N_SPURIOUS, 1.0, n_per_env=800, seed=500, n_inert=N_GIVEAWAY)
 splits = leave_one_out_splits(task)[2:]  # two splits keep the demo quick
 
 corpus = gen_pretrain_corpus(rich=True, size=20_000, seed=901)
-trunk = pretrain({"width": 16, "depth": 2, "block_hidden": 16, "input_dim": 18},
+trunk = pretrain({"width": 16, "depth": 2, "block_hidden": 16, "input_dim": corpus.n_features},
                  corpus, OptimizerSettings(lr=0.01, weight_decay=1e-5,
                                            iterations=2000, batch_size=64), seed=1)
 

@@ -33,9 +33,11 @@ import hashlib
 import os
 import sys
 
-import numpy as np
-
 from .datasets import (
+    HOLDOUT_FRACTION,
+    N_CORE,
+    N_GIVEAWAY,
+    N_SPURIOUS,
     gen_multienv_task,
     gen_pretrain_corpus,
     gen_redundant_features,
@@ -44,7 +46,6 @@ from .datasets import (
     load_dataset,
     make_missing_feature_env,
     save_dataset,
-    EnvDataset,
     EnvSplit,
 )
 from .errors import FinedropError, RunError, ValidationError
@@ -89,7 +90,7 @@ def _run_options() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32, help="rows per step")
     p.add_argument("--checkpoint-interval", type=int, default=None,
                    help="steps between trail checkpoints; None means iterations // 33")
-    p.add_argument("--holdout", type=float, default=0.20,
+    p.add_argument("--holdout", type=float, default=HOLDOUT_FRACTION,
                    help="iid validation share of each training environment")
     p.add_argument("--head-lr-mult", type=float, default=1.0,
                    help="head learning-rate multiplier of recipes without a headlrN token")
@@ -144,9 +145,10 @@ _GEN_DATA_FLAGS = {
     "--label-noise": (("redundant",), 0.0, "flip fraction", {"type": float}),
     "--missing": (("redundant",), "", "also emit an env with these features zeroed", {}),
     "--envs": (("multienv", "xor"), 4, "environment count", {"type": int}),
-    "--n-core": (("multienv",), 12, "invariant feature count", {"type": int}),
-    "--n-inert": (("multienv",), 2, "label-free columns", {"type": int}),
-    "--n-spurious": (("multienv",), 4, "shortcut feature count", {"type": int}),
+    # the layout defaults are the pretraining corpus's: the inert columns sit at its giveaway columns
+    "--n-core": (("multienv",), N_CORE, "invariant feature count", {"type": int}),
+    "--n-inert": (("multienv",), N_GIVEAWAY, "label-free columns", {"type": int}),
+    "--n-spurious": (("multienv",), N_SPURIOUS, "shortcut feature count", {"type": int}),
     "--flip": (("multienv",), 1.0, "spurious reversal in last env", {"type": float}),
     "--n-per-env": (("multienv", "xor"), 2000, "rows per environment", {"type": int}),
     "--rich": (("pretrain",), False, "apply erasing augmentation", {"action": "store_true"}),
@@ -177,13 +179,7 @@ def cmd_gen_data(args) -> int:
     if args.task == "redundant":
         ds = gen_redundant_features(args.n_features, args.n_samples, args.label_noise, args.seed)
         if args.missing:
-            ood = make_missing_feature_env(ds, _parse_list(args.missing, int, "--missing"))
-            ds = EnvDataset(
-                np.vstack([ds.features, ood.features]),
-                np.concatenate([ds.labels, ood.labels]),
-                np.concatenate([ds.env_ids, ood.env_ids]),
-                ood.manifest,
-            )
+            ds = make_missing_feature_env(ds, _parse_list(args.missing, int, "--missing"))
     elif args.task == "multienv":
         ds = gen_multienv_task(args.envs, args.n_core, args.n_spurious, args.flip, args.n_per_env,
                                args.seed, n_inert=args.n_inert)

@@ -37,6 +37,12 @@ Three generators cover the three roles data plays here:
   regularizer into an obstacle. The last environment carries extra input
   noise as the shifted test distribution.
 
+The generators' fixed values are the module constants below; each
+generator's docstring names the ones it uses, and each manifest records
+them. N_CORE, N_GIVEAWAY and N_SPURIOUS are the feature layout the corpus
+and the multienv task share; HOLDOUT_FRACTION is a split's default iid
+validation share.
+
 Datasets persist as one CSV per environment plus a JSON manifest; floats
 are written with 17 significant digits so round trips are exact.
 """
@@ -52,6 +58,10 @@ import numpy as np
 from .errors import FormatError, ValidationError
 
 __all__ = [
+    "N_CORE",
+    "N_GIVEAWAY",
+    "N_SPURIOUS",
+    "HOLDOUT_FRACTION",
     "EnvDataset",
     "EnvSplit",
     "leave_one_out_splits",
@@ -63,6 +73,25 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
+
+# The feature layout the pretraining corpus and the multienv task share.
+N_CORE = 12  # core columns, split over two sign latents (even and odd columns)
+N_GIVEAWAY = 2  # one giveaway column per core latent; the task's inert columns
+N_SPURIOUS = 4
+HOLDOUT_FRACTION = 0.20
+
+CORE_SCALE = 1.0
+CORE_NOISE = 1.2  # relative to CORE_SCALE
+SPURIOUS_SCALE = 3.0
+SPURIOUS_JITTER = 0.3  # relative to SPURIOUS_SCALE
+GIVEAWAY_SCALE = 3.0
+GIVEAWAY_NOISE = 0.2  # relative to GIVEAWAY_SCALE
+MASK_PROB = 0.5
+REDUNDANT_STRONG_SCALE = 4.0  # feature 0; every other redundant feature has scale 1
+REDUNDANT_JITTER = 0.3  # relative to the scale; below 1 keeps every feature's sign
+XOR_PAIRS = 6
+XOR_NOISE = 0.5
+XOR_SHIFT_NOISE_MULT = 1.6
 
 
 @dataclass
@@ -128,7 +157,7 @@ class EnvSplit:
     dataset: EnvDataset
     train_envs: tuple[int, ...]
     test_env: int
-    holdout_fraction: float = 0.20
+    holdout_fraction: float = HOLDOUT_FRACTION
 
     def __post_init__(self):
         self.train_envs = tuple(int(e) for e in self.train_envs)
@@ -149,7 +178,7 @@ class EnvSplit:
             raise ValidationError(f"holdout fraction must be in (0, 1), got {self.holdout_fraction}")
 
 
-def leave_one_out_splits(dataset: EnvDataset, holdout_fraction: float = 0.20) -> list[EnvSplit]:
+def leave_one_out_splits(dataset: EnvDataset, holdout_fraction: float = HOLDOUT_FRACTION) -> list[EnvSplit]:
     """One split per environment, with that environment as the shifted test set."""
     ids = dataset.environment_ids
     if len(ids) < 2:
@@ -169,22 +198,22 @@ def _signs(labels: np.ndarray) -> np.ndarray:
     return (2 * labels - 1).astype(np.float64)
 
 
-def gen_redundant_features(
-    n_features: int,
-    n_samples: int,
-    label_noise: float,
-    seed: int,
-    scales=None,
-    jitter: float = 0.3,
-) -> EnvDataset:
+def _stack_envs(blocks, n_per_env: int, manifest: dict) -> EnvDataset:
+    """One dataset from per-environment (features, labels) blocks of n_per_env rows, env ids 0, 1, ..."""
+    env_ids = np.repeat(np.arange(len(blocks), dtype=np.int64), n_per_env)
+    return EnvDataset(np.vstack([x for x, _ in blocks]), np.concatenate([y for _, y in blocks]), env_ids, manifest)
+
+
+def gen_redundant_features(n_features: int, n_samples: int, label_noise: float, seed: int) -> EnvDataset:
     """One environment where every feature individually predicts the label.
 
-    Feature i is (2y-1) * scale_i plus bounded jitter (at most `jitter`
-    times the scale), so with label_noise 0 each single-feature sign
-    classifier is perfect. The default scales make feature 0 four times
-    stronger than the rest: the bait a plain gradient method takes while
-    the redundant features starve. label_noise flips that fraction of the
-    observed labels after the features are generated.
+    Feature i is (2y-1) * scale_i plus uniform jitter of at most
+    REDUNDANT_JITTER times the scale, so with label_noise 0 each
+    single-feature sign classifier is perfect. Feature 0's scale is
+    REDUNDANT_STRONG_SCALE and every other feature's is 1: the strong feature
+    is the bait a plain gradient method takes while the redundant features
+    starve. label_noise flips that fraction of the observed labels after the
+    features are generated.
     """
     if n_features < 2:
         raise ValidationError(f"n_features must be >= 2, got {n_features}")
@@ -192,18 +221,12 @@ def gen_redundant_features(
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     if not 0.0 <= label_noise < 0.5:
         raise ValidationError(f"label_noise must be in [0, 0.5), got {label_noise}")
-    if not 0.0 <= jitter < 1.0:
-        raise ValidationError(f"jitter must be in [0, 1) to keep per-feature signs, got {jitter}")
-    if scales is None:
-        scales = np.array([4.0] + [1.0] * (n_features - 1))
-    scales = np.asarray(scales, dtype=np.float64)
-    if scales.shape != (n_features,) or np.any(scales <= 0):
-        raise ValidationError(f"scales must be {n_features} positive values")
 
+    scales = np.array([REDUNDANT_STRONG_SCALE] + [1.0] * (n_features - 1))
     rng = np.random.default_rng(seed)
     y_true = rng.integers(0, 2, size=n_samples)
     s = _signs(y_true)
-    noise = rng.uniform(-jitter, jitter, size=(n_samples, n_features))
+    noise = rng.uniform(-REDUNDANT_JITTER, REDUNDANT_JITTER, size=(n_samples, n_features))
     x = (s[:, None] + noise) * scales[None, :]
     labels = y_true.copy()
     if label_noise > 0:
@@ -219,7 +242,7 @@ def gen_redundant_features(
         "params": {
             "n_samples": int(n_samples),
             "label_noise": float(label_noise),
-            "jitter": float(jitter),
+            "jitter": REDUNDANT_JITTER,
             "scales": [float(v) for v in scales],
         },
         "environments": [{"id": 0, "name": "base", "params": {}}],
@@ -227,11 +250,13 @@ def gen_redundant_features(
     return EnvDataset(x, labels, np.zeros(n_samples, dtype=np.int64), manifest)
 
 
-def make_missing_feature_env(dataset: EnvDataset, missing_set, env_name: str | None = None) -> EnvDataset:
-    """Copy of a dataset with the listed feature columns zeroed, as a new environment.
+def make_missing_feature_env(dataset: EnvDataset, missing_set) -> EnvDataset:
+    """The dataset plus a copy of all its rows with the listed feature columns zeroed, as a new environment.
 
     Models the shifted test distribution where some inputs simply vanish.
-    The missing set must be a nonempty proper subset of the feature indices.
+    The new environment's id is one past the largest in the dataset, and its
+    rows follow the original rows. The missing set must be a nonempty proper
+    subset of the feature indices.
     """
     missing = sorted(set(int(i) for i in missing_set))
     if not missing:
@@ -243,42 +268,32 @@ def make_missing_feature_env(dataset: EnvDataset, missing_set, env_name: str | N
         raise ValidationError("missing_set must be a proper subset; zeroing every feature is not a task")
 
     new_id = max(dataset.environment_ids) + 1
-    name = env_name or "missing_" + "_".join(str(i) for i in missing)
-    features = dataset.features.copy()
-    features[:, missing] = 0.0
+    shifted = dataset.features.copy()
+    shifted[:, missing] = 0.0
     manifest = json.loads(json.dumps(dataset.manifest))
     manifest["environments"] = manifest["environments"] + [
-        {
-            "id": int(new_id),
-            "name": name,
-            "params": {"missing_features": missing, "source_envs": dataset.environment_ids},
-        }
+        {"id": int(new_id), "name": "missing_" + "_".join(str(i) for i in missing),
+         "params": {"missing_features": missing, "source_envs": dataset.environment_ids}}
     ]
-    env_ids = np.full(features.shape[0], new_id, dtype=np.int64)
-    return EnvDataset(features, dataset.labels.copy(), env_ids, manifest)
+    return EnvDataset(
+        np.vstack([dataset.features, shifted]),
+        np.concatenate([dataset.labels, dataset.labels]),
+        np.concatenate([dataset.env_ids, np.full(shifted.shape[0], new_id, dtype=np.int64)]),
+        manifest,
+    )
 
 
-def gen_multienv_task(
-    num_envs: int,
-    n_core: int,
-    n_spurious: int,
-    spurious_flip_per_env: float,
-    n_per_env: int,
-    seed: int,
-    core_scale: float = 1.0,
-    core_noise: float = 1.2,
-    spurious_scale: float = 3.0,
-    spurious_jitter: float = 0.3,
-    n_inert: int = 0,
-) -> EnvDataset:
+def gen_multienv_task(num_envs: int, n_core: int, n_spurious: int, spurious_flip_per_env: float, n_per_env: int,
+                      seed: int, n_inert: int = 0) -> EnvDataset:
     """Binary task over num_envs environments with core and spurious features.
 
-    Core feature i is (2y-1) * core_scale plus Gaussian noise: individually
-    weak but predictive in every environment. Spurious feature j is
-    (2y-1) * coeff_e + bounded jitter, where
+    Core feature i is (2y-1) * CORE_SCALE plus Gaussian noise of standard
+    deviation CORE_NOISE * CORE_SCALE: individually weak but predictive in
+    every environment. Spurious feature j is (2y-1) * coeff_e plus uniform
+    jitter of at most SPURIOUS_JITTER * SPURIOUS_SCALE, where
 
-        coeff_e = spurious_scale * (1 - 2 * flip)   in the last environment
-        coeff_e = spurious_scale                    everywhere else
+        coeff_e = SPURIOUS_SCALE * (1 - 2 * flip)   in the last environment
+        coeff_e = SPURIOUS_SCALE                    everywhere else
 
     with flip = spurious_flip_per_env. flip 0 makes all environments
     identically distributed; flip 1 fully reverses the spurious group in
@@ -287,12 +302,13 @@ def gen_multienv_task(
     splits see the reversed environment during training and are only mildly
     shifted.
 
-    n_inert label-free noise columns sit between the core and spurious
-    columns (layout [core | inert | spurious]). They match a pretraining
-    corpus whose structured columns outnumber the downstream task's
-    predictive ones, so the value of a representation that kept *every*
-    upstream feature (rather than summaries sufficient upstream) is
-    measurable downstream.
+    n_inert label-free noise columns, distributed like core noise, sit
+    between the core and spurious columns (layout [core | inert | spurious]).
+    At n_core=N_CORE, n_inert=N_GIVEAWAY and n_spurious=N_SPURIOUS (the
+    gen-data defaults) the task has the pretraining corpus's layout, and the
+    inert columns sit where the corpus's giveaway columns do, so the value of
+    a representation that kept *every* upstream feature (rather than
+    summaries sufficient upstream) is measurable downstream.
     """
     if num_envs < 2:
         raise ValidationError(f"num_envs must be >= 2, got {num_envs}")
@@ -305,29 +321,19 @@ def gen_multienv_task(
         raise ValidationError(f"spurious_flip_per_env must be in [0, 1], got {spurious_flip_per_env}")
 
     rng = np.random.default_rng(seed)
-    env_blocks = []
-    env_entries = []
+    blocks, env_entries = [], []
     for e in range(num_envs):
         y = rng.integers(0, 2, size=n_per_env)
         s = _signs(y)
-        core = s[:, None] * core_scale + rng.normal(0.0, core_noise * core_scale, size=(n_per_env, n_core))
-        inert = rng.normal(0.0, core_noise * core_scale, size=(n_per_env, n_inert))
+        core = s[:, None] * CORE_SCALE + rng.normal(0.0, CORE_NOISE * CORE_SCALE, size=(n_per_env, n_core))
+        inert = rng.normal(0.0, CORE_NOISE * CORE_SCALE, size=(n_per_env, n_inert))
         sign = 1.0 - 2.0 * spurious_flip_per_env if e == num_envs - 1 else 1.0
-        coeff = np.full(n_spurious, spurious_scale * sign)
-        jit = rng.uniform(-spurious_jitter, spurious_jitter, size=(n_per_env, n_spurious)) * spurious_scale
+        coeff = np.full(n_spurious, SPURIOUS_SCALE * sign)
+        jit = rng.uniform(-SPURIOUS_JITTER, SPURIOUS_JITTER, size=(n_per_env, n_spurious)) * SPURIOUS_SCALE
         spur = s[:, None] * coeff[None, :] + jit
-        env_blocks.append((np.hstack([core, inert, spur]), y, np.full(n_per_env, e, dtype=np.int64)))
-        env_entries.append(
-            {
-                "id": e,
-                "name": f"env_{e}",
-                "params": {"spurious_coeff": [float(c) for c in coeff]},
-            }
-        )
+        blocks.append((np.hstack([core, inert, spur]), y))
+        env_entries.append({"id": e, "name": f"env_{e}", "params": {"spurious_coeff": [float(c) for c in coeff]}})
 
-    features = np.vstack([b[0] for b in env_blocks])
-    labels = np.concatenate([b[1] for b in env_blocks])
-    env_ids = np.concatenate([b[2] for b in env_blocks])
     manifest = {
         "schema_version": 1,
         "task": "multienv",
@@ -341,43 +347,32 @@ def gen_multienv_task(
             "n_spurious": int(n_spurious),
             "spurious_flip_per_env": float(spurious_flip_per_env),
             "n_per_env": int(n_per_env),
-            "core_scale": float(core_scale),
-            "core_noise": float(core_noise),
-            "spurious_scale": float(spurious_scale),
-            "spurious_jitter": float(spurious_jitter),
+            "core_scale": CORE_SCALE,
+            "core_noise": CORE_NOISE,
+            "spurious_scale": SPURIOUS_SCALE,
+            "spurious_jitter": SPURIOUS_JITTER,
         },
         "environments": env_entries,
     }
-    return EnvDataset(features, labels, env_ids, manifest)
+    return _stack_envs(blocks, n_per_env, manifest)
 
 
-def gen_pretrain_corpus(
-    rich: bool,
-    size: int,
-    seed: int,
-    n_core: int = 12,
-    n_giveaway: int = 2,
-    n_spurious: int = 4,
-    core_scale: float = 1.0,
-    core_noise: float = 1.2,
-    giveaway_scale: float = 3.0,
-    giveaway_noise: float = 0.2,
-    spurious_scale: float = 3.0,
-    spurious_jitter: float = 0.3,
-    mask_prob: float = 0.5,
-) -> EnvDataset:
-    """Large single-environment corpus over the shared feature space, 8 classes.
+def gen_pretrain_corpus(rich: bool, size: int, seed: int) -> EnvDataset:
+    """Large single-environment corpus over the shared feature layout, 8 classes.
 
     Three sign latents drive the columns (even cores, odd cores, spurious)
     and the class is their joint sign pattern: a different partition of the
     generative factors than any downstream binary task, so a trunk
     pretrained here always needs a fresh head later, yet it learns clean
-    detectors for core and spurious structure alike. Giveaway column k
-    repeats latent k at high signal-to-noise, column layout
-    [core | giveaway | spurious].
+    detectors for core and spurious structure alike. The column layout is
+    [N_CORE core | N_GIVEAWAY giveaway | N_SPURIOUS spurious]. Core columns
+    carry their latent at CORE_SCALE with CORE_NOISE relative Gaussian
+    noise; giveaway column k repeats core latent k at high signal-to-noise
+    (GIVEAWAY_SCALE, GIVEAWAY_NOISE); spurious columns carry the third latent
+    at SPURIOUS_SCALE with SPURIOUS_JITTER relative uniform jitter.
 
     rich=True zeroes each core and giveaway column independently with
-    probability mask_prob (always keeping at least one live carrier per
+    probability MASK_PROB (always keeping at least one live carrier per
     latent), the transformation-family analog of aggressive input erasing:
     no single carrier survives every example, so the trunk must encode all
     of them. rich=False is the same process with the mask disabled, a
@@ -386,36 +381,21 @@ def gen_pretrain_corpus(
     """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    if n_core < 2:
-        raise ValidationError(f"n_core must be >= 2 to split over two latents, got {n_core}")
-    if n_giveaway not in (0, 2):
-        raise ValidationError(f"n_giveaway must be 0 or 2 (one per core latent), got {n_giveaway}")
-    if n_spurious < 1:
-        raise ValidationError(f"n_spurious must be >= 1, got {n_spurious}")
-    if not 0.0 <= mask_prob < 1.0:
-        raise ValidationError(f"mask_prob must be in [0, 1), got {mask_prob}")
 
     rng = np.random.default_rng(seed)
     s1 = _signs(rng.integers(0, 2, size=size))
     s2 = _signs(rng.integers(0, 2, size=size))
     s3 = _signs(rng.integers(0, 2, size=size))
-    even = np.arange(0, n_core, 2)
-    odd = np.arange(1, n_core, 2)
-    carrier = np.empty((size, n_core + n_giveaway))
-    carrier[:, even] = s1[:, None]
-    carrier[:, odd] = s2[:, None]
-    scales = np.full(n_core + n_giveaway, core_scale)
-    noises = np.full(n_core + n_giveaway, core_noise * core_scale)
-    groups = [even, odd]
-    if n_giveaway == 2:
-        carrier[:, n_core] = s1
-        carrier[:, n_core + 1] = s2
-        scales[n_core:] = giveaway_scale
-        noises[n_core:] = giveaway_noise * giveaway_scale
-        groups = [np.append(even, n_core), np.append(odd, n_core + 1)]
+    # carrier columns of core latent k: the core columns k, k + 2, ... and giveaway column k
+    groups = [np.append(np.arange(k, N_CORE, 2), N_CORE + k) for k in (0, 1)]
+    carrier = np.empty((size, N_CORE + N_GIVEAWAY))
+    for latent, group in zip((s1, s2), groups):
+        carrier[:, group] = latent[:, None]
+    scales = np.repeat([CORE_SCALE, GIVEAWAY_SCALE], [N_CORE, N_GIVEAWAY])
+    noises = np.repeat([CORE_NOISE * CORE_SCALE, GIVEAWAY_NOISE * GIVEAWAY_SCALE], [N_CORE, N_GIVEAWAY])
     structured = carrier * scales + rng.normal(0.0, 1.0, size=carrier.shape) * noises
     if rich:
-        mask = (rng.random(structured.shape) >= mask_prob).astype(np.float64)
+        mask = (rng.random(structured.shape) >= MASK_PROB).astype(np.float64)
         # Guarantee each latent keeps at least one live carrier column.
         for group in groups:
             dead = mask[:, group].sum(axis=1) == 0
@@ -423,8 +403,8 @@ def gen_pretrain_corpus(
                 keep = group[rng.integers(0, group.size, size=int(dead.sum()))]
                 mask[np.flatnonzero(dead), keep] = 1.0
         structured = structured * mask
-    jit = rng.uniform(-spurious_jitter, spurious_jitter, size=(size, n_spurious)) * spurious_scale
-    spur = s3[:, None] * spurious_scale + jit
+    jit = rng.uniform(-SPURIOUS_JITTER, SPURIOUS_JITTER, size=(size, N_SPURIOUS)) * SPURIOUS_SCALE
+    spur = s3[:, None] * SPURIOUS_SCALE + jit
     features = np.hstack([structured, spur])
     labels = (4 * (s1 > 0) + 2 * (s2 > 0) + (s3 > 0)).astype(np.int64)
 
@@ -432,22 +412,22 @@ def gen_pretrain_corpus(
         "schema_version": 1,
         "task": "pretrain",
         "seed": int(seed),
-        "n_features": int(n_core + n_giveaway + n_spurious),
+        "n_features": N_CORE + N_GIVEAWAY + N_SPURIOUS,
         "num_classes": 8,
         "params": {
             "rich": bool(rich),
             "size": int(size),
-            "n_core": int(n_core),
-            "n_giveaway": int(n_giveaway),
-            "n_spurious": int(n_spurious),
-            "core_scale": float(core_scale),
-            "core_noise": float(core_noise),
-            "giveaway_scale": float(giveaway_scale),
-            "giveaway_noise": float(giveaway_noise),
-            "spurious_scale": float(spurious_scale),
+            "n_core": N_CORE,
+            "n_giveaway": N_GIVEAWAY,
+            "n_spurious": N_SPURIOUS,
+            "core_scale": CORE_SCALE,
+            "core_noise": CORE_NOISE,
+            "giveaway_scale": GIVEAWAY_SCALE,
+            "giveaway_noise": GIVEAWAY_NOISE,
+            "spurious_scale": SPURIOUS_SCALE,
             "transformation_family": {
                 "kind": "carrier_column_erasing",
-                "mask_prob": float(mask_prob) if rich else 0.0,
+                "mask_prob": MASK_PROB if rich else 0.0,
             },
         },
         "environments": [{"id": 0, "name": "pretrain", "params": {}}],
@@ -455,66 +435,49 @@ def gen_pretrain_corpus(
     return EnvDataset(features, labels, np.zeros(size, dtype=np.int64), manifest)
 
 
-def gen_xor_task(
-    num_envs: int,
-    n_per_env: int,
-    seed: int,
-    n_pairs: int = 6,
-    carrier_noise: float = 0.5,
-    shift_noise_mult: float = 1.6,
-) -> EnvDataset:
+def gen_xor_task(num_envs: int, n_per_env: int, seed: int) -> EnvDataset:
     """Parity task: label = [u1 * u2 > 0] with u1, u2 sign latents.
 
-    The first n_pairs columns carry u1, the next n_pairs carry u2, both
-    with Gaussian noise. No linear function of the inputs beats chance, so
-    learning this from a random initialization requires building feature
-    combinations. Environments are identically distributed except the last,
-    where the noise is multiplied by shift_noise_mult: the shifted test
-    distribution.
+    The first XOR_PAIRS columns carry u1, the next XOR_PAIRS carry u2, both
+    with Gaussian noise of standard deviation XOR_NOISE. No linear function
+    of the inputs beats chance, so learning this from a random
+    initialization requires building feature combinations. Environments are
+    identically distributed except the last, where the noise is multiplied
+    by XOR_SHIFT_NOISE_MULT: the shifted test distribution.
     """
     if num_envs < 2:
         raise ValidationError(f"num_envs must be >= 2, got {num_envs}")
-    if n_per_env < 1 or n_pairs < 1:
-        raise ValidationError(f"need n_per_env >= 1 and n_pairs >= 1, got {n_per_env}, {n_pairs}")
+    if n_per_env < 1:
+        raise ValidationError(f"n_per_env must be >= 1, got {n_per_env}")
 
     rng = np.random.default_rng(seed)
     blocks = []
     for e in range(num_envs):
         u1 = _signs(rng.integers(0, 2, size=n_per_env))
         u2 = _signs(rng.integers(0, 2, size=n_per_env))
-        mult = shift_noise_mult if e == num_envs - 1 else 1.0
-        a = u1[:, None] + rng.normal(0.0, carrier_noise * mult, size=(n_per_env, n_pairs))
-        b = u2[:, None] + rng.normal(0.0, carrier_noise * mult, size=(n_per_env, n_pairs))
-        y = ((u1 * u2) > 0).astype(np.int64)
-        blocks.append((np.hstack([a, b]), y, np.full(n_per_env, e, dtype=np.int64)))
+        mult = XOR_SHIFT_NOISE_MULT if e == num_envs - 1 else 1.0
+        a = u1[:, None] + rng.normal(0.0, XOR_NOISE * mult, size=(n_per_env, XOR_PAIRS))
+        b = u2[:, None] + rng.normal(0.0, XOR_NOISE * mult, size=(n_per_env, XOR_PAIRS))
+        blocks.append((np.hstack([a, b]), ((u1 * u2) > 0).astype(np.int64)))
     manifest = {
         "schema_version": 1,
         "task": "xor",
         "seed": int(seed),
-        "n_features": int(2 * n_pairs),
+        "n_features": 2 * XOR_PAIRS,
         "num_classes": 2,
         "params": {
             "num_envs": int(num_envs),
             "n_per_env": int(n_per_env),
-            "n_pairs": int(n_pairs),
-            "carrier_noise": float(carrier_noise),
-            "shift_noise_mult": float(shift_noise_mult),
+            "n_pairs": XOR_PAIRS,
+            "carrier_noise": XOR_NOISE,
+            "shift_noise_mult": XOR_SHIFT_NOISE_MULT,
         },
         "environments": [
-            {
-                "id": e,
-                "name": f"env_{e}",
-                "params": {"noise_mult": float(shift_noise_mult) if e == num_envs - 1 else 1.0},
-            }
+            {"id": e, "name": f"env_{e}", "params": {"noise_mult": XOR_SHIFT_NOISE_MULT if e == num_envs - 1 else 1.0}}
             for e in range(num_envs)
         ],
     }
-    return EnvDataset(
-        np.vstack([b[0] for b in blocks]),
-        np.concatenate([b[1] for b in blocks]),
-        np.concatenate([b[2] for b in blocks]),
-        manifest,
-    )
+    return _stack_envs(blocks, n_per_env, manifest)
 
 
 # ---------------------------------------------------------------------------

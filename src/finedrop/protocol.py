@@ -645,17 +645,15 @@ def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list, holdout) -> 
     return group
 
 
-def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=None,
+def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig,
              trained: _FineTune | None = None) -> RunRecord:
     """Fine-tune from a checkpoint on one split under one config.
 
     Reinitializes the head for the split's label set, trains on the pooled
-    training environments minus the iid holdout, applies inverted dropout to
-    the penultimate representation in train mode only, checkpoints at the
-    configured interval, and evaluates the best-iid checkpoint on the held
-    out environment with dropout off. holdout is the (train, validation)
-    index pair split_holdout(split, cfg.seed) returns, for a caller that
-    already has it; None computes it.
+    training environments minus the iid holdout split_holdout(split,
+    cfg.seed), applies inverted dropout to the penultimate representation in
+    train mode only, checkpoints at the configured interval, and evaluates
+    the best-iid checkpoint on the held out environment with dropout off.
 
     trained is this run already trained by `_finetune_group` in lockstep
     with the other grid points of its sweep group (`_execute_sweep_group`):
@@ -667,8 +665,7 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig, holdout=No
     """
     ft = trained
     if ft is None:
-        holdout = split_holdout(split, cfg.seed) if holdout is None else holdout
-        (ft,) = _finetune_group(start, split, [cfg], holdout)
+        (ft,) = _finetune_group(start, split, [cfg], split_holdout(split, cfg.seed))
     if ft.run.error is not None:
         raise ft.run.error
     trail = ft.trail

@@ -14,7 +14,9 @@ import pytest
 from finedrop import autodiff as ad
 from finedrop.cli import main as cli_main
 from finedrop.datasets import (
-    EnvDataset,
+    N_CORE,
+    N_GIVEAWAY,
+    N_SPURIOUS,
     EnvSplit,
     gen_multienv_task,
     gen_pretrain_corpus,
@@ -58,7 +60,7 @@ ZERO_INTERVAL = (89629, 90367)
 
 RATES = (0.0, 0.5, 0.9, 0.95)
 MULTIENV_SEED = 500
-ARCH = {"width": 16, "depth": 2, "block_hidden": 16, "input_dim": 18}
+ARCH = {"width": 16, "depth": 2, "block_hidden": 16, "input_dim": N_CORE + N_GIVEAWAY + N_SPURIOUS}
 FT = dict(lr=1e-3, weight_decay=1e-4, total_iterations=1000, batch_size=32)
 PRETRAIN_OPT = OptimizerSettings(lr=0.01, weight_decay=1e-5, momentum=0.9,
                                  iterations=3000, batch_size=64)
@@ -237,14 +239,7 @@ def _identity_feature_start(n_features):
 
 
 def _starvation_dataset(seed, missing):
-    base = gen_redundant_features(8, 2000, label_noise=0.0, seed=seed)
-    ood = make_missing_feature_env(base, missing)
-    return EnvDataset(
-        np.vstack([base.features, ood.features]),
-        np.concatenate([base.labels, ood.labels]),
-        np.concatenate([np.zeros(2000, dtype=np.int64), np.full(2000, 1, dtype=np.int64)]),
-        ood.manifest,
-    )
+    return make_missing_feature_env(gen_redundant_features(8, 2000, label_noise=0.0, seed=seed), missing)
 
 
 def test_criterion_06_gradient_starvation_direction():
@@ -289,7 +284,7 @@ def test_criterion_06_gradient_starvation_direction():
 
 @pytest.fixture(scope="module")
 def multienv_task():
-    return gen_multienv_task(4, 12, 4, 1.0, n_per_env=2000, seed=MULTIENV_SEED, n_inert=2)
+    return gen_multienv_task(4, N_CORE, N_SPURIOUS, 1.0, n_per_env=2000, seed=MULTIENV_SEED, n_inert=N_GIVEAWAY)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finedrop.cli import build_parser, main, parse_config_file
+from finedrop.datasets import HOLDOUT_FRACTION, N_CORE, N_GIVEAWAY, N_SPURIOUS, load_dataset
 from finedrop.errors import ValidationError
 
 
@@ -286,6 +287,23 @@ def test_help_shows_the_run_option_defaults(capsys, command):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "rows per step (default: 32)" in text and "(default: 0.2)" in text
+
+
+def test_layout_and_holdout_defaults_are_the_datasets_constants(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["gen-data", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, what, value in (("N_CORE", "invariant feature count", N_CORE),
+                              ("N_INERT", "label-free columns", N_GIVEAWAY),
+                              ("N_SPURIOUS", "shortcut feature count", N_SPURIOUS)):
+        assert f"{flag} multienv: {what} (default: {value})" in text
+    parser = build_parser()
+    assert parser.parse_args(["sweep"]).holdout == HOLDOUT_FRACTION
+    assert parser.parse_args(["finetune", "--data", "d", "--test-env", "0", "--out", "o"]).holdout == HOLDOUT_FRACTION
+    # a default-layout task lives in the rich corpus's feature space
+    for task, extra in (("multienv", ["--n-per-env", "5"]), ("pretrain", ["--rich", "--size", "5"])):
+        assert main(["gen-data", "--task", task, *extra, "--out", str(tmp_path / task)]) == 0
+        assert load_dataset(tmp_path / task).n_features == N_CORE + N_GIVEAWAY + N_SPURIOUS == 18
 
 
 @pytest.mark.parametrize("task, extra, flag", [

@@ -85,31 +85,36 @@ def test_missing_env_requires_nonempty_proper_subset():
 
 def test_missing_env_zeroes_columns_and_records_manifest():
     ds = gen_redundant_features(4, 50, 0.0, seed=5)
-    ood = make_missing_feature_env(ds, [0, 2])
-    assert np.all(ood.features[:, [0, 2]] == 0.0)
-    np.testing.assert_array_equal(ood.features[:, 1], ds.features[:, 1])
-    new_env = ood.manifest["environments"][-1]
+    both = make_missing_feature_env(ds, [0, 2])
+    new_env = both.manifest["environments"][-1]
     assert new_env["params"]["missing_features"] == [0, 2]
-    assert set(np.unique(ood.env_ids)) == {new_env["id"]}
+    shifted, labels = both.env_arrays(new_env["id"])
+    assert np.all(shifted[:, [0, 2]] == 0.0)
+    np.testing.assert_array_equal(shifted[:, 1], ds.features[:, 1])
+    np.testing.assert_array_equal(labels, ds.labels)
+    # the original rows come first and keep their environment and values
+    assert both.environment_ids == [0, new_env["id"]]
+    np.testing.assert_array_equal(both.env_ids, np.repeat([0, new_env["id"]], 50))
+    np.testing.assert_array_equal(both.features[:50], ds.features)
 
 
 def test_missing_env_single_feature_classifier_drops_to_tie_rule():
     ds = gen_redundant_features(4, 400, 0.0, seed=6)
-    ood = make_missing_feature_env(ds, [1])
+    x_ood, y_ood = make_missing_feature_env(ds, [1]).env_arrays(1)
     # a classifier reading only feature 1 now outputs a constant; under the
     # lowest-class tie rule it predicts class 0 everywhere
-    margins = ood.features[:, 1]
+    margins = x_ood[:, 1]
     preds = np.where(margins > 0, 1, 0)  # argmax([-m, m]) with ties to class 0
-    acc = np.mean(preds == ood.labels)
-    assert acc == pytest.approx(np.mean(ood.labels == 0), abs=1e-12)
+    acc = np.mean(preds == y_ood)
+    assert acc == pytest.approx(np.mean(y_ood == 0), abs=1e-12)
     assert 0.4 < acc < 0.6
 
 
 def test_missing_env_uniform_classifier_retains_perfect_accuracy():
     ds = gen_redundant_features(8, 300, 0.0, seed=7)
-    ood = make_missing_feature_env(ds, [0, 1, 2])
-    margins = ood.features.sum(axis=1)
-    acc = np.mean(np.sign(margins) == 2 * ood.labels - 1)
+    x_ood, y_ood = make_missing_feature_env(ds, [0, 1, 2]).env_arrays(1)
+    margins = x_ood.sum(axis=1)
+    acc = np.mean(np.sign(margins) == 2 * y_ood - 1)
     assert acc == 1.0
 
 

@@ -501,7 +501,7 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
     split = leave_one_out_splits(small_task)[0]
     cfg = Recipe.parse(recipe).apply(_small_cfg())
     holdout = split_holdout(split, cfg.seed)
-    record = finetune(small_start, split, cfg, holdout)
+    record = finetune(small_start, split, cfg)
     (ft,) = protocol._finetune_group(small_start, split, [cfg], holdout)
     assert [p.checkpoint.params.tobytes() for p in ft.trail] == [p.checkpoint.params.tobytes() for p in record.trail]
     x_val, y_val = small_task.features[holdout[1]], small_task.labels[holdout[1]]
@@ -537,7 +537,7 @@ def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds):
         # a sweep record keeps only its best checkpoint: the oracle is the solo record of its config
         split = splits[run.split_index]
         holdout = split_holdout(split, run.seed)
-        solo = finetune(small_start, split, run.config, holdout)
+        solo = finetune(small_start, split, run.config)
         assert run.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
         assert run.variants == _scored_arms(build_variants(solo), split, holdout[1])
     groups = [("pooled", seeds)] if pool_seeds else [(str(s), [s]) for s in seeds]
@@ -634,7 +634,7 @@ def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate):
     group = protocol._finetune_group(small_start, split, cfgs, holdout)
     assert [(r.grid_index, r.run_id, r.recipe) for r in records] == [(i, f"g{i}", "r") for i in range(3)]
     for cfg, trained, grouped in zip(cfgs, group, records):
-        _assert_grouped_equals_solo(trained, grouped, finetune(small_start, split, cfg, holdout), split, holdout)
+        _assert_grouped_equals_solo(trained, grouped, finetune(small_start, split, cfg), split, holdout)
 
 
 def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_start):
@@ -650,7 +650,7 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
     solo_warnings, group_warnings = [], []
     with np.errstate(over="call", invalid="call", divide="call", call=lambda kind, flag: solo_warnings.append(kind)):
         with pytest.raises(RunError) as solo_error:
-            finetune(small_start, split, cfgs[1], holdout)
+            finetune(small_start, split, cfgs[1])
     with np.errstate(over="call", invalid="call", divide="call", call=lambda kind, flag: group_warnings.append(kind)):
         records = protocol._execute_sweep_group(small_start, split, cfgs, "r", 0)
     assert solo_warnings and group_warnings == solo_warnings
@@ -662,7 +662,7 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         group = protocol._finetune_group(small_start, split, cfgs, holdout)
     for i in (0, 2):
-        solo = finetune(small_start, split, cfgs[i], holdout)
+        solo = finetune(small_start, split, cfgs[i])
         _assert_grouped_equals_solo(group[i], records[i], solo, split, holdout)
 
 
