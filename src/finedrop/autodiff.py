@@ -81,21 +81,6 @@ class Tensor:
         tag = f" op={self._op}" if self._op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # Small amount of operator sugar; everything routes through the named ops
-    # so the shape rules stay in one place.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return elementwise_mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -284,7 +284,7 @@ def make_missing_feature_env(dataset: EnvDataset, missing_set) -> EnvDataset:
 
 
 def gen_multienv_task(num_envs: int, n_core: int, n_spurious: int, spurious_flip_per_env: float, n_per_env: int,
-                      seed: int, n_inert: int = 0) -> EnvDataset:
+                      seed: int, *, n_inert: int) -> EnvDataset:
     """Binary task over num_envs environments with core and spurious features.
 
     Core feature i is (2y-1) * CORE_SCALE plus Gaussian noise of standard

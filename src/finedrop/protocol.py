@@ -19,10 +19,12 @@ best checkpoints of a hyperparameter grid. `run_sweep` executes the full
 grid points of one (split, recipe, seed) train in lockstep as one stacked
 step (`_finetune_group` over `_train`), and each run owns its rng streams, so
 results are byte-identical to training each run alone, whatever the worker
-count. Once its single-run arms are scored, a sweep record keeps only its
-best checkpoint. `_train` is the one training loop: a generator that yields
-the steps done at each checkpoint, so pretraining and fine-tuning checkpoint
-in their own loop bodies, and a run it steps is plain data (`_Run`).
+count. Every run, standalone or in a sweep group, is scored on the held-out
+environment by `evaluate` at its best checkpoint, in `finetune`; once its
+single-run arms are scored, a sweep record keeps only its best checkpoint.
+`_train` is the one training loop: a generator that yields the steps done
+at each checkpoint, so pretraining and fine-tuning checkpoint in their own
+loop bodies, and a run it steps is plain data (`_Run`).
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -384,7 +386,7 @@ def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
 
 def _mean_params(checkpoints: list) -> np.ndarray:
     """The mean of the checkpoints' parameter vectors, once their manifests are checked to agree.
-    It is a pairwise-summation reduction: reordering them moves it by accumulation noise at most."""
+    The vectors are added one after another in checkpoint order, then divided by their count."""
     if not checkpoints:
         raise ValidationError("weight_average needs at least one checkpoint")
     first = checkpoints[0]
@@ -587,25 +589,26 @@ def pretrain_trajectory(
 @dataclass
 class _FineTune:
     """A fine-tune as `_finetune_group` leaves it: its config, the `_Run`
-    `_train` stepped, its run id, its checkpoint trail and the sum of the
-    trail's holdout class probabilities, summed as `_score_arms` sums its
-    members."""
+    `_train` stepped, its run id, its holdout rows (val_idx), its checkpoint
+    trail and the sum of the trail's holdout class probabilities, summed as
+    `_score_arms` sums its members."""
 
     cfg: FineTuneConfig
     run: _Run
     run_id: str
+    val_idx: np.ndarray
     trail: list[TrailPoint]
     holdout_sum: np.ndarray
 
 
-def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list, holdout) -> list[_FineTune]:
+def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list) -> list[_FineTune]:
     """Fine-tunes from start on split under configs that differ at most in
-    lr, weight decay and run id, trained in lockstep by one `_train` and
-    checkpointed at the configs' interval on the holdout rows of holdout, a
-    (train, validation) index pair. A run whose loss went non-finite keeps
-    the trail it had and its error; at zero iterations the fresh head is
-    the only checkpoint."""
-    ds, (train_idx, val_idx) = split.dataset, holdout
+    lr, weight decay and run id, trained in lockstep by one `_train` on the
+    training rows of split_holdout(split, seed) at their common seed and
+    checkpointed at the configs' interval on its validation rows. A run
+    whose loss went non-finite keeps the trail it had and its error; at zero
+    iterations the fresh head is the only checkpoint."""
+    ds, (train_idx, val_idx) = split.dataset, split_holdout(split, cfgs[0].seed)
     x_train, y_train = ds.features[train_idx], ds.labels[train_idx]
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
     group = []
@@ -625,7 +628,7 @@ def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list, holdout) -> 
         opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations,
                            weight_decay=cfg.weight_decay, group_multipliers=multipliers)
         run = _Run(model, opt, x_train, y_train, streams["batch"], streams["mask"])
-        group.append(_FineTune(cfg, run, cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}", [],
+        group.append(_FineTune(cfg, run, cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}", val_idx, [],
                                np.zeros((y_val.shape[0], model.num_classes))))
 
     def checkpoint(done: int) -> None:
@@ -657,26 +660,23 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig,
 
     trained is this run already trained by `_finetune_group` in lockstep
     with the other grid points of its sweep group (`_execute_sweep_group`):
-    finetune then builds its record, or raises the RunError that stopped
-    it, and leaves ood_acc at 0.0 for the sweep to read from the
-    predictions its arms are scored from. It exists so that every run,
-    grouped or not, is one `finetune` call: perfbench's traced run
+    finetune then skips training and scores it as it scores a standalone
+    run, or raises the RunError that stopped it. It exists so that every
+    run, grouped or not, is one `finetune` call: perfbench's traced run
     reconciles one `protocol.finetune` call per run.
     """
     ft = trained
     if ft is None:
-        (ft,) = _finetune_group(start, split, [cfg], split_holdout(split, cfg.seed))
+        (ft,) = _finetune_group(start, split, [cfg])
     if ft.run.error is not None:
         raise ft.run.error
     trail = ft.trail
     best_index = int(np.argmax([p.iid_val_acc for p in trail]))  # earliest checkpoint wins ties
-    record = RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
-                       grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index, run_id=ft.run_id)
-    if trained is None:
-        model = ft.run.model
-        model.params[...] = trail[best_index].checkpoint.params
-        record.ood_acc = evaluate(model, *split.dataset.env_arrays(split.test_env))
-    return record
+    model = ft.run.model
+    model.params[...] = trail[best_index].checkpoint.params
+    return RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
+                     grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index,
+                     ood_acc=evaluate(model, *split.dataset.env_arrays(split.test_env)), run_id=ft.run_id)
 
 
 # ---------------------------------------------------------------------------
@@ -740,11 +740,9 @@ def _replacing(path):
         raise
 
 
-def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit, val_idx: np.ndarray,
-                best: int | None = None) -> tuple[dict, float | None]:
-    """({"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
-    accuracy} of the members' weight average and of their ensemble; member
-    best's held-out environment accuracy, or None when best is None).
+def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit, val_idx: np.ndarray) -> dict:
+    """{"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
+    accuracy} of the members' weight average and of their ensemble.
 
     val_mean is the mean of the members' holdout probabilities, or None to
     predict it here. One model makes every prediction, holding each member's
@@ -753,9 +751,7 @@ def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit,
     their count: the bits of the `np.stack(...).mean(axis=0)` that
     ensemble_predict takes, which adds the stacked arrays one after another
     (probabilities are never -0.0, so the zero start changes no bit). So
-    the scores equal those of build_variants' arms. Member best's accuracy
-    is that of `evaluate` on the model holding its vector, read from the
-    same predictions.
+    the scores equal those of build_variants' arms.
     """
     ds = split.dataset
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
@@ -767,17 +763,14 @@ def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit,
         for probs in _member_probs(model, checkpoints, x_val):
             val_mean += probs
         val_mean /= len(checkpoints)
-    test_sum, best_ood = np.zeros((x_test.shape[0], model.num_classes)), None
-    for i, probs in enumerate(_member_probs(model, checkpoints, x_test)):
-        if i == best:
-            best_ood = _accuracy(probs, y_test)
+    test_sum = np.zeros((x_test.shape[0], model.num_classes))
+    for probs in _member_probs(model, checkpoints, x_test):
         test_sum += probs
     model.params[...] = mean
-    arms = {
+    return {
         "wa": {"iid": evaluate(model, x_val, y_val), "ood": evaluate(model, x_test, y_test)},
         "ensemble": {"iid": _accuracy(val_mean, y_val), "ood": _accuracy(test_sum / len(checkpoints), y_test)},
     }
-    return arms, best_ood
 
 
 def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe: str,
@@ -785,14 +778,14 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
     """The records of one sweep group, the grid points of one (split, recipe,
     seed), trained in lockstep, in grid order.
 
-    Each member's record is its `finetune(..., trained=...)`: its arms and
-    held-out environment accuracy are scored from its own trail, then it
-    keeps only its best checkpoint. A member whose loss went non-finite gets
-    a failed record with the iteration a solo run would have stopped at.
+    Each member's record is its `finetune(..., trained=...)`, scored as a
+    standalone run is; its single-run arms are scored from its own trail on
+    its holdout, then it keeps only its best checkpoint. A member whose loss
+    went non-finite gets a failed record with the iteration a solo run
+    would have stopped at.
     """
-    holdout = split_holdout(split, cfgs[0].seed)  # shared by the members and their single-run arms
     records = []
-    for grid_index, (cfg, ft) in enumerate(zip(cfgs, _finetune_group(start, split, cfgs, holdout))):
+    for grid_index, (cfg, ft) in enumerate(zip(cfgs, _finetune_group(start, split, cfgs))):
         try:
             record = finetune(start, split, cfg, trained=ft)
         except RunError as exc:
@@ -802,8 +795,7 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
                                      run_id=cfg.run_id))
             continue
         record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-        arms, record.ood_acc = _score_arms([p.checkpoint for p in ft.trail], ft.holdout_sum / len(ft.trail),
-                                           split, holdout[1], best=record.best_index)
+        arms = _score_arms([p.checkpoint for p in ft.trail], ft.holdout_sum / len(ft.trail), split, ft.val_idx)
         record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
         record.trail = [p if i == record.best_index else replace(p, checkpoint=None) for i, p in enumerate(ft.trail)]
         records.append(record)
@@ -890,14 +882,20 @@ def run_sweep(
     return _summarize(runs, splits, grid, labels, seeds, start, pool_seeds)
 
 
+def _selection_key(iid: float, grid_index: int, seed: int) -> tuple:
+    """The order iid selection maximizes: validation accuracy, ties broken by
+    lowest grid index, then lowest seed. `select_best` and the report's
+    single-run arm columns both select by it."""
+    return iid, -grid_index, -seed
+
+
 def select_best(records):
-    """The iid-selection rule: maximal validation accuracy, ties broken by
-    lowest grid index, then lowest seed. Invariant under any strictly
-    monotone rescaling of the accuracies."""
+    """The iid-selection rule: the run of maximal `_selection_key`. Invariant
+    under any strictly monotone rescaling of the accuracies."""
     records = list(records)
     if not records:
         raise ValidationError("cannot select from zero runs")
-    return max(records, key=lambda r: (r.best_iid_val_acc, -r.grid_index, -r.seed))
+    return max(records, key=lambda r: _selection_key(r.best_iid_val_acc, r.grid_index, r.seed))
 
 
 def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepResult:
@@ -946,8 +944,7 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
                     key = (split_index, group[0])
                     if key not in holdouts:
                         holdouts[key] = split_holdout(split, group[0])[1]
-                    per_split[tag], _ = _score_arms([r.best.checkpoint for r in members], None, split,
-                                                    holdouts[key])
+                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], None, split, holdouts[key])
 
     meta = {
         "schema_version": 1,

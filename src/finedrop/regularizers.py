@@ -64,8 +64,8 @@ class DropoutSpec:
             raise ValidationError(f"mode must be 'train' or 'eval', got {self.mode!r}")
 
     @classmethod
-    def seeded(cls, rate: float, seed: int, mode: str = "train") -> "DropoutSpec":
-        return cls(rate=rate, mode=mode, rng=np.random.default_rng(seed))
+    def seeded(cls, rate: float, seed: int) -> "DropoutSpec":
+        return cls(rate=rate, rng=np.random.default_rng(seed))
 
     @property
     def active(self) -> bool:

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .errors import ValidationError
-from .protocol import Recipe, _replacing
+from .protocol import Recipe, _replacing, _selection_key
 from .stats import five_number_summary
 
 __all__ = ["ReportBundle", "load_results", "build_report", "write_report"]
@@ -60,7 +60,7 @@ def _selected_ood(summary: dict, recipe: str, split: str) -> float | None:
 
 
 def _variant_ood(summary: dict, runs: list[dict], recipe: str, split: str, arm: str) -> float | None:
-    """Single-run arm value for a split: grid point chosen by the arm's own iid."""
+    """Single-run arm value for a split: the run chosen by the arm's own iid, ties as `select_best` breaks them."""
     candidates = [
         r
         for r in runs
@@ -71,7 +71,7 @@ def _variant_ood(summary: dict, runs: list[dict], recipe: str, split: str, arm: 
     ]
     if not candidates:
         return None
-    chosen = max(candidates, key=lambda r: (r["variants"][arm]["iid"], -r["grid_index"], -r["seed"]))
+    chosen = max(candidates, key=lambda r: _selection_key(r["variants"][arm]["iid"], r["grid_index"], r["seed"]))
     return chosen["variants"][arm]["ood"]
 
 

@@ -119,7 +119,7 @@ def test_missing_env_uniform_classifier_retains_perfect_accuracy():
 
 
 def test_multienv_flip_zero_is_identically_distributed():
-    ds = gen_multienv_task(4, 4, 4, spurious_flip_per_env=0.0, n_per_env=500, seed=8)
+    ds = gen_multienv_task(4, 4, 4, spurious_flip_per_env=0.0, n_per_env=500, seed=8, n_inert=0)
     coeffs = [env["params"]["spurious_coeff"] for env in ds.manifest["environments"]]
     assert all(c == coeffs[0] for c in coeffs)
     # all-feature uniform classifier: held-out accuracy matches in-env accuracy
@@ -131,7 +131,7 @@ def test_multienv_flip_zero_is_identically_distributed():
 
 
 def test_multienv_core_only_classifier_is_env_invariant():
-    ds = gen_multienv_task(4, 8, 4, spurious_flip_per_env=1.0, n_per_env=2000, seed=9)
+    ds = gen_multienv_task(4, 8, 4, spurious_flip_per_env=1.0, n_per_env=2000, seed=9, n_inert=0)
     n_core = ds.manifest["params"]["n_core"]
     accs = []
     for e in ds.environment_ids:
@@ -143,7 +143,7 @@ def test_multienv_core_only_classifier_is_env_invariant():
 
 
 def test_multienv_spurious_group_reverses_in_last_environment():
-    ds = gen_multienv_task(4, 2, 4, spurious_flip_per_env=1.0, n_per_env=100, seed=10)
+    ds = gen_multienv_task(4, 2, 4, spurious_flip_per_env=1.0, n_per_env=100, seed=10, n_inert=0)
     for env in ds.manifest["environments"]:
         coeff = env["params"]["spurious_coeff"]
         expected = -3.0 if env["id"] == 3 else 3.0
@@ -152,9 +152,9 @@ def test_multienv_spurious_group_reverses_in_last_environment():
 
 def test_multienv_validates():
     with pytest.raises(ValidationError):
-        gen_multienv_task(1, 4, 2, 0.5, 100, seed=0)
+        gen_multienv_task(1, 4, 2, 0.5, 100, seed=0, n_inert=0)
     with pytest.raises(ValidationError):
-        gen_multienv_task(4, 0, 2, 0.5, 100, seed=0)
+        gen_multienv_task(4, 0, 2, 0.5, 100, seed=0, n_inert=0)
 
 
 def test_pretrain_corpus_shapes_and_partition():
@@ -184,7 +184,7 @@ def test_pretrain_corpus_determinism():
 
 
 def test_save_load_roundtrip_exact(tmp_path):
-    ds = gen_multienv_task(3, 4, 3, 0.8, n_per_env=40, seed=14)
+    ds = gen_multienv_task(3, 4, 3, 0.8, n_per_env=40, seed=14, n_inert=0)
     save_dataset(ds, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
     np.testing.assert_array_equal(back.features, ds.features)
@@ -195,7 +195,7 @@ def test_save_load_roundtrip_exact(tmp_path):
 
 
 def test_load_missing_env_file_names_it(tmp_path):
-    ds = gen_multienv_task(3, 4, 3, 0.8, n_per_env=10, seed=15)
+    ds = gen_multienv_task(3, 4, 3, 0.8, n_per_env=10, seed=15, n_inert=0)
     save_dataset(ds, tmp_path / "ds")
     (tmp_path / "ds" / "env_1.csv").unlink()
     with pytest.raises(FormatError) as exc:
@@ -232,7 +232,7 @@ def test_env_dataset_rejects_undeclared_env_ids():
 
 
 def test_env_split_validation():
-    ds = gen_multienv_task(3, 4, 3, 0.8, n_per_env=10, seed=16)
+    ds = gen_multienv_task(3, 4, 3, 0.8, n_per_env=10, seed=16, n_inert=0)
     with pytest.raises(ValidationError):
         EnvSplit(ds, (0, 1), 1)
     with pytest.raises(ValidationError):
@@ -242,7 +242,7 @@ def test_env_split_validation():
 
 
 def test_split_refuses_a_test_env_with_no_rows():
-    ds = gen_multienv_task(3, 2, 2, 1.0, n_per_env=5, seed=19)
+    ds = gen_multienv_task(3, 2, 2, 1.0, n_per_env=5, seed=19, n_inert=0)
     keep = ds.env_ids != 1
     ds = EnvDataset(ds.features[keep], ds.labels[keep], ds.env_ids[keep], ds.manifest)
     with pytest.raises(ValidationError, match="test env 1 has no rows"):
@@ -253,7 +253,7 @@ def test_split_refuses_a_test_env_with_no_rows():
 
 
 def test_leave_one_out_splits_cover_every_env():
-    ds = gen_multienv_task(4, 4, 4, 1.0, n_per_env=10, seed=17)
+    ds = gen_multienv_task(4, 4, 4, 1.0, n_per_env=10, seed=17, n_inert=0)
     splits = leave_one_out_splits(ds)
     assert [s.test_env for s in splits] == [0, 1, 2, 3]
     for s in splits:
@@ -337,7 +337,7 @@ def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, m
 
 
 def test_header_only_env_file_loads_as_empty_environment(tmp_path):
-    ds = gen_multienv_task(3, 2, 2, 1.0, n_per_env=5, seed=19)
+    ds = gen_multienv_task(3, 2, 2, 1.0, n_per_env=5, seed=19, n_inert=0)
     save_dataset(ds, tmp_path / "ds")
     header = (tmp_path / "ds" / "env_1.csv").read_text().splitlines()[0]
     (tmp_path / "ds" / "env_1.csv").write_text(header + "\n")
@@ -399,7 +399,7 @@ def test_manifest_listing_an_environment_twice_raises_format_error(tmp_path):
 
 
 def test_env_id_from_another_file_raises_format_error(tmp_path):
-    ds = gen_multienv_task(2, 2, 2, 1.0, n_per_env=4, seed=20)
+    ds = gen_multienv_task(2, 2, 2, 1.0, n_per_env=4, seed=20, n_inert=0)
     save_dataset(ds, tmp_path / "ds")
     path = tmp_path / "ds" / "env_1.csv"
     lines = path.read_text().splitlines()

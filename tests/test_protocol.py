@@ -502,7 +502,8 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
     cfg = Recipe.parse(recipe).apply(_small_cfg())
     holdout = split_holdout(split, cfg.seed)
     record = finetune(small_start, split, cfg)
-    (ft,) = protocol._finetune_group(small_start, split, [cfg], holdout)
+    (ft,) = protocol._finetune_group(small_start, split, [cfg])
+    assert ft.val_idx.tobytes() == holdout[1].tobytes()
     assert [p.checkpoint.params.tobytes() for p in ft.trail] == [p.checkpoint.params.tobytes() for p in record.trail]
     x_val, y_val = small_task.features[holdout[1]], small_task.labels[holdout[1]]
     members = [model_from_checkpoint(point.checkpoint) for point in record.trail]
@@ -512,10 +513,8 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
     holdout_mean = ft.holdout_sum / len(ft.trail)  # what a sweep scores the single-run ensemble from
     assert holdout_mean.tobytes() == mean.tobytes()
     oracle = _scored_arms(build_variants(record), split, holdout[1])
-    scores, best_ood = protocol._score_arms([p.checkpoint for p in record.trail], holdout_mean,
-                                            split, holdout[1], best=record.best_index)
+    scores = protocol._score_arms([p.checkpoint for p in record.trail], holdout_mean, split, ft.val_idx)
     assert scores == {"wa": oracle["wa_single"], "ensemble": oracle["ensemble_single"]}
-    assert best_ood == record.ood_acc
 
 
 def _scored_arms(arms, split, val_idx):
@@ -631,7 +630,7 @@ def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate):
     cfgs = [_small_cfg(dropout_rate=rate, lr=lr, weight_decay=wd, run_id=f"g{i}") for i, (lr, wd) in enumerate(grid)]
     records = protocol._execute_sweep_group(small_start, split, cfgs, "r", 0)
     holdout = split_holdout(split, cfgs[0].seed)
-    group = protocol._finetune_group(small_start, split, cfgs, holdout)
+    group = protocol._finetune_group(small_start, split, cfgs)
     assert [(r.grid_index, r.run_id, r.recipe) for r in records] == [(i, f"g{i}", "r") for i in range(3)]
     for cfg, trained, grouped in zip(cfgs, group, records):
         _assert_grouped_equals_solo(trained, grouped, finetune(small_start, split, cfg), split, holdout)
@@ -660,7 +659,7 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
     assert records[1].to_json_dict() == failed.to_json_dict()
     assert records[1].error_iteration is not None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        group = protocol._finetune_group(small_start, split, cfgs, holdout)
+        group = protocol._finetune_group(small_start, split, cfgs)
     for i in (0, 2):
         solo = finetune(small_start, split, cfgs[i])
         _assert_grouped_equals_solo(group[i], records[i], solo, split, holdout)
@@ -699,10 +698,9 @@ def test_finished_finetune_is_freed_without_gc(small_task, small_start):
     from finedrop import protocol
 
     split = leave_one_out_splits(small_task)[0]
-    holdout = split_holdout(split, 1)
     gc.disable()
     try:
-        group = protocol._finetune_group(small_start, split, [_small_cfg(dropout_rate=0.9)], holdout)
+        group = protocol._finetune_group(small_start, split, [_small_cfg(dropout_rate=0.9)])
         record = finetune(small_start, split, group[0].cfg, trained=group[0])
         model, opt = weakref.ref(group[0].run.model), weakref.ref(group[0].run.opt)
         del group

@@ -102,6 +102,27 @@ def test_method_table_column_order_and_selection(toy_results):
     assert row0["ensemble_multi"] == 0.77
 
 
+def test_single_run_arm_columns_break_ties_as_select_best(toy_results):
+    # every run's arms tie on iid, so the arm columns fall to the tie rule:
+    # lowest grid index, then lowest seed, as select_best breaks a tie
+    from types import SimpleNamespace
+
+    from finedrop.protocol import select_best
+
+    sweep = load_results(toy_results)[0]
+    sweep["runs"] = [
+        _run("erm", 0, grid, seed, iid=iid, ood=0.5,
+             variants={arm: {"iid": 0.9, "ood": ood} for arm in ("wa_single", "ensemble_single")})
+        for grid, seed, iid, ood in [(1, 0, 0.99, 0.11), (0, 2, 0.98, 0.22), (0, 1, 0.97, 0.33), (1, 1, 0.96, 0.44)]
+    ]
+    row0 = build_report([sweep]).method_tables[0]["rows"][0]
+    for arm in ("wa_single", "ensemble_single"):
+        chosen = select_best(SimpleNamespace(best_iid_val_acc=r["variants"][arm]["iid"], grid_index=r["grid_index"],
+                                             seed=r["seed"], ood=r["variants"][arm]["ood"]) for r in sweep["runs"])
+        assert (chosen.grid_index, chosen.seed) == (0, 1)
+        assert row0[arm] == chosen.ood == 0.33
+
+
 def test_rate_table_orders_rates(toy_results):
     bundle = build_report(load_results(toy_results))
     assert len(bundle.rate_tables) == 1
