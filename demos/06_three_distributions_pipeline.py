@@ -38,9 +38,9 @@ for name, rate in (("erm", 0.0), ("dropout90", 0.9)):
     rec = finetune(trunk, split, cfg)
     rows.append((name, rec.best_iid_val_acc, rec.ood_acc))
     if name == "erm":
-        arms = build_variants(rec)
+        arms = build_variants(p.checkpoint for p in rec.trail)  # the run's single-run arms
         for arm_name, arm in sorted(arms.items()):
-            rows.append((arm_name, None, evaluate(arm, x_test, y_test)))
+            rows.append((f"{arm_name}_single", None, evaluate(arm, x_test, y_test)))
 
 print(f"\n{'arm':>16} {'iid':>7} {'ood':>7}")
 for name, iid, ood in rows:

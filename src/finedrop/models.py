@@ -625,13 +625,11 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(np.ascontiguousarray(ckpt.params, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; refuses truncated files and mismatched manifests.
 
-    expect_arch, when given, must equal the manifest's arch dict; a mismatch
-    raises ValidationError naming both. A NaN or infinite parameter raises
-    FormatError naming the file and the first such index, so a bad start
-    checkpoint is refused before any training.
+    A NaN or infinite parameter raises FormatError naming the file and the
+    first such index, so a bad start checkpoint is refused before any training.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -652,10 +650,6 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
         raise FormatError(
             f"parameter block has {len(body)} bytes, manifest promises {expected_bytes}",
             offset=newline + 1,
-        )
-    if expect_arch is not None and dict(expect_arch) != dict(header["arch"]):
-        raise ValidationError(
-            f"architecture mismatch: file manifest {header['arch']} vs requested {dict(expect_arch)}"
         )
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(params))

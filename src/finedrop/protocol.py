@@ -12,19 +12,20 @@ validation fraction, collects a checkpoint trail, retains the best-iid
 checkpoint (ties go to the earliest, so training is never silently
 extended), and reports eval-mode accuracy on the held-out environment.
 
-Comparison arms are derived from completed runs: single-run weight average
-and ensemble over one trail, multi-run weight average and ensemble over the
-best checkpoints of a hyperparameter grid. `run_sweep` executes the full
-(split x grid x seed x recipe) product, optionally in worker processes. The
-grid points of one (split, recipe, seed) train in lockstep as one stacked
-step (`_finetune_group` over `_train`), and each run owns its rng streams, so
-results are byte-identical to training each run alone, whatever the worker
-count. Every run, standalone or in a sweep group, is scored on the held-out
-environment by `evaluate` at its best checkpoint, in `finetune`; once its
-single-run arms are scored, a sweep record keeps only its best checkpoint.
-`_train` is the one training loop: a generator that yields the steps done
-at each checkpoint, so pretraining and fine-tuning checkpoint in their own
-loop bodies, and a run it steps is plain data (`_Run`).
+Each comparison arm is the weight average or the ensemble of a list of
+member checkpoints: one run's trail (single-run arms) or the best
+checkpoints of a hyperparameter grid (multi-run arms). `run_sweep`
+executes the full (split x grid x seed x recipe) product, optionally in
+worker processes. The grid points of one (split, recipe, seed) train in
+lockstep as one stacked step (`_finetune_group` over `_train`), and each
+run owns its rng streams, so results are byte-identical to training each
+run alone, whatever the worker count. Every run, standalone or in a sweep
+group, is scored on the held-out environment by `evaluate` at its best
+checkpoint, in `finetune`; once its single-run arms are scored, a sweep
+record keeps only its best checkpoint. `_train` is the one training loop:
+a generator that yields the steps done at each checkpoint, so pretraining
+and fine-tuning checkpoint in their own loop bodies, and a run it steps is
+plain data (`_Run`).
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -415,29 +416,21 @@ def _member_probs(model, checkpoints, features: np.ndarray):
         yield model.predict_proba(features)
 
 
-def build_variants(records) -> dict:
-    """Comparison arms from finished runs.
+def build_variants(checkpoints) -> dict:
+    """{"wa", "ensemble"}: the members' weight average and their ensemble, as
+    models; `_score_arms` scores the same arms from the same member list.
 
-    A `finetune` record, whose trail is complete: {"wa_single",
-    "ensemble_single"} over the trail (a single-point trail degenerates to
-    that checkpoint). Two or more RunRecords, sweep records too:
-    {"wa_multi", "ensemble_multi"} over each run's best-iid checkpoint.
+    The members are a standalone `finetune` record's trail (single-run arms)
+    or a grid's best checkpoints (multi-run arms). A None member is refused
+    by its index: a sweep record keeps only its best checkpoint.
     """
-    if isinstance(records, RunRecord):
-        trail = [p.checkpoint for p in records.trail]
-        if not trail or None in trail:
-            raise ValidationError("single-run arms need a complete trail, which a standalone finetune record has")
-        return {
-            "wa_single": weight_average(trail),
-            "ensemble_single": EnsemblePredictor([model_from_checkpoint(c) for c in trail]),
-        }
-    records = list(records)
-    if len(records) < 2:
-        raise ValidationError(f"multi-run variants need >= 2 runs, got {len(records)}")
-    best = [r.best.checkpoint for r in records]
+    checkpoints = list(checkpoints)
+    for index, ckpt in enumerate(checkpoints):
+        if ckpt is None:
+            raise ValidationError(f"member {index} is None: a sweep record keeps only its best checkpoint")
     return {
-        "wa_multi": weight_average(best),
-        "ensemble_multi": EnsemblePredictor([model_from_checkpoint(c) for c in best]),
+        "wa": weight_average(checkpoints),
+        "ensemble": EnsemblePredictor([model_from_checkpoint(c) for c in checkpoints]),
     }
 
 
@@ -900,7 +893,6 @@ def select_best(records):
 
 def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepResult:
     selected, aggregate, quartiles, multi_run = {}, {}, {}, {}
-    holdouts: dict = {}  # (split index, seed) -> validation indices, shared by recipes
     seed_groups = [("pooled", list(seeds))] if pool_seeds else [(str(s), [s]) for s in seeds]
 
     for recipe in recipes:
@@ -932,7 +924,7 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
         summary["run_ids"] = sorted(grid_run_ids)
         quartiles[recipe] = summary
 
-        # Multi-run arms need at least two grid points.
+        # Multi-run arms need at least two members: two grid points, or two seeds pooled.
         multi_run[recipe] = {}
         if len(grid) >= 2 or (pool_seeds and len(grid) * len(seeds) >= 2):
             for split_index, split in enumerate(splits):
@@ -941,10 +933,8 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
                     members = [r for r in ok if r.split_index == split_index and r.seed in group]
                     if len(members) < 2:
                         continue
-                    key = (split_index, group[0])
-                    if key not in holdouts:
-                        holdouts[key] = split_holdout(split, group[0])[1]
-                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], None, split, holdouts[key])
+                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], None, split,
+                                                 split_holdout(split, group[0])[1])
 
     meta = {
         "schema_version": 1,

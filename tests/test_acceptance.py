@@ -261,10 +261,10 @@ def test_criterion_06_gradient_starvation_direction():
             entropy[name].append(normalized_entropy(np.abs(w[:, 1] - w[:, 0])))
             ood[name].append(record.ood_acc)
             if name == "erm":
-                arms = build_variants(record)
+                arms = build_variants([p.checkpoint for p in record.trail])  # single-run arms
                 x_t, y_t = ds.env_arrays(1)
-                ood["wa"].append(evaluate(arms["wa_single"], x_t, y_t))
-                ood["ensemble"].append(evaluate(arms["ensemble_single"], x_t, y_t))
+                ood["wa"].append(evaluate(arms["wa"], x_t, y_t))
+                ood["ensemble"].append(evaluate(arms["ensemble"], x_t, y_t))
 
     wins = sum(d > e for d, e in zip(entropy["dropout"], entropy["erm"]))
     ties = sum(d == e for d, e in zip(entropy["dropout"], entropy["erm"]))

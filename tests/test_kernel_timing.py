@@ -15,12 +15,13 @@ def test_kernel_timing_prints_every_measurement():
     by_measure = {}
     for line in lines:
         by_measure.setdefault(line.pop("measure"), []).append(line)
-    assert sorted(by_measure) == ["class_max_sum", "predict_proba", "stacked_step"]
+    assert sorted(by_measure) == ["class_max_sum", "predict_proba", "run_tail", "stacked_step"]
     assert [(m["classes"], m["rows"]) for m in by_measure["predict_proba"]] == [
         (2, 1200), (2, 2000), (8, 1200), (8, 2000)]
     assert [(m["classes"], m["how"]) for m in by_measure["class_max_sum"]] == [
         (2, "reduce"), (2, "models"), (8, "reduce"), (8, "models")]
     assert [(m["k"], m["rate"]) for m in by_measure["stacked_step"]] == [
         (k, rate) for k in (1, 6, 12) for rate in (0.0, 0.9)]
+    assert [m["part"] for m in by_measure["run_tail"]] == ["tape_node", "sgd_step", "dropout_mask"]
     times = [m.get("ns_per_row", m.get("us")) for m in lines]
     assert all(t > 0 for t in times), lines

@@ -233,17 +233,6 @@ def test_garbage_manifest_raises_format_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_wrong_architecture_rejected_naming_both(tmp_path):
-    model = new_residual_model(4, 5, 1, 2, seed=34)
-    path = tmp_path / "model.ckpt"
-    write_checkpoint(checkpoint_from_model(model, 0, "r"), path)
-    wanted = {"input_dim": 4, "width": 16, "depth": 1, "block_hidden": 16, "num_classes": 2}
-    with pytest.raises(ValidationError) as exc:
-        load_checkpoint(path, expect_arch=wanted)
-    msg = str(exc.value)
-    assert "16" in msg and "'width': 5" in msg
-
-
 def test_forward_validates_input_shape():
     model = new_residual_model(4, 5, 1, 2, seed=35)
     with pytest.raises(ValidationError):

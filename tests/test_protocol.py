@@ -349,11 +349,10 @@ def test_wa_vs_ensemble_second_order_scaling(small_task, small_start):
 def test_build_variants_single_checkpoint_wa_is_that_checkpoint(small_task, small_start):
     split = leave_one_out_splits(small_task)[0]
     record = finetune(small_start, split, FineTuneConfig(total_iterations=0, seed=5))
-    arms = build_variants(record)
-    np.testing.assert_array_equal(
-        arms["wa_single"].params, record.trail[0].checkpoint.params
-    )
-    assert len(arms["ensemble_single"].models) == 1
+    arms = build_variants([p.checkpoint for p in record.trail])
+    assert sorted(arms) == ["ensemble", "wa"]
+    np.testing.assert_array_equal(arms["wa"].params, record.trail[0].checkpoint.params)
+    assert len(arms["ensemble"].models) == 1
 
 
 def test_build_variants_multi_run_member_count(small_task, small_start):
@@ -362,8 +361,8 @@ def test_build_variants_multi_run_member_count(small_task, small_start):
         finetune(small_start, split, _small_cfg(seed=1, lr=lr))
         for lr in (0.02, 0.015, 0.01, 0.008, 0.005, 0.003)
     ]
-    arms = build_variants(records)
-    assert len(arms["ensemble_multi"].models) == 6
+    arms = build_variants(r.best.checkpoint for r in records)
+    assert len(arms["ensemble"].models) == 6
     x, y = small_task.env_arrays(split.test_env)
     for arm in arms.values():
         assert 0.0 <= evaluate(arm, x, y) <= 1.0
@@ -372,13 +371,6 @@ def test_build_variants_multi_run_member_count(small_task, small_start):
 def test_build_variants_rejects_empty_list():
     with pytest.raises(ValidationError):
         build_variants([])
-
-
-def test_build_variants_rejects_single_element_list(small_task, small_start):
-    split = leave_one_out_splits(small_task)[0]
-    record = finetune(small_start, split, _small_cfg())
-    with pytest.raises(ValidationError):
-        build_variants([record])
 
 
 def test_pretrain_zero_iterations_equals_init():
@@ -461,6 +453,21 @@ def test_run_sweep_single_point_selection(small_task, small_start):
     chosen = result.selected["erm"]["0"]
     assert chosen["run_id"] == result.runs[0].run_id
     assert result.aggregate_ood["erm"] == result.runs[0].ood_acc
+    assert result.multi_run == {"erm": {}}  # one member: no multi-run arm
+
+
+def test_multi_run_arms_need_two_members(small_task, small_start):
+    # the one rule that refuses small multi-run arms: one grid point at two
+    # seeds makes two members only when the seeds are pooled
+    splits = leave_one_out_splits(small_task)[:2]
+    for pool_seeds in (False, True):
+        result = run_sweep(small_start, splits, grid=[(0.01, 0.0)], recipes=["erm"], seeds=[1, 2],
+                           base_cfg=_small_cfg(), pool_seeds=pool_seeds)
+        if pool_seeds:
+            assert {split: sorted(arms) for split, arms in result.multi_run["erm"].items()} == {
+                "0": ["pooled"], "1": ["pooled"]}
+        else:
+            assert result.multi_run == {"erm": {}}
 
 
 def test_run_sweep_parallel_matches_serial(small_task, small_start):
@@ -490,8 +497,8 @@ def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatc
     result = run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm", "dropout90"],
                        seeds=[1], base_cfg=_small_cfg())
     assert len(result.runs) == 4
-    # one per group (its grid points' fine-tunes and single-run arms), one for the multi-run arms
-    assert len(seeds) == 2 + 1
+    # one per group (its grid points' fine-tunes and single-run arms), one per recipe's multi-run arms
+    assert len(seeds) == 2 + 2
 
 
 @pytest.mark.parametrize("recipe", ["erm", "dropout90"])
@@ -512,9 +519,9 @@ def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task
     mean = np.stack([member.predict_proba(x_val) for member in members]).mean(axis=0)
     holdout_mean = ft.holdout_sum / len(ft.trail)  # what a sweep scores the single-run ensemble from
     assert holdout_mean.tobytes() == mean.tobytes()
-    oracle = _scored_arms(build_variants(record), split, holdout[1])
-    scores = protocol._score_arms([p.checkpoint for p in record.trail], holdout_mean, split, ft.val_idx)
-    assert scores == {"wa": oracle["wa_single"], "ensemble": oracle["ensemble_single"]}
+    trail = [p.checkpoint for p in record.trail]
+    assert protocol._score_arms(trail, holdout_mean, split, ft.val_idx) == _scored_arms(
+        build_variants(trail), split, holdout[1])
 
 
 def _scored_arms(arms, split, val_idx):
@@ -538,7 +545,8 @@ def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds):
         holdout = split_holdout(split, run.seed)
         solo = finetune(small_start, split, run.config)
         assert run.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
-        assert run.variants == _scored_arms(build_variants(solo), split, holdout[1])
+        oracle = _scored_arms(build_variants(p.checkpoint for p in solo.trail), split, holdout[1])
+        assert run.variants == {"wa_single": oracle["wa"], "ensemble_single": oracle["ensemble"]}
     groups = [("pooled", seeds)] if pool_seeds else [(str(s), [s]) for s in seeds]
     for recipe in recipes:
         for split_index, split in enumerate(splits):
@@ -546,9 +554,8 @@ def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds):
             for tag, group in groups:
                 members = [r for r in result.runs
                            if r.recipe == recipe and r.split_index == split_index and r.seed in group]
-                oracle = _scored_arms(build_variants(members), split, split_holdout(split, group[0])[1])
-                assert result.multi_run[recipe][str(split_index)][tag] == {
-                    "wa": oracle["wa_multi"], "ensemble": oracle["ensemble_multi"]}
+                assert result.multi_run[recipe][str(split_index)][tag] == _scored_arms(
+                    build_variants(r.best.checkpoint for r in members), split, split_holdout(split, group[0])[1])
 
 
 def test_arm_members_of_another_architecture_are_refused_before_any_copy(small_task, small_start,
@@ -573,7 +580,7 @@ def test_sweep_builds_one_member_model_per_arm_scoring(small_task, small_start, 
     built = []
     real = protocol.model_from_checkpoint
     monkeypatch.setattr(protocol, "model_from_checkpoint", lambda ckpt: built.append(ckpt.run_id) or real(ckpt))
-    monkeypatch.setattr(protocol, "build_variants", lambda records: pytest.fail("build_variants called"))
+    monkeypatch.setattr(protocol, "build_variants", lambda checkpoints: pytest.fail("build_variants called"))
     splits = [leave_one_out_splits(small_task)[0]]
     run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm"], seeds=[1],
               base_cfg=_small_cfg())
@@ -616,8 +623,8 @@ def _assert_grouped_equals_solo(trained, grouped, solo, split, holdout):
     assert [(p.iteration, p.iid_val_acc) for p in grouped.trail] == [(p.iteration, p.iid_val_acc) for p in solo.trail]
     assert grouped.best_index == solo.best_index and grouped.ood_acc == solo.ood_acc
     assert grouped.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
-    oracle = _scored_arms(build_variants(solo), split, holdout[1])
-    assert grouped.variants == {name: oracle[name] for name in ("wa_single", "ensemble_single")}
+    oracle = _scored_arms(build_variants(p.checkpoint for p in solo.trail), split, holdout[1])
+    assert grouped.variants == {"wa_single": oracle["wa"], "ensemble_single": oracle["ensemble"]}
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.9])
@@ -680,12 +687,15 @@ def test_sweep_records_keep_only_their_best_checkpoint(small_task, small_start, 
             assert kept == [record.best_index] and len(record.trail) == 3
         else:
             assert kept == [] and record.trail == []
-    # single-run arms need a whole trail; multi-run arms pool the best checkpoints
+    # single-run arms need a whole trail, so a slimmed one's first None member is refused by
+    # its index; multi-run arms pool the best checkpoints
     ok = [r for r in result.runs if r.status == "ok"]
-    with pytest.raises(ValidationError, match="single-run arms need a complete trail.*standalone finetune"):
-        build_variants(ok[0])
+    for record in ok:
+        missing = 1 if record.best_index == 0 else 0
+        with pytest.raises(ValidationError, match=f"member {missing} is None: a sweep record keeps only its best"):
+            build_variants(p.checkpoint for p in record.trail)
     best = np.stack([r.best.checkpoint.params for r in ok])
-    np.testing.assert_array_equal(build_variants(ok)["wa_multi"].params, np.mean(best, axis=0))
+    np.testing.assert_array_equal(build_variants(r.best.checkpoint for r in ok)["wa"].params, np.mean(best, axis=0))
 
 
 def test_finished_finetune_is_freed_without_gc(small_task, small_start):

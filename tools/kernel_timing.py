@@ -12,7 +12,11 @@ Prints one JSON line per measurement, each the minimum over N repeats (default
   `models._reduce_classes` (`models`; left out on a tree without it);
 - `stacked_step`: us for `StackedStep.forward` plus `.backward` of K = 1, 6
   and 12 models at the sweep's shape (input 18, width 16, depth 2, 2 classes,
-  batch 32), at dropout rates 0 and 0.9.
+  batch 32), at dropout rates 0 and 0.9;
+- `run_tail`: us for the per-run work `protocol._train` does around the
+  stacked step at that shape, each run-step: the tape node (`make_node` +
+  `backward` + `reset_grads`), the `SgdOptimizer.step` of a fine-tune's
+  optimizer, and one `batch_dropout_mask` draw at rate 0.9.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np  # noqa: E402
 
+from finedrop import autodiff as ad  # noqa: E402
 from finedrop import models  # noqa: E402
+from finedrop.optim import SgdOptimizer  # noqa: E402
 from finedrop.regularizers import batch_dropout_mask  # noqa: E402
 
 INPUT, WIDTH, DEPTH, BATCH = 18, 16, 2, 32
@@ -84,7 +90,34 @@ def main(argv=None) -> int:
                 batch_dropout_mask(BATCH, WIDTH, rate, rng, out=step.mask[i])
             seconds = best_seconds(lambda: (step.forward(), step.backward()), repeats, 100)
             emit(measure="stacked_step", k=k, rate=rate, us=round(seconds * 1e6, 1))
+    run_tail(rng, repeats)
     return 0
+
+
+def run_tail(rng, repeats: int) -> None:
+    """The `run_tail` lines: the work of one K = 1 run-step beside the stacked step, as `_train` does it."""
+    model = trained_like(models.new_residual_model(INPUT, WIDTH, DEPTH, 2, seed=0), rng)
+    step = models.StackedStep([model], BATCH, 0.9)
+    step.x[...], step.labels[...] = rng.normal(size=step.x.shape), rng.integers(0, 2, size=step.labels.shape)
+    batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0])
+    loss = step.forward()[0]
+    step.backward()
+    grads, leaves = step.grads[0], tuple(model.parameters())
+    # a fine-tune's optimizer (`protocol._finetune_group`), its schedule longer than every timed loop
+    opt = SgdOptimizer({"head": model.head_parameters(), "trunk": model.trunk_parameters()}, lr=1e-3,
+                       total_iterations=10**9, weight_decay=1e-4)
+
+    def tape_node():
+        ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g: grads))
+        ad.reset_grads(leaves)
+
+    tape = best_seconds(tape_node, repeats, 1000)
+    ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g: grads))  # the .grads the step reads
+    sgd = best_seconds(opt.step, repeats, 1000)
+    ad.reset_grads(leaves)
+    mask = best_seconds(lambda: batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0]), repeats, 1000)
+    for part, seconds in (("tape_node", tape), ("sgd_step", sgd), ("dropout_mask", mask)):
+        emit(measure="run_tail", part=part, us=round(seconds * 1e6, 2))
 
 
 if __name__ == "__main__":
