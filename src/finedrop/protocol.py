@@ -901,7 +901,9 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
         for split_index in range(len(splits)):
             candidates = [r for r in ok if r.split_index == split_index]
             if not candidates:
-                raise RunError(f"no successful runs for recipe {recipe!r} on split {split_index}")
+                failed = [r for r in runs if r.recipe == recipe and r.split_index == split_index]
+                cause = f"; first failed run {failed[0].run_id}: {failed[0].error}" if failed else ""
+                raise RunError(f"no successful runs for recipe {recipe!r} on split {split_index}{cause}")
             chosen = select_best(candidates)
             selected[recipe][str(split_index)] = {
                 "run_id": chosen.run_id,

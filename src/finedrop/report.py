@@ -1,10 +1,13 @@
 """Turn sweep result files into tables: the data-level analog of box plots.
 
 Reports are a pure function of the runs.jsonl / summary.json files a sweep
-writes: every cell is recomputed from those records (and carries the run
-ids behind it), so a report can always be re-derived and re-checked. Output
-is Markdown for eyes plus CSV for tooling; there is deliberately no
-plotting dependency, the quartile CSV *is* the box plot.
+writes, so a report can always be re-derived and re-checked. The selected
+runs' cells (the methods table's erm and dropout columns, the rate curve,
+each recipe's composition row) and the multi-run arm values are read from
+summary.json. The single-run arm cells and the quartiles, with the run ids
+behind them, are recomputed from the records in runs.jsonl. Output is
+Markdown for eyes plus CSV for tooling; there is deliberately no plotting
+dependency, the quartile CSV *is* the box plot.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ __all__ = ["ReportBundle", "load_results", "build_report", "write_report"]
 
 # Column order of the main comparison table.
 METHOD_COLUMNS = ["erm", "wa_single", "ensemble_single", "dropout", "wa_multi", "ensemble_multi"]
+_QUARTILE_COLUMNS = ["min", "q25", "median", "q75", "max"]
+_RATE_COLUMNS = ["rate", "mean_iid", "mean_ood"]
+# Columns whose cells are names, written as they are; every other cell is a number or None.
+_TEXT_COLUMNS = {"split", "sweep", "provenance", "recipe", "arm", "run_ids"}
 
 
 class ReportBundle:
@@ -32,7 +39,6 @@ class ReportBundle:
         self.rate_tables: list[dict] = []  # dropout-rate sweeps
         self.composition_tables: list[dict] = []  # recipe compositions
         self.quartile_rows: list[dict] = []  # per (sweep, recipe) five-number summaries
-        self.scratch_curves: list[dict] = []  # rate vs iid/ood for scratch sweeps
 
 
 def load_results(directory) -> list[dict]:
@@ -54,12 +60,18 @@ def load_results(directory) -> list[dict]:
     return sweeps
 
 
-def _selected_ood(summary: dict, recipe: str, split: str) -> float | None:
+def _mean(values) -> float | None:
+    """Mean of the values that are not None; None when there are none."""
+    vals = [v for v in values if v is not None]
+    return float(np.mean(vals)) if vals else None
+
+
+def _selected(summary: dict, recipe: str | None, split: str, key: str) -> float | None:
     entry = summary.get("selected", {}).get(recipe, {}).get(split)
-    return None if entry is None else entry["ood"]
+    return None if entry is None else entry[key]
 
 
-def _variant_ood(summary: dict, runs: list[dict], recipe: str, split: str, arm: str) -> float | None:
+def _variant_ood(runs: list[dict], recipe: str, split: str, arm: str) -> float | None:
     """Single-run arm value for a split: the run chosen by the arm's own iid, ties as `select_best` breaks them."""
     candidates = [
         r
@@ -77,8 +89,18 @@ def _variant_ood(summary: dict, runs: list[dict], recipe: str, split: str, arm: 
 
 def _multi_ood(summary: dict, recipe: str, split: str, kind: str) -> float | None:
     groups = summary.get("multi_run", {}).get(recipe, {}).get(split, {})
-    vals = [entry[kind]["ood"] for entry in groups.values() if kind in entry]
-    return float(np.mean(vals)) if vals else None
+    return _mean(entry[kind]["ood"] for entry in groups.values() if kind in entry)
+
+
+# The arm columns, in table order: erm's in the methods table, and every
+# recipe's "+column" rows in the composition table. Each reads one recipe's
+# value on one split of a sweep.
+_ARM_COLUMNS = {
+    "wa_single": lambda sweep, recipe, split: _variant_ood(sweep["runs"], recipe, split, "wa_single"),
+    "ensemble_single": lambda sweep, recipe, split: _variant_ood(sweep["runs"], recipe, split, "ensemble_single"),
+    "wa_multi": lambda sweep, recipe, split: _multi_ood(sweep["summary"], recipe, split, "wa"),
+    "ensemble_multi": lambda sweep, recipe, split: _multi_ood(sweep["summary"], recipe, split, "ensemble"),
+}
 
 
 def _rate_recipes(recipes: list[str]) -> dict[str, float]:
@@ -105,205 +127,116 @@ def build_report(sweeps: list[dict]) -> ReportBundle:
         meta = summary["meta"]
         recipes = meta["recipes"]
         splits = [str(s["index"]) for s in meta["splits"]]
-        provenance = meta.get("provenance", "scratch")
+        head = {"sweep": sweep["dir"], "provenance": meta.get("provenance", "scratch")}
         rates = _rate_recipes(recipes)
         dropout_recipe = _dropout_recipe(rates)
 
-        # Main comparison table, column order fixed by METHOD_COLUMNS.
+        # Main comparison table, column order fixed by METHOD_COLUMNS; None where a cell has no value.
         if "erm" in recipes:
             rows = []
             for split in splits:
-                row = {"split": split}
-                row["erm"] = _selected_ood(summary, "erm", split)
-                row["wa_single"] = _variant_ood(summary, runs, "erm", split, "wa_single")
-                row["ensemble_single"] = _variant_ood(summary, runs, "erm", split, "ensemble_single")
-                row["dropout"] = (
-                    _selected_ood(summary, dropout_recipe, split) if dropout_recipe else None
-                )
-                row["wa_multi"] = _multi_ood(summary, "erm", split, "wa")
-                row["ensemble_multi"] = _multi_ood(summary, "erm", split, "ensemble")
-                rows.append(row)
-            mean_row = {"split": "mean"}
-            for col in METHOD_COLUMNS:
-                vals = [r[col] for r in rows if r[col] is not None]
-                mean_row[col] = float(np.mean(vals)) if vals else None
-            bundle.method_tables.append(
-                {"sweep": sweep["dir"], "provenance": provenance, "rows": rows + [mean_row]}
-            )
+                row = {col: read(sweep, "erm", split) for col, read in _ARM_COLUMNS.items()}
+                row["erm"] = _selected(summary, "erm", split, "ood")
+                row["dropout"] = _selected(summary, dropout_recipe, split, "ood")
+                rows.append({"split": split, **{col: row[col] for col in METHOD_COLUMNS}})
+            rows.append({"split": "mean", **{col: _mean(r[col] for r in rows) for col in METHOD_COLUMNS}})
+            bundle.method_tables.append({**head, "rows": rows})
 
         # Dropout-rate curve over every dropout-rate-style recipe present.
-        rate_rows = []
-        for recipe, rate in rates.items():
-            ood = summary["aggregate_ood"].get(recipe)
-            iids = [
-                summary["selected"][recipe][s]["iid"]
-                for s in splits
-                if s in summary["selected"].get(recipe, {})
-            ]
-            rate_rows.append(
-                {
-                    "rate": rate,
-                    "recipe": recipe,
-                    "mean_iid": float(np.mean(iids)) if iids else None,
-                    "mean_ood": ood,
-                }
-            )
-        rate_rows.sort(key=lambda r: r["rate"])
+        rate_rows = [
+            {"rate": rate, "recipe": recipe, "mean_iid": _mean(_selected(summary, recipe, s, "iid") for s in splits),
+             "mean_ood": summary["aggregate_ood"].get(recipe)}
+            for recipe, rate in rates.items()
+        ]
         if len(rate_rows) >= 2:
-            table = {"sweep": sweep["dir"], "provenance": provenance, "rows": rate_rows}
-            bundle.rate_tables.append(table)
-            if provenance == "scratch":
-                bundle.scratch_curves.append(table)
+            bundle.rate_tables.append({**head, "rows": sorted(rate_rows, key=lambda r: r["rate"])})
 
         # Recipe-composition table: every recipe's selected mean plus arm add-ons.
         comp_rows = []
         for recipe in recipes:
             comp_rows.append({"arm": recipe, "mean_ood": summary["aggregate_ood"].get(recipe)})
-            for arm, label in (("wa_single", "+wa_single"), ("ensemble_single", "+ensemble_single")):
-                vals = [_variant_ood(summary, runs, recipe, s, arm) for s in splits]
-                vals = [v for v in vals if v is not None]
-                if vals:
-                    comp_rows.append({"arm": recipe + label, "mean_ood": float(np.mean(vals))})
-            for kind, label in (("wa", "+wa_multi"), ("ensemble", "+ensemble_multi")):
-                vals = [_multi_ood(summary, recipe, s, kind) for s in splits]
-                vals = [v for v in vals if v is not None]
-                if vals:
-                    comp_rows.append({"arm": recipe + label, "mean_ood": float(np.mean(vals))})
-        bundle.composition_tables.append(
-            {"sweep": sweep["dir"], "provenance": provenance, "rows": comp_rows}
-        )
+            for col, read in _ARM_COLUMNS.items():
+                mean = _mean(read(sweep, recipe, s) for s in splits)
+                if mean is not None:
+                    comp_rows.append({"arm": f"{recipe}+{col}", "mean_ood": mean})
+        bundle.composition_tables.append({**head, "rows": comp_rows})
 
-        # Quartile summaries, recomputed from the per-run records.
+        # Quartile summaries over grid points, recomputed from the per-run records.
         for recipe in recipes:
-            grid_values = []
-            run_ids = []
-            n_grid = len(meta["grid"])
-            for g in range(n_grid):
-                vals = [
-                    r["ood_acc"]
-                    for r in runs
-                    if r["recipe"] == recipe and r["grid_index"] == g and r["status"] == "ok"
-                ]
-                ids = [
-                    r["run_id"]
-                    for r in runs
-                    if r["recipe"] == recipe and r["grid_index"] == g and r["status"] == "ok"
-                ]
-                if vals:
-                    grid_values.append(float(np.mean(vals)))
-                    run_ids.extend(ids)
+            ok = [r for r in runs if r["recipe"] == recipe and r["status"] == "ok"]
+            grid_values, run_ids = [], []
+            for g in range(len(meta["grid"])):
+                members = [r for r in ok if r["grid_index"] == g]
+                if members:
+                    grid_values.append(float(np.mean([r["ood_acc"] for r in members])))
+                    run_ids.extend(r["run_id"] for r in members)
             if grid_values:
-                row = {"sweep": sweep["dir"], "recipe": recipe}
-                row.update(five_number_summary(grid_values))
-                row["run_ids"] = ";".join(sorted(run_ids))
-                bundle.quartile_rows.append(row)
+                bundle.quartile_rows.append({"sweep": sweep["dir"], "recipe": recipe,
+                                             **five_number_summary(grid_values), "run_ids": ";".join(sorted(run_ids))})
     return bundle
 
 
-def _fmt(v) -> str:
-    return "-" if v is None else f"{v:.4f}"
+def _markdown_cell(col: str, v) -> str:
+    if col in _TEXT_COLUMNS:
+        return str(v)
+    if v is None:
+        return "-"
+    return f"{v:.2f}" if col == "rate" else f"{v:.4f}"
 
 
-def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
+def _csv_cell(col: str, v) -> str:
+    """Names as they are, numbers at full precision, an empty cell for None."""
+    if col in _TEXT_COLUMNS:
+        return str(v)
+    return "" if v is None else repr(v)
+
+
+def _markdown_table(cols: list[str], rows: list[dict]) -> str:
+    lines = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append("| " + " | ".join(_markdown_cell(c, row[c]) for c in cols) + " |")
     return "\n".join(lines)
 
 
 def render_markdown(bundle: ReportBundle) -> str:
-    parts = ["# Sweep report", ""]
-    for table in bundle.method_tables:
-        parts.append(f"## Methods (sweep `{table['sweep']}`, trunk {table['provenance']})")
-        parts.append("")
-        headers = ["split"] + METHOD_COLUMNS
-        rows = [[str(r["split"])] + [_fmt(r[c]) for c in METHOD_COLUMNS] for r in table["rows"]]
-        parts.append(_markdown_table(headers, rows))
-        parts.append("")
-    for table in bundle.rate_tables:
-        parts.append(f"## Dropout-rate sweep (sweep `{table['sweep']}`, trunk {table['provenance']})")
-        parts.append("")
-        headers = ["rate", "mean_iid", "mean_ood"]
-        rows = [[f"{r['rate']:.2f}", _fmt(r["mean_iid"]), _fmt(r["mean_ood"])] for r in table["rows"]]
-        parts.append(_markdown_table(headers, rows))
-        parts.append("")
-    for table in bundle.composition_tables:
-        parts.append(f"## Recipe compositions (sweep `{table['sweep']}`)")
-        parts.append("")
-        rows = [[r["arm"], _fmt(r["mean_ood"])] for r in table["rows"]]
-        parts.append(_markdown_table(["arm", "mean_ood"], rows))
-        parts.append("")
+    sections = [(f"Methods (sweep `{t['sweep']}`, trunk {t['provenance']})", ["split"] + METHOD_COLUMNS, t["rows"])
+                for t in bundle.method_tables]
+    sections += [(f"Dropout-rate sweep (sweep `{t['sweep']}`, trunk {t['provenance']})", _RATE_COLUMNS, t["rows"])
+                 for t in bundle.rate_tables]
+    sections += [(f"Recipe compositions (sweep `{t['sweep']}`)", ["arm", "mean_ood"], t["rows"])
+                 for t in bundle.composition_tables]
     if bundle.quartile_rows:
-        parts.append("## Hyperparameter-robustness quartiles (ood over grid points)")
-        parts.append("")
-        headers = ["sweep", "recipe", "min", "q25", "median", "q75", "max"]
-        rows = [
-            [r["sweep"], r["recipe"]] + [_fmt(r[k]) for k in ("min", "q25", "median", "q75", "max")]
-            for r in bundle.quartile_rows
-        ]
-        parts.append(_markdown_table(headers, rows))
-        parts.append("")
+        sections.append(("Hyperparameter-robustness quartiles (ood over grid points)",
+                         ["sweep", "recipe"] + _QUARTILE_COLUMNS, bundle.quartile_rows))
+    parts = ["# Sweep report", ""]
+    for title, cols, rows in sections:
+        parts += [f"## {title}", "", _markdown_table(cols, rows), ""]
     return "\n".join(parts)
 
 
-def _write_csv(path: str, headers: list[str], rows: list[list]) -> None:
-    with _replacing(path) as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
 def write_report(bundle: ReportBundle, directory) -> list[str]:
-    """Write report.md plus the CSV tables, each replacing its old file whole; returns the files written."""
+    """Write report.md plus the CSV tables, each replacing its old file whole; returns the files written.
+
+    A CSV whose table has no rows is not written: quartiles.csv when no recipe
+    has an ok run, scratch_curve.csv when no sweep started from a scratch trunk.
+    """
     os.makedirs(directory, exist_ok=True)
-    written = []
+    csvs = [("quartiles.csv", ["sweep", "recipe"] + _QUARTILE_COLUMNS + ["run_ids"], bundle.quartile_rows)]
+    csvs += [(f"methods_{i}.csv", ["split"] + METHOD_COLUMNS, t["rows"]) for i, t in enumerate(bundle.method_tables)]
+    csvs += [(f"rate_curve_{i}.csv", _RATE_COLUMNS + ["provenance"],
+              [dict(r, provenance=t["provenance"]) for r in t["rows"]]) for i, t in enumerate(bundle.rate_tables)]
+    csvs.append(("scratch_curve.csv", _RATE_COLUMNS + ["sweep"], [
+        dict(r, sweep=t["sweep"]) for t in bundle.rate_tables if t["provenance"] == "scratch" for r in t["rows"]
+    ]))
 
-    md_path = os.path.join(directory, "report.md")
-    with _replacing(md_path) as fh:
-        fh.write(render_markdown(bundle))
-        fh.write("\n")
-    written.append(md_path)
-
-    if bundle.quartile_rows:
-        path = os.path.join(directory, "quartiles.csv")
-        headers = ["sweep", "recipe", "min", "q25", "median", "q75", "max", "run_ids"]
-        rows = [
-            [r["sweep"], r["recipe"], repr(r["min"]), repr(r["q25"]), repr(r["median"]),
-             repr(r["q75"]), repr(r["max"]), r["run_ids"]]
-            for r in bundle.quartile_rows
-        ]
-        _write_csv(path, headers, rows)
-        written.append(path)
-
-    for i, table in enumerate(bundle.method_tables):
-        path = os.path.join(directory, f"methods_{i}.csv")
-        headers = ["split"] + METHOD_COLUMNS
-        rows = [
-            [r["split"]] + [("" if r[c] is None else repr(r[c])) for c in METHOD_COLUMNS]
-            for r in table["rows"]
-        ]
-        _write_csv(path, headers, rows)
-        written.append(path)
-
-    for i, table in enumerate(bundle.rate_tables):
-        path = os.path.join(directory, f"rate_curve_{i}.csv")
-        rows = [
-            [repr(r["rate"]), ("" if r["mean_iid"] is None else repr(r["mean_iid"])),
-             ("" if r["mean_ood"] is None else repr(r["mean_ood"])), table["provenance"]]
-            for r in table["rows"]
-        ]
-        _write_csv(path, ["rate", "mean_iid", "mean_ood", "provenance"], rows)
-        written.append(path)
-
-    if bundle.scratch_curves:
-        path = os.path.join(directory, "scratch_curve.csv")
-        rows = []
-        for table in bundle.scratch_curves:
-            for r in table["rows"]:
-                rows.append(
-                    [repr(r["rate"]), ("" if r["mean_iid"] is None else repr(r["mean_iid"])),
-                     ("" if r["mean_ood"] is None else repr(r["mean_ood"])), table["sweep"]]
-                )
-        _write_csv(path, ["rate", "mean_iid", "mean_ood", "sweep"], rows)
-        written.append(path)
+    written = [os.path.join(directory, "report.md")]
+    with _replacing(written[0]) as fh:
+        fh.write(render_markdown(bundle) + "\n")
+    for name, cols, rows in csvs:
+        if rows:
+            written.append(os.path.join(directory, name))
+            with _replacing(written[-1]) as fh:
+                fh.write(",".join(cols) + "\n")
+                for row in rows:
+                    fh.write(",".join(_csv_cell(c, row[c]) for c in cols) + "\n")
     return written

@@ -107,6 +107,20 @@ def test_finetune_rate_zero_reports_erm_recipe(pipeline_dirs, tmp_path, capsys):
     assert (tmp_path / "ft" / "best.ckpt").exists()
 
 
+def test_finetune_divergence_exits_3_naming_the_runs_error(pipeline_dirs, tmp_path, capsys):
+    out = tmp_path / "ft"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        code = main([
+            "finetune", "--data", str(pipeline_dirs["data"]), "--scratch", "--width", "8",
+            "--depth", "1", "--test-env", "2", "--lr", "1e9", "--iterations", "40",
+            "--batch-size", "16", "--checkpoint-interval", "20", "--seed", "1", "--out", str(out),
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "run failed:" in err and "loss is not finite (iteration" in err
+    assert not out.exists()
+
+
 def _sweep_args(pipeline_dirs, out, extra=()):
     tiny_task = pipeline_dirs["root"] / "tinytask"
     if not tiny_task.exists():

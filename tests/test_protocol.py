@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finedrop import autodiff as ad
-from finedrop.datasets import EnvDataset, gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
+from finedrop.datasets import EnvDataset, EnvSplit, gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
 from finedrop.errors import RunError, ValidationError
 from finedrop.models import (
     checkpoint_from_model,
@@ -126,6 +126,26 @@ def test_holdout_is_deterministic_and_config_independent(small_task):
     assert not np.array_equal(a[1], c[1])
     # per-env 20%: with 120 per env, 24 held out from each of 2 train envs
     assert a[1].size == 48
+
+
+def _tiny_split(rows_per_train_env):
+    """Two training environments of the given size and a one-row test environment 2."""
+    env_ids = [0] * rows_per_train_env + [1] * rows_per_train_env + [2]
+    ds = EnvDataset(np.zeros((len(env_ids), 2)), np.zeros(len(env_ids)), env_ids,
+                    {"environments": [{"id": e} for e in range(3)], "num_classes": 2})
+    return EnvSplit(ds, (0, 1), 2, 0.2)
+
+
+def test_holdout_keeps_one_row_of_an_env_the_fraction_rounds_to_zero():
+    # int(4 * 0.2) == 0 rows, so each 4-row env still gives one validation row
+    train_idx, val_idx = split_holdout(_tiny_split(4), seed=0)
+    assert (train_idx.size, val_idx.size) == (6, 2)
+    assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(8))
+
+
+def test_holdout_refuses_one_row_envs():
+    with pytest.raises(ValidationError, match="holdout left an empty train or validation pool"):
+        split_holdout(_tiny_split(1), seed=0)
 
 
 def test_finetune_rate_zero_bit_equals_manual_erm_loop(small_task, small_start):
