@@ -44,13 +44,16 @@ and the multienv task share; HOLDOUT_FRACTION is a split's default iid
 validation share.
 
 Datasets persist as one CSV per environment plus a JSON manifest; floats
-are written with 17 significant digits so round trips are exact.
+are written with 17 significant digits so round trips are exact. A large
+dataset's row blocks are formatted across the process's CPUs and written in
+block order, so the files are the same bytes on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,6 +489,32 @@ def gen_xor_task(num_envs: int, n_per_env: int, seed: int) -> EnvDataset:
 
 
 _WRITE_BLOCK_ROWS = 4096
+_POOL_MIN_ROWS = 12_288  # three blocks; below, forking the pool costs more than it saves
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _format_block(dataset: EnvDataset, row: str, block: np.ndarray) -> str:
+    """CSV text of the rows `block` indexes, formatted from whole columns with one row template."""
+    # the Python floats and row strings cost ~2.4 KB per row while alive, hence blocks
+    columns = dataset.features[block].T.tolist()
+    columns += [dataset.labels[block].tolist(), dataset.env_ids[block].tolist()]
+    return "".join(row % values for values in zip(*columns))
+
+
+_SAVE_INPUTS: dict = {}  # in a save pool worker: the dataset and the row template
+
+
+def _init_save_worker(dataset: EnvDataset, row: str) -> None:
+    """Hand a save pool worker the dataset once, so a task carries only its block's row indices."""
+    _SAVE_INPUTS.update(dataset=dataset, row=row)
+
+
+def _format_pooled_block(block: np.ndarray) -> str:
+    return _format_block(_SAVE_INPUTS["dataset"], _SAVE_INPUTS["row"], block)
 
 
 def save_dataset(dataset: EnvDataset, directory) -> None:
@@ -494,7 +523,10 @@ def save_dataset(dataset: EnvDataset, directory) -> None:
     CSV columns are f0..f{d-1},label,env_id with LF line endings and floats
     at 17 significant digits, so load_dataset reproduces the arrays exactly
     (environments concatenated in manifest order). Rows are formatted from
-    whole columns with one row template, a block of rows per write.
+    whole columns with one row template, a block of rows at a time. A
+    dataset of more than _POOL_MIN_ROWS rows has its blocks formatted by a
+    process pool with one worker per CPU the process may use, and the text
+    is written in block order, so the bytes do not depend on the CPU count.
     """
     os.makedirs(directory, exist_ok=True)
     manifest_path = os.path.join(directory, "manifest.json")
@@ -504,16 +536,25 @@ def save_dataset(dataset: EnvDataset, directory) -> None:
     d = dataset.n_features
     header = ",".join([f"f{i}" for i in range(d)] + ["label", "env_id"]) + "\n"
     row = "%.17g," * d + "%d,%d\n"  # %-formatting and f"{v:.17g}" share one float formatter
-    for env_id in dataset.environment_ids:
-        idx = dataset.env_indices(env_id)
+    envs = [(env_id, dataset.env_indices(env_id)) for env_id in dataset.environment_ids]
+    blocks = [idx[start:start + _WRITE_BLOCK_ROWS]
+              for _, idx in envs for start in range(0, idx.size, _WRITE_BLOCK_ROWS)]
+    workers = min(_cpus(), len(blocks))
+    if dataset.labels.size > _POOL_MIN_ROWS and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_save_worker,
+                                 initargs=(dataset, row)) as pool:
+            _write_env_files(directory, header, envs, pool.map(_format_pooled_block, blocks))
+    else:
+        _write_env_files(directory, header, envs, (_format_block(dataset, row, block) for block in blocks))
+
+
+def _write_env_files(directory, header: str, envs, texts) -> None:
+    """One env_<id>.csv per (env_id, row indices) in envs: the header, then that environment's block texts."""
+    for env_id, idx in envs:
         with open(os.path.join(directory, f"env_{env_id}.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
-            # a block at a time: the Python floats and row strings cost ~2.4 KB per row while alive
-            for start in range(0, idx.size, _WRITE_BLOCK_ROWS):
-                block = idx[start:start + _WRITE_BLOCK_ROWS]
-                columns = dataset.features[block].T.tolist()
-                columns += [dataset.labels[block].tolist(), dataset.env_ids[block].tolist()]
-                fh.write("".join(row % values for values in zip(*columns)))
+            for _ in range(0, idx.size, _WRITE_BLOCK_ROWS):
+                fh.write(next(texts))
 
 
 def load_dataset(directory) -> EnvDataset:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from finedrop import datasets
 from finedrop.datasets import (
     gen_xor_task,
     EnvDataset,
@@ -302,8 +303,8 @@ def _per_value_save(dataset, directory):
 _EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e23, 3.0, -7.0, 1e16]
 
 
-def _edge_dataset():
-    values = np.array(_EDGE_VALUES)
+def _edge_dataset(tiles=1):
+    values = np.tile(_EDGE_VALUES, tiles)
     features = np.stack([values, -values[::-1], values * 1e-300, np.roll(values, 4)], axis=1)
     n = features.shape[0]
     manifest = {
@@ -315,13 +316,30 @@ def _edge_dataset():
     return EnvDataset(features, np.arange(n) % 3, env_ids, manifest)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: gen_multienv_task(4, 4, 3, 1.0, n_per_env=60, seed=18, n_inert=2),
-    lambda: gen_redundant_features(3, 9000, 0.1, seed=21),  # one env over three write blocks
-    _edge_dataset,
-], ids=["multienv", "multi-block", "edge-values"])
-def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, make):
-    ds = make()
+_SAVE_CASES = {
+    "multienv": lambda: gen_multienv_task(4, 4, 3, 1.0, n_per_env=60, seed=18, n_inert=2),
+    "multi-block": lambda: gen_redundant_features(3, 9000, 0.1, seed=21),  # one env over three write blocks
+    "edge-values": _edge_dataset,
+    # above the pool threshold: formatted by worker processes
+    "pooled-multienv": lambda: gen_multienv_task(3, 4, 3, 1.0, n_per_env=4500, seed=22, n_inert=2),
+    "pooled-edge-values": lambda: _edge_dataset(tiles=datasets._POOL_MIN_ROWS // len(_EDGE_VALUES) + 1),
+}
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("a dataset at or below the pool threshold started a process pool")
+
+
+@pytest.mark.parametrize("case", list(_SAVE_CASES))
+def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, monkeypatch, case):
+    ds = _SAVE_CASES[case]()
+    if case.startswith("pooled"):
+        assert ds.labels.size > datasets._POOL_MIN_ROWS
+        assert all(ds.env_indices(e).size > datasets._WRITE_BLOCK_ROWS for e in ds.environment_ids)
+        monkeypatch.setattr(datasets, "_cpus", lambda: 2)  # workers format the blocks on a 1-CPU host too
+    else:  # formatted inline: no process starts
+        assert ds.labels.size <= datasets._POOL_MIN_ROWS
+        monkeypatch.setattr(datasets, "ProcessPoolExecutor", _refuse_pool)
     save_dataset(ds, tmp_path / "new")
     _per_value_save(ds, tmp_path / "oracle")
     names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
@@ -334,6 +352,23 @@ def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, m
     np.testing.assert_array_equal(back.labels, ds.labels[order])
     np.testing.assert_array_equal(back.env_ids, ds.env_ids[order])
     assert back.features.flags.c_contiguous
+
+
+def test_save_pool_has_one_worker_per_usable_cpu(tmp_path, monkeypatch):
+    started = []
+    real = datasets.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(datasets, "ProcessPoolExecutor", recording)
+    ds = _SAVE_CASES["pooled-multienv"]()
+    for cpus in (3, 1):
+        monkeypatch.setattr(datasets, "_cpus", lambda cpus=cpus: cpus)
+        save_dataset(ds, tmp_path / str(cpus))
+    assert started == [3]  # one CPU formats inline
+    assert _dir_checksum(tmp_path / "3") == _dir_checksum(tmp_path / "1")
 
 
 def test_header_only_env_file_loads_as_empty_environment(tmp_path):

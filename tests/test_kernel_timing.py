@@ -1,9 +1,11 @@
-"""tools/kernel_timing.py runs at one repeat and prints one JSON line per measurement."""
+"""tools/kernel_timing.py runs at one repeat and prints one JSON line per measurement, with its contention."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "kernel_timing.py")
 
@@ -25,3 +27,6 @@ def test_kernel_timing_prints_every_measurement():
     assert [m["part"] for m in by_measure["run_tail"]] == ["tape_node", "sgd_step", "dropout_mask"]
     times = [m.get("ns_per_row", m.get("us")) for m in lines]
     assert all(t > 0 for t in times), lines
+    for line, raw in zip(lines, times):  # the raw figure divided by the slowdown measured around it
+        assert line["slowdown"] > 0, line
+        assert line["corrected"] == pytest.approx(raw / line["slowdown"], rel=1e-2), line

@@ -3,7 +3,11 @@
     python3 tools/kernel_timing.py [--repeats N]
 
 Prints one JSON line per measurement, each the minimum over N repeats (default
-7) of a timed loop, with BLAS pinned to one thread before numpy is imported:
+7) of a timed loop, with BLAS pinned to one thread before numpy is imported.
+Each line also carries `slowdown`, the mean of perfbench's host-contention
+probe (`perfbench/sysinfo.slowdown()`) read just before and just after the
+measurement, and `corrected`, the raw figure divided by it, so runs made at
+different times compare:
 
 - `predict_proba`: ns per row on 1200 and 2000 rows (a sweep's holdout and
   test environment) of a width-16 depth-2 model with 2 and with 8 classes;
@@ -29,7 +33,8 @@ import timeit
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
@@ -37,16 +42,29 @@ from finedrop import autodiff as ad  # noqa: E402
 from finedrop import models  # noqa: E402
 from finedrop.optim import SgdOptimizer  # noqa: E402
 from finedrop.regularizers import batch_dropout_mask  # noqa: E402
+from sysinfo import slowdown  # noqa: E402
 
 INPUT, WIDTH, DEPTH, BATCH = 18, 16, 2, 32
 
 
-def best_seconds(fn, repeats: int, number: int) -> float:
-    """Seconds per call of fn: the fastest of `repeats` loops of `number` calls."""
-    return min(timeit.repeat(fn, number=number, repeat=repeats)) / number
+class Timer:
+    """Times calls and reads the host slowdown around each measurement."""
+
+    def __init__(self, repeats: int):
+        self.repeats = repeats
+        self.probe = slowdown()  # the latest reading: the "after" of one measurement is the "before" of the next
+
+    def __call__(self, fn, number: int) -> tuple[float, float]:
+        """Seconds per call of fn, the fastest of `repeats` loops of `number` calls, and the slowdown around it."""
+        seconds = min(timeit.repeat(fn, number=number, repeat=self.repeats)) / number
+        before, self.probe = self.probe, slowdown()
+        return seconds, (before + self.probe) / 2
 
 
-def emit(**fields) -> None:
+def emit(figure: str, value: float, contention: float, digits: int, **fields) -> None:
+    """One JSON line: the raw figure, the slowdown around its measurement, and the figure divided by it."""
+    fields.update({figure: round(value, digits), "slowdown": round(contention, 3),
+                   "corrected": round(value / contention, digits)})
     print(json.dumps(fields, sort_keys=True), flush=True)
 
 
@@ -62,14 +80,15 @@ def trained_like(model, rng):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="timed loops per measurement; the minimum is kept")
-    repeats = parser.parse_args(argv).repeats
+    timed = Timer(parser.parse_args(argv).repeats)
     rng = np.random.default_rng(0)
     for classes in (2, 8):
         model = trained_like(models.new_residual_model(INPUT, WIDTH, DEPTH, classes, seed=0), rng)
         for rows in (1200, 2000):
             x = rng.normal(size=(rows, INPUT))
-            seconds = best_seconds(lambda: model.predict_proba(x), repeats, 20)
-            emit(measure="predict_proba", classes=classes, rows=rows, ns_per_row=round(seconds / rows * 1e9, 1))
+            seconds, contention = timed(lambda: model.predict_proba(x), 20)
+            emit("ns_per_row", seconds / rows * 1e9, contention, 1, measure="predict_proba", classes=classes,
+                 rows=rows)
     fold = getattr(models, "_reduce_classes", None)
     for classes in (2, 8):
         p = rng.normal(size=(models.EVAL_CHUNK_ROWS, classes))
@@ -79,8 +98,8 @@ def main(argv=None) -> int:
         if fold is not None:
             kernels["models"] = lambda: (fold(np.maximum, p, top), fold(np.add, p, total))
         for how, fn in kernels.items():
-            emit(measure="class_max_sum", classes=classes, rows=len(p), how=how,
-                 us=round(best_seconds(fn, repeats, 200) * 1e6, 2))
+            seconds, contention = timed(fn, 200)
+            emit("us", seconds * 1e6, contention, 2, measure="class_max_sum", classes=classes, rows=len(p), how=how)
     for k in (1, 6, 12):
         for rate in (0.0, 0.9):
             group = [trained_like(models.new_residual_model(INPUT, WIDTH, DEPTH, 2, seed=i), rng) for i in range(k)]
@@ -88,13 +107,13 @@ def main(argv=None) -> int:
             step.x[...], step.labels[...] = rng.normal(size=step.x.shape), rng.integers(0, 2, size=step.labels.shape)
             for i in range(k if rate > 0 else 0):
                 batch_dropout_mask(BATCH, WIDTH, rate, rng, out=step.mask[i])
-            seconds = best_seconds(lambda: (step.forward(), step.backward()), repeats, 100)
-            emit(measure="stacked_step", k=k, rate=rate, us=round(seconds * 1e6, 1))
-    run_tail(rng, repeats)
+            seconds, contention = timed(lambda: (step.forward(), step.backward()), 100)
+            emit("us", seconds * 1e6, contention, 1, measure="stacked_step", k=k, rate=rate)
+    run_tail(rng, timed)
     return 0
 
 
-def run_tail(rng, repeats: int) -> None:
+def run_tail(rng, timed: Timer) -> None:
     """The `run_tail` lines: the work of one K = 1 run-step beside the stacked step, as `_train` does it."""
     model = trained_like(models.new_residual_model(INPUT, WIDTH, DEPTH, 2, seed=0), rng)
     step = models.StackedStep([model], BATCH, 0.9)
@@ -111,13 +130,13 @@ def run_tail(rng, repeats: int) -> None:
         ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g: grads))
         ad.reset_grads(leaves)
 
-    tape = best_seconds(tape_node, repeats, 1000)
+    tape = timed(tape_node, 1000)
     ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g: grads))  # the .grads the step reads
-    sgd = best_seconds(opt.step, repeats, 1000)
+    sgd = timed(opt.step, 1000)
     ad.reset_grads(leaves)
-    mask = best_seconds(lambda: batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0]), repeats, 1000)
-    for part, seconds in (("tape_node", tape), ("sgd_step", sgd), ("dropout_mask", mask)):
-        emit(measure="run_tail", part=part, us=round(seconds * 1e6, 2))
+    mask = timed(lambda: batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0]), 1000)
+    for part, (seconds, contention) in (("tape_node", tape), ("sgd_step", sgd), ("dropout_mask", mask)):
+        emit("us", seconds * 1e6, contention, 2, measure="run_tail", part=part)
 
 
 if __name__ == "__main__":
