@@ -46,13 +46,16 @@ validation share.
 Datasets persist as one CSV per environment plus a JSON manifest; floats
 are written with 17 significant digits so round trips are exact. A large
 dataset's row blocks are formatted across the process's CPUs and written in
-block order, so the files are the same bytes on any number of CPUs.
+block order, so the files are the same bytes on any number of CPUs. Loading
+counts the rows first and parses them in blocks into preallocated arrays,
+so it peaks at about one copy of the data.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -488,7 +491,7 @@ def gen_xor_task(num_envs: int, n_per_env: int, seed: int) -> EnvDataset:
 # ---------------------------------------------------------------------------
 
 
-_WRITE_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096  # rows saved or parsed at a time
 _POOL_MIN_ROWS = 12_288  # three blocks; below, forking the pool costs more than it saves
 
 
@@ -537,8 +540,8 @@ def save_dataset(dataset: EnvDataset, directory) -> None:
     header = ",".join([f"f{i}" for i in range(d)] + ["label", "env_id"]) + "\n"
     row = "%.17g," * d + "%d,%d\n"  # %-formatting and f"{v:.17g}" share one float formatter
     envs = [(env_id, dataset.env_indices(env_id)) for env_id in dataset.environment_ids]
-    blocks = [idx[start:start + _WRITE_BLOCK_ROWS]
-              for _, idx in envs for start in range(0, idx.size, _WRITE_BLOCK_ROWS)]
+    blocks = [idx[start:start + _BLOCK_ROWS]
+              for _, idx in envs for start in range(0, idx.size, _BLOCK_ROWS)]
     workers = min(_cpus(), len(blocks))
     if dataset.labels.size > _POOL_MIN_ROWS and workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_save_worker,
@@ -553,20 +556,23 @@ def _write_env_files(directory, header: str, envs, texts) -> None:
     for env_id, idx in envs:
         with open(os.path.join(directory, f"env_{env_id}.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
-            for _ in range(0, idx.size, _WRITE_BLOCK_ROWS):
+            for _ in range(0, idx.size, _BLOCK_ROWS):
                 fh.write(next(texts))
 
 
 def load_dataset(directory) -> EnvDataset:
     """Read a dataset directory written by save_dataset.
 
-    Each env file's rows are parsed in one np.loadtxt pass, which rounds
-    decimal strings to float64 exactly as float() does. A row with the wrong
-    column count, a non-numeric feature, a non-integer label or env id, or
-    an env id other than its file's raises FormatError naming the file. A
-    header-only file is an environment with no rows. Every manifest
-    environment needs a unique integer "id"; otherwise FormatError names
-    manifest.json.
+    A first pass counts each env file's data rows; the arrays are then
+    allocated once and each file is parsed by np.loadtxt in blocks of
+    _BLOCK_ROWS rows straight into them, so loading peaks at about the
+    arrays' size plus one block. loadtxt rounds decimal strings to float64
+    exactly as float() does. Blank lines after the first data row are
+    skipped. A row with the wrong column count, a non-numeric feature, a
+    non-integer label or env id, or an env id other than its file's raises
+    FormatError naming the file and the data row. A header-only file is an
+    environment with no rows. Every manifest environment needs a unique
+    integer "id"; otherwise FormatError names manifest.json.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -593,8 +599,7 @@ def load_dataset(directory) -> EnvDataset:
             raise FormatError(f"manifest.json: environment id {env['id']} is listed twice")
         seen.add(env["id"])
     expected_header = ",".join([f"f{i}" for i in range(d)] + ["label", "env_id"])
-    row_dtype = np.dtype([("f", np.float64, (d,)), ("label", np.int64), ("env_id", np.int64)])
-    parts = [np.empty(0, row_dtype)]
+    files = []  # (path, env id, data rows)
     for env in envs:
         path = os.path.join(directory, f"env_{env['id']}.csv")
         if not os.path.exists(path):
@@ -603,23 +608,32 @@ def load_dataset(directory) -> EnvDataset:
             header = fh.readline().rstrip("\n")
             if header != expected_header:
                 raise FormatError(f"{path}: header {header!r} does not match manifest feature count {d}")
-            start = fh.tell()
             first = fh.readline()
-            if not first:  # header only: no rows, and no loadtxt "no data" warning
-                continue
-            if not first.rstrip("\r\n"):
+            if first == "\n":
                 raise FormatError(f"{path}:2: empty line where a row was expected")
-            fh.seek(start)
-            try:
-                rows = np.loadtxt(fh, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-        stray = np.flatnonzero(rows["env_id"] != env["id"])
-        if stray.size:
-            raise FormatError(
-                f"{path}: data row {stray[0] + 1} has env_id {rows['env_id'][stray[0]]}, expected {env['id']}"
-            )
-        parts.append(rows)
-    # concatenating each field copies it out of the row records into its own contiguous array
-    return EnvDataset(np.concatenate([p["f"] for p in parts]), np.concatenate([p["label"] for p in parts]),
-                      np.concatenate([p["env_id"] for p in parts]), manifest)
+            files.append((path, env["id"], bool(first) + sum(line != "\n" for line in fh)))
+    n = sum(rows for _, _, rows in files)
+    features, labels, env_ids = np.empty((n, d)), np.empty(n, np.int64), np.empty(n, np.int64)
+    row_dtype = np.dtype([("f", np.float64, (d,)), ("label", np.int64), ("env_id", np.int64)])
+    end = 0
+    for path, env_id, rows in files:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            lines = filter("\n".__ne__, fh)  # loadtxt would warn about each blank line under max_rows
+            for at in range(0, rows, _BLOCK_ROWS):
+                span = slice(end + at, end + min(at + _BLOCK_ROWS, rows))
+                try:
+                    block = np.loadtxt(lines, dtype=row_dtype, delimiter=",", comments=None, ndmin=1,
+                                       max_rows=span.stop - span.start)
+                except ValueError as exc:  # loadtxt counts rows from the block's start; name the file's
+                    message = re.sub(r"(?<= at row )(\d+)(?!.* at row )", lambda m: str(int(m[1]) + at), str(exc))
+                    raise FormatError(f"{path}: {message}") from exc
+                stray = np.flatnonzero(block["env_id"] != env_id)
+                if stray.size:
+                    raise FormatError(f"{path}: data row {at + stray[0] + 1} has env_id "
+                                      f"{block['env_id'][stray[0]]}, expected {env_id}")
+                features[span], labels[span] = block["f"], block["label"]
+                del block  # before loadtxt allocates the next one
+        env_ids[end:end + rows] = env_id
+        end += rows
+    return EnvDataset(features, labels, env_ids, manifest)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, m
     ds = _SAVE_CASES[case]()
     if case.startswith("pooled"):
         assert ds.labels.size > datasets._POOL_MIN_ROWS
-        assert all(ds.env_indices(e).size > datasets._WRITE_BLOCK_ROWS for e in ds.environment_ids)
+        assert all(ds.env_indices(e).size > datasets._BLOCK_ROWS for e in ds.environment_ids)
         monkeypatch.setattr(datasets, "_cpus", lambda: 2)  # workers format the blocks on a 1-CPU host too
     else:  # formatted inline: no process starts
         assert ds.labels.size <= datasets._POOL_MIN_ROWS
@@ -444,3 +445,78 @@ def test_env_id_from_another_file_raises_format_error(tmp_path):
         load_dataset(tmp_path / "ds")
     assert "env_1.csv" in str(exc.value)
     assert "data row 3 has env_id 0, expected 1" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# Block-wise loading: memory, block offsets, edge lines
+# ---------------------------------------------------------------------------
+
+
+def test_load_peaks_at_the_arrays_plus_about_one_block(tmp_path):
+    ds = gen_multienv_task(3, 12, 4, 1.0, n_per_env=5000, seed=23, n_inert=2)  # two blocks per env file
+    save_dataset(ds, tmp_path / "ds")
+    load_dataset(tmp_path / "ds")  # first calls import and cache what they need; that is not the data
+    tracemalloc.start()
+    try:
+        back = load_dataset(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = back.features.nbytes + back.labels.nbytes + back.env_ids.nbytes
+    block = datasets._BLOCK_ROWS * (ds.n_features + 2) * 8  # one block of loadtxt's row records
+    assert data == 15000 * 20 * 8
+    assert peak < data + 1.5 * block, (peak, data, block)  # a whole-file parse plus copy peaks at about 2x
+
+
+def _long_env_dir(tmp_path):
+    """A two-env dataset whose env_1.csv spans two load blocks, and env_1.csv's lines (header first)."""
+    ds = gen_multienv_task(2, 2, 2, 1.0, n_per_env=datasets._BLOCK_ROWS + 1000, seed=24, n_inert=0)
+    save_dataset(ds, tmp_path / "ds")
+    return ds, tmp_path / "ds" / "env_1.csv", (tmp_path / "ds" / "env_1.csv").read_text().splitlines()
+
+
+def _whole_file_loadtxt_error(path):
+    """The message np.loadtxt gives for the whole file at once: the rows it names count from the first data row."""
+    row_dtype = np.dtype([("f", np.float64, (4,)), ("label", np.int64), ("env_id", np.int64)])
+    with pytest.raises(ValueError) as exc:
+        np.loadtxt(path, dtype=row_dtype, delimiter=",", comments=None, skiprows=1)
+    return str(exc.value)
+
+
+# data row 4500 sits in the second block; loadtxt names a bad value's row from 0 and a bad column count's from 1
+@pytest.mark.parametrize("edit, where", [
+    (lambda row: "abc," + row.split(",", 1)[1], "at row 4499, column 1"),
+    (lambda row: row.rsplit(",", 1)[0], "at row 4500;"),
+], ids=["non-numeric-feature", "short-row"])
+def test_malformed_row_past_the_first_block_names_its_file_row(tmp_path, edit, where):
+    _, path, lines = _long_env_dir(tmp_path)
+    lines[4500] = edit(lines[4500])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_dataset(tmp_path / "ds")
+    assert str(exc.value) == f"{path}: {_whole_file_loadtxt_error(path)}"
+    assert where in str(exc.value)
+
+
+def test_env_id_past_the_first_block_names_its_file_row(tmp_path):
+    _, path, lines = _long_env_dir(tmp_path)
+    lines[4500] = lines[4500].rsplit(",", 1)[0] + ",0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_dataset(tmp_path / "ds")
+    assert str(exc.value) == f"{path}: data row 4500 has env_id 0, expected 1"
+
+
+@pytest.mark.parametrize("text", [
+    lambda lines: "\n".join(lines[:9] + ["", ""] + lines[9:]) + "\n",
+    lambda lines: "\n".join(lines[:datasets._BLOCK_ROWS + 1] + [""] + lines[datasets._BLOCK_ROWS + 1:]) + "\n",
+    lambda lines: "\n".join(lines) + "\n\n\n\n",
+    lambda lines: "\n".join(lines),
+], ids=["blank-lines-mid-file", "blank-line-at-a-block-edge", "blank-lines-at-the-end", "no-final-newline"])
+def test_edge_lines_load_as_the_plain_file_does(tmp_path, text):
+    ds, path, lines = _long_env_dir(tmp_path)
+    path.write_text(text(lines))
+    back = load_dataset(tmp_path / "ds")  # filterwarnings=error: loadtxt's max_rows warning would fail here
+    np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    np.testing.assert_array_equal(back.env_ids, ds.env_ids)

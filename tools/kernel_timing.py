@@ -20,7 +20,10 @@ different times compare:
 - `run_tail`: us for the per-run work `protocol._train` does around the
   stacked step at that shape, each run-step: the tape node (`make_node` +
   `backward` + `reset_grads`), the `SgdOptimizer.step` of a fine-tune's
-  optimizer, and one `batch_dropout_mask` draw at rate 0.9.
+  optimizer, and one `batch_dropout_mask` draw at rate 0.9;
+- `load_dataset`: ms to load the 50,000-row rich pretraining corpus, saved
+  once to a temporary directory, and `peak_mib`, tracemalloc's peak during
+  one more load.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import timeit
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -39,6 +44,7 @@ sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 from finedrop import autodiff as ad  # noqa: E402
+from finedrop import datasets  # noqa: E402
 from finedrop import models  # noqa: E402
 from finedrop.optim import SgdOptimizer  # noqa: E402
 from finedrop.regularizers import batch_dropout_mask  # noqa: E402
@@ -110,6 +116,7 @@ def main(argv=None) -> int:
             seconds, contention = timed(lambda: (step.forward(), step.backward()), 100)
             emit("us", seconds * 1e6, contention, 1, measure="stacked_step", k=k, rate=rate)
     run_tail(rng, timed)
+    load_timing(timed)
     return 0
 
 
@@ -137,6 +144,18 @@ def run_tail(rng, timed: Timer) -> None:
     mask = timed(lambda: batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0]), 1000)
     for part, (seconds, contention) in (("tape_node", tape), ("sgd_step", sgd), ("dropout_mask", mask)):
         emit("us", seconds * 1e6, contention, 2, measure="run_tail", part=part)
+
+
+def load_timing(timed: Timer) -> None:
+    """The `load_dataset` line: the corpus load's time, and its tracemalloc peak in one untimed load."""
+    with tempfile.TemporaryDirectory() as directory:
+        datasets.save_dataset(datasets.gen_pretrain_corpus(True, 50_000, seed=0), directory)
+        seconds, contention = timed(lambda: datasets.load_dataset(directory), 1)
+        tracemalloc.start()
+        datasets.load_dataset(directory)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    emit("ms", seconds * 1e3, contention, 1, measure="load_dataset", rows=50_000, peak_mib=round(peak / 2**20, 2))
 
 
 if __name__ == "__main__":
