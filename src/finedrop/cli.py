@@ -109,7 +109,7 @@ def _sweep_options() -> argparse.ArgumentParser:
     p.add_argument("--wds", default="1e-4,5e-5,1e-5", help="comma list of weight decays")
     p.add_argument("--seeds", default="0,1,2", help="comma list of integer seeds")
     p.add_argument("--splits", default="all", help="'all' or comma list of split indices")
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--parallel", type=int, default=1, help="processes, this one included")
     p.add_argument("--pool-seeds", action="store_true", help="multi-run arms pool the seeds too")
     return p
 

@@ -124,10 +124,10 @@ class EnvDataset:
             raise ValidationError(
                 f"labels/env_ids must be length {n}, got {self.labels.shape} and {self.env_ids.shape}"
             )
-        declared = {env["id"] for env in self.manifest.get("environments", [])}
-        present = set(int(e) for e in np.unique(self.env_ids))
-        if not present <= declared:
-            raise ValidationError(f"env ids {sorted(present - declared)} missing from manifest")
+        declared = [env["id"] for env in self.manifest.get("environments", [])]
+        stray = ~np.isin(self.env_ids, declared)  # not np.unique, whose first call imports numpy.ma
+        if stray.any():
+            raise ValidationError(f"env ids {sorted(set(self.env_ids[stray].tolist()))} missing from manifest")
 
     @property
     def n_features(self) -> int:
@@ -560,6 +560,21 @@ def _write_env_files(directory, header: str, envs, texts) -> None:
                 fh.write(next(texts))
 
 
+# loadtxt's row errors: it counts a bad value's row from 0 and a bad column count's from 1
+_BAD_VALUE = re.compile(r"(?P<what>.+) at row (?P<row>\d+), column (?P<column>\d+)\.", re.S)
+_BAD_WIDTH = re.compile(r"the dtype passed requires (?P<want>\d+) columns but (?P<got>\d+) were found "
+                        r"at row (?P<row>\d+);.*", re.S)
+
+
+def _row_error(message: str, at: int) -> str:
+    """loadtxt's error for a block of data rows at + 1, ..., naming the file's 1-based data row."""
+    if match := _BAD_VALUE.fullmatch(message):
+        return f"data row {at + int(match['row']) + 1}, column {match['column']}: {match['what']}"
+    if match := _BAD_WIDTH.fullmatch(message):
+        return f"data row {at + int(match['row'])} has {match['got']} columns, expected {match['want']}"
+    return message
+
+
 def load_dataset(directory) -> EnvDataset:
     """Read a dataset directory written by save_dataset.
 
@@ -570,9 +585,10 @@ def load_dataset(directory) -> EnvDataset:
     exactly as float() does. Blank lines after the first data row are
     skipped. A row with the wrong column count, a non-numeric feature, a
     non-integer label or env id, or an env id other than its file's raises
-    FormatError naming the file and the data row. A header-only file is an
-    environment with no rows. Every manifest environment needs a unique
-    integer "id"; otherwise FormatError names manifest.json.
+    FormatError naming the file and the data row, counted from 1 over the
+    non-blank lines after the header, whatever the error. A header-only
+    file is an environment with no rows. Every manifest environment needs a
+    unique integer "id"; otherwise FormatError names manifest.json.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -625,9 +641,8 @@ def load_dataset(directory) -> EnvDataset:
                 try:
                     block = np.loadtxt(lines, dtype=row_dtype, delimiter=",", comments=None, ndmin=1,
                                        max_rows=span.stop - span.start)
-                except ValueError as exc:  # loadtxt counts rows from the block's start; name the file's
-                    message = re.sub(r"(?<= at row )(\d+)(?!.* at row )", lambda m: str(int(m[1]) + at), str(exc))
-                    raise FormatError(f"{path}: {message}") from exc
+                except ValueError as exc:
+                    raise FormatError(f"{path}: {_row_error(str(exc), at)}") from exc
                 stray = np.flatnonzero(block["env_id"] != env_id)
                 if stray.size:
                     raise FormatError(f"{path}: data row {at + stray[0] + 1} has env_id "

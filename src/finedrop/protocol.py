@@ -15,17 +15,17 @@ extended), and reports eval-mode accuracy on the held-out environment.
 Each comparison arm is the weight average or the ensemble of a list of
 member checkpoints: one run's trail (single-run arms) or the best
 checkpoints of a hyperparameter grid (multi-run arms). `run_sweep`
-executes the full (split x grid x seed x recipe) product, optionally in
-worker processes. The grid points of one (split, recipe, seed) train in
-lockstep as one stacked step (`_finetune_group` over `_train`), and each
-run owns its rng streams, so results are byte-identical to training each
-run alone, whatever the worker count. Every run, standalone or in a sweep
-group, is scored on the held-out environment by `evaluate` at its best
-checkpoint, in `finetune`; once its single-run arms are scored, a sweep
-record keeps only its best checkpoint. `_train` is the one training loop:
-a generator that yields the steps done at each checkpoint, so pretraining
-and fine-tuning checkpoint in their own loop bodies, and a run it steps is
-plain data (`_Run`).
+executes the full (split x grid x seed x recipe) product on one process or
+several, the calling one included. The grid points of one (split, recipe,
+seed) train in lockstep as one stacked step (`_finetune_group` over
+`_train`), and each run owns its rng streams, so results are byte-identical
+to training each run alone, whatever the process count. Every run,
+standalone or in a sweep group, is scored on the held-out environment by
+`evaluate` at its best checkpoint, in `finetune`; once its single-run arms
+are scored, a sweep record keeps only its best checkpoint. `_train` is the
+one training loop: a generator that yields the steps done at each
+checkpoint, so pretraining and fine-tuning checkpoint in their own loop
+bodies, and a run it steps is plain data (`_Run`).
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -42,7 +42,7 @@ import json
 import math
 import os
 from decimal import Decimal, InvalidOperation
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -809,6 +809,41 @@ def _execute_pooled_group(job) -> list[RunRecord]:
                                 split_index)
 
 
+def _execute_jobs(start: Checkpoint, splits: list, jobs: list, parallel: int) -> list[list[RunRecord]]:
+    """Each sweep group's records, in job order, on `parallel` processes, this one included.
+
+    Beside this process, a pool of min(parallel - 1, len(jobs) - 1) forked
+    workers takes groups from the front of the job list while this process
+    takes them from the back: it runs the last group, then each earlier one
+    whose future it can still cancel. The pool hands its workers only
+    max_workers + 1 calls ahead of time, so a cancel fails only for a group
+    a worker already holds. One group, or parallel 1, forks no worker. A
+    group that raises, in either process, raises here; of several, the
+    first in job order.
+    """
+    def run(job) -> Future:  # a group run here, as a done future: its error is raised in job order too
+        cfgs, label, split_index = job
+        future = Future()
+        try:
+            future.set_result(_execute_sweep_group(start, splits[split_index], cfgs, label, split_index))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    workers = min(parallel - 1, len(jobs) - 1)
+    if not workers:
+        return [run(job).result() for job in jobs]
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(start, splits))
+    try:
+        futures = [pool.submit(_execute_pooled_group, job) for job in jobs[:-1]] + [run(jobs[-1])]
+        for index in reversed(range(len(jobs) - 1)):
+            if futures[index].cancel():
+                futures[index] = run(jobs[index])
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)  # on an interrupt, no queued group starts
+
+
 def run_sweep(
     start: Checkpoint,
     splits: list[EnvSplit],
@@ -825,11 +860,12 @@ def run_sweep(
     is its recipe applied to base_cfg, and runs are labelled with canonical
     recipe names (Recipe.name). Every config is built before any training.
     The grid points of one (split, recipe, seed) train in lockstep
-    (`_execute_sweep_group`), and each such group is one task of the worker
-    pool, whose workers get the start and the splits once each. The groups
-    do not depend on parallel, so neither do the records, which come back in
-    (split, recipe, grid point, seed) order, each holding only its best
-    checkpoint; a sweep with fewer groups than workers leaves workers idle.
+    (`_execute_sweep_group`), and the groups run on `parallel` processes,
+    this one included (`_execute_jobs`): at most one process per group, so
+    this one and min(parallel - 1, groups - 1) forked workers, which get the
+    start and the splits once each. The groups do not depend on parallel, so
+    neither do the records, which come back in (split, recipe, grid point,
+    seed) order, each holding only its best checkpoint.
     Per (split, recipe) the selected run maximizes iid validation accuracy,
     ties broken by lowest grid index then lowest seed. Individual run
     failures are recorded, not fatal; the sweep raises only if some (split,
@@ -859,13 +895,7 @@ def run_sweep(
         for recipe, label in zip(recipes, labels)
         for seed in seeds
     ]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel, initializer=_init_pool_worker,
-                                 initargs=(start, splits)) as pool:
-            groups = list(pool.map(_execute_pooled_group, jobs))
-    else:
-        groups = [_execute_sweep_group(start, splits[split_index], cfgs, label, split_index)
-                  for cfgs, label, split_index in jobs]
+    groups = _execute_jobs(start, splits, jobs, parallel)
     # in (split, recipe, grid point, seed) order: the seeds of a (split, recipe) are consecutive groups
     runs = [record
             for first in range(0, len(groups), len(seeds))

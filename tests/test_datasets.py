@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -224,13 +228,25 @@ def test_load_handwritten_csv(tmp_path):
 
 
 def test_env_dataset_rejects_undeclared_env_ids():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^env ids \[5, 7\] missing from manifest$"):
         EnvDataset(
-            np.ones((2, 2)),
-            np.zeros(2, dtype=int),
-            np.array([0, 5]),
+            np.ones((4, 2)),
+            np.zeros(4, dtype=int),
+            np.array([7, 0, 5, 7]),
             {"environments": [{"id": 0, "name": "a", "params": {}}], "n_features": 2},
         )
+
+
+def test_loading_a_dataset_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 1 MiB of every process that loads a dataset
+    save_dataset(gen_multienv_task(3, 4, 2, 1.0, n_per_env=50, seed=3, n_inert=0), tmp_path / "ds")
+    code = ("import sys; from finedrop.datasets import load_dataset; "
+            f"load_dataset({str(tmp_path / 'ds')!r}); print('numpy.ma' in sys.modules)")
+    src = str(pathlib.Path(datasets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_env_split_validation():
@@ -475,18 +491,11 @@ def _long_env_dir(tmp_path):
     return ds, tmp_path / "ds" / "env_1.csv", (tmp_path / "ds" / "env_1.csv").read_text().splitlines()
 
 
-def _whole_file_loadtxt_error(path):
-    """The message np.loadtxt gives for the whole file at once: the rows it names count from the first data row."""
-    row_dtype = np.dtype([("f", np.float64, (4,)), ("label", np.int64), ("env_id", np.int64)])
-    with pytest.raises(ValueError) as exc:
-        np.loadtxt(path, dtype=row_dtype, delimiter=",", comments=None, skiprows=1)
-    return str(exc.value)
-
-
-# data row 4500 sits in the second block; loadtxt names a bad value's row from 0 and a bad column count's from 1
+# data row 4500 sits in the second block; every row error names the file's 1-based data row
 @pytest.mark.parametrize("edit, where", [
-    (lambda row: "abc," + row.split(",", 1)[1], "at row 4499, column 1"),
-    (lambda row: row.rsplit(",", 1)[0], "at row 4500;"),
+    (lambda row: "abc," + row.split(",", 1)[1],
+     "data row 4500, column 1: could not convert string 'abc' to float64"),
+    (lambda row: row.rsplit(",", 1)[0], "data row 4500 has 5 columns, expected 6"),
 ], ids=["non-numeric-feature", "short-row"])
 def test_malformed_row_past_the_first_block_names_its_file_row(tmp_path, edit, where):
     _, path, lines = _long_env_dir(tmp_path)
@@ -494,8 +503,22 @@ def test_malformed_row_past_the_first_block_names_its_file_row(tmp_path, edit, w
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError) as exc:
         load_dataset(tmp_path / "ds")
-    assert str(exc.value) == f"{path}: {_whole_file_loadtxt_error(path)}"
-    assert where in str(exc.value)
+    assert str(exc.value) == f"{path}: {where}"
+
+
+@pytest.mark.parametrize("bad_row, where", [
+    ("0.5,abc,1,0", "data row 2, column 2: could not convert string 'abc' to float64"),
+    ("0.5,1,1.5,0", "data row 2, column 3: could not convert string '1.5' to int64"),
+    ("0.5,1", "data row 2 has 2 columns, expected 4"),
+    ("0.5,1,1,0,7", "data row 2 has 5 columns, expected 4"),
+    ("0.5,1,1,1", "data row 2 has env_id 1, expected 0"),
+], ids=["non-numeric-feature", "non-integer-label", "short-row", "long-row", "stray-env-id"])
+def test_every_row_error_counts_data_rows_from_one(tmp_path, bad_row, where):
+    # a blank line is not a data row, so the bad row is data row 2 of any kind of error
+    _write_tiny(tmp_path / "ds", ["-3,0.75,0,0", "", bad_row, "1,2,1,0"])
+    with pytest.raises(FormatError) as exc:
+        load_dataset(tmp_path / "ds")
+    assert str(exc.value) == f"{tmp_path / 'ds' / 'env_0.csv'}: {where}"
 
 
 def test_env_id_past_the_first_block_names_its_file_row(tmp_path):

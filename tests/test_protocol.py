@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -505,6 +506,86 @@ def test_run_sweep_parallel_matches_serial(small_task, small_start):
         assert json.dumps(serial.summary_dict(), sort_keys=True) == json.dumps(
             parallel.summary_dict(), sort_keys=True
         )
+
+
+def _watch_sweep_processes(monkeypatch, tmp_path):
+    """Record each sweep pool's worker count, and which process runs each group (worker or caller)."""
+    from finedrop import protocol
+
+    pools, log = [], tmp_path / "group-pids"
+
+    class RecordedPool(protocol.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    real = protocol._execute_sweep_group
+
+    def logged(start, split, cfgs, recipe, split_index):
+        with open(log, "a") as fh:  # forked workers inherit this binding and append their own pid
+            fh.write(f"{os.getpid()}\n")
+        return real(start, split, cfgs, recipe, split_index)
+
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(protocol, "_execute_sweep_group", logged)
+    return pools, lambda: [int(pid) for pid in log.read_text().split()]
+
+
+@pytest.mark.parametrize("n_splits, parallel, workers", [(2, 2, 1), (1, 3, 1), (2, 4, 3)])
+def test_sweep_caller_is_one_of_its_parallel_processes(small_task, small_start, monkeypatch, tmp_path,
+                                                        n_splits, parallel, workers):
+    # parallel N runs groups on N processes, this one included: min(N - 1, groups - 1) workers
+    pools, pids = _watch_sweep_processes(monkeypatch, tmp_path)
+    splits = leave_one_out_splits(small_task)[:n_splits]
+    result = run_sweep(small_start, splits, grid=[(0.02, 0.0)], recipes=["erm", "dropout90"], seeds=[1],
+                       base_cfg=_small_cfg(total_iterations=40), parallel=parallel)
+    assert len(result.runs) == 2 * n_splits
+    assert pools == [workers]
+    assert len(pids()) == 2 * n_splits
+    assert os.getpid() in pids()  # the caller runs at least the last group
+    assert len(set(pids()) - {os.getpid()}) <= workers
+
+
+def test_one_group_sweep_forks_no_pool(small_task, small_start, monkeypatch, tmp_path):
+    pools, pids = _watch_sweep_processes(monkeypatch, tmp_path)
+    result = run_sweep(small_start, [leave_one_out_splits(small_task)[0]], grid=[(0.02, 0.0), (0.01, 0.0)],
+                       recipes=["erm"], seeds=[1], base_cfg=_small_cfg(total_iterations=40), parallel=2)
+    assert [r.status for r in result.runs] == ["ok", "ok"]
+    assert pools == [] and pids() == [os.getpid()]
+
+
+def test_sweep_group_error_is_the_same_at_any_parallel(small_task):
+    # a start checkpoint that cannot read the dataset fails every group, in the workers and in the caller
+    start = checkpoint_from_model(new_residual_model(small_task.n_features + 1, 8, 1, 2, seed=0), 0, "start")
+    splits = leave_one_out_splits(small_task)[:2]
+    messages = []
+    for parallel in (1, 2):
+        with pytest.raises(ValidationError) as exc:
+            run_sweep(start, splits, grid=[(0.02, 0.0)], recipes=["erm", "dropout90"], seeds=[1],
+                      base_cfg=_small_cfg(total_iterations=40), parallel=parallel)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        f"checkpoint expects {small_task.n_features + 1} input features, dataset has {small_task.n_features}")
+
+
+@pytest.mark.parametrize("failing, raised", [({1, 3}, 1), ({3}, 3), ({0, 2}, 0)])
+def test_sweep_raises_the_first_failing_group_in_job_order(small_task, small_start, monkeypatch, failing, raised):
+    # 4 groups at parallel 2: one worker takes them from the front, the caller from the back,
+    # and whichever process fails, the error raised is that of the lowest-index failing group
+    from finedrop import protocol
+
+    real = protocol._execute_sweep_group
+
+    def failing_groups(start, split, cfgs, recipe, split_index):
+        index = 2 * split_index + (recipe == "dropout90")
+        if index in failing:
+            raise RunError(f"group {index} failed")
+        return real(start, split, cfgs, recipe, split_index)
+
+    monkeypatch.setattr(protocol, "_execute_sweep_group", failing_groups)
+    with pytest.raises(RunError, match=f"^group {raised} failed$"):
+        run_sweep(small_start, leave_one_out_splits(small_task)[:2], grid=[(0.02, 0.0)],
+                  recipes=["erm", "dropout90"], seeds=[1], base_cfg=_small_cfg(total_iterations=40), parallel=2)
 
 
 def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatch):
