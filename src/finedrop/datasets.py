@@ -572,7 +572,7 @@ def _row_error(message: str, at: int) -> str:
         return f"data row {at + int(match['row']) + 1}, column {match['column']}: {match['what']}"
     if match := _BAD_WIDTH.fullmatch(message):
         return f"data row {at + int(match['row'])} has {match['got']} columns, expected {match['want']}"
-    return message
+    return f"{message} (rows counted within the block from data row {at + 1})"
 
 
 def load_dataset(directory) -> EnvDataset:

@@ -40,9 +40,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import multiprocessing
 import os
 from decimal import Decimal, InvalidOperation
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -795,53 +796,78 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
     return records
 
 
-_POOL_INPUTS: dict = {}  # in a sweep pool worker: the start checkpoint and the splits
+_POOL_INPUTS: dict = {}  # in a sweep pool worker: `_execute_claimed`'s arguments but `front`
 
 
-def _init_pool_worker(start: Checkpoint, splits: list) -> None:
-    """Hand a sweep pool worker the start and the splits once, so a task carries only its configs."""
-    _POOL_INPUTS.update(start=start, splits=splits)
+def _init_pool_worker(start: Checkpoint, splits: list, jobs: list, unclaimed) -> None:
+    """Hand a sweep pool worker the start, the splits, the jobs and the shared unclaimed range once."""
+    _POOL_INPUTS.update(start=start, splits=splits, jobs=jobs, unclaimed=unclaimed)
 
 
-def _execute_pooled_group(job) -> list[RunRecord]:
-    cfgs, recipe, split_index = job
-    return _execute_sweep_group(_POOL_INPUTS["start"], _POOL_INPUTS["splits"][split_index], cfgs, recipe,
-                                split_index)
+def _claim(unclaimed, front: bool) -> int | None:
+    """Claim the first (front) or last job of the shared [first, stop) range of
+    unclaimed job indices; None once every job is claimed."""
+    with unclaimed.get_lock():
+        first, stop = unclaimed
+        if first == stop:
+            return None
+        if front:
+            unclaimed[0] = first + 1
+            return first
+        unclaimed[1] = stop - 1
+        return stop - 1
+
+
+def _execute_claimed(start: Checkpoint, splits: list, jobs: list, unclaimed, front: bool) -> dict:
+    """Claim and run groups one at a time until none is left: each claimed
+    job's index to its records, or to the exception its group raised."""
+    done = {}
+    while (index := _claim(unclaimed, front)) is not None:
+        cfgs, label, split_index = jobs[index]
+        try:
+            done[index] = _execute_sweep_group(start, splits[split_index], cfgs, label, split_index)
+        except Exception as exc:
+            done[index] = exc
+    return done
+
+
+def _execute_pooled_groups() -> dict:
+    """A pool worker's groups, claimed from the front of the job list."""
+    return _execute_claimed(front=True, **_POOL_INPUTS)
 
 
 def _execute_jobs(start: Checkpoint, splits: list, jobs: list, parallel: int) -> list[list[RunRecord]]:
     """Each sweep group's records, in job order, on `parallel` processes, this one included.
 
     Beside this process, a pool of min(parallel - 1, len(jobs) - 1) forked
-    workers takes groups from the front of the job list while this process
-    takes them from the back: it runs the last group, then each earlier one
-    whose future it can still cancel. The pool hands its workers only
-    max_workers + 1 calls ahead of time, so a cancel fails only for a group
-    a worker already holds. One group, or parallel 1, forks no worker. A
+    workers claims groups from the front of the job list while this process
+    claims them from the back. Each process claims its next group only when
+    it has finished the last one, so no group is held for a busy process
+    while another one idles. One group, or parallel 1, forks no worker. A
     group that raises, in either process, raises here; of several, the
     first in job order.
     """
-    def run(job) -> Future:  # a group run here, as a done future: its error is raised in job order too
-        cfgs, label, split_index = job
-        future = Future()
-        try:
-            future.set_result(_execute_sweep_group(start, splits[split_index], cfgs, label, split_index))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
     workers = min(parallel - 1, len(jobs) - 1)
     if not workers:
-        return [run(job).result() for job in jobs]
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(start, splits))
+        return [_execute_sweep_group(start, splits[split_index], cfgs, label, split_index)
+                for cfgs, label, split_index in jobs]
+    unclaimed = multiprocessing.Array("l", [0, len(jobs)])
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
+                               initargs=(start, splits, jobs, unclaimed))
     try:
-        futures = [pool.submit(_execute_pooled_group, job) for job in jobs[:-1]] + [run(jobs[-1])]
-        for index in reversed(range(len(jobs) - 1)):
-            if futures[index].cancel():
-                futures[index] = run(jobs[index])
-        return [future.result() for future in futures]
+        shares = [pool.submit(_execute_pooled_groups) for _ in range(workers)]
+        done = _execute_claimed(start, splits, jobs, unclaimed, front=False)
+        for share in shares:
+            done.update(share.result())
     finally:
-        pool.shutdown(cancel_futures=True)  # on an interrupt, no queued group starts
+        with unclaimed.get_lock():  # on an interrupt, no process claims another group
+            unclaimed[0] = unclaimed[1]
+        pool.shutdown()
+    groups = [done[index] for index in range(len(jobs))]
+    for group in groups:
+        if isinstance(group, Exception):
+            raise group
+    return groups
 
 
 def run_sweep(

@@ -521,6 +521,12 @@ def test_every_row_error_counts_data_rows_from_one(tmp_path, bad_row, where):
     assert str(exc.value) == f"{tmp_path / 'ds' / 'env_0.csv'}: {where}"
 
 
+def test_an_unrecognized_row_error_names_its_block():
+    # a loadtxt message of neither known form passes through, saying where its block's rows start
+    assert datasets._row_error("bad line at row 403", 4096) == (
+        "bad line at row 403 (rows counted within the block from data row 4097)")
+
+
 def test_env_id_past_the_first_block_names_its_file_row(tmp_path):
     _, path, lines = _long_env_dir(tmp_path)
     lines[4500] = lines[4500].rsplit(",", 1)[0] + ",0"

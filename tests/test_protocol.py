@@ -1,5 +1,8 @@
+import itertools
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -544,6 +547,57 @@ def test_sweep_caller_is_one_of_its_parallel_processes(small_task, small_start, 
     assert len(pids()) == 2 * n_splits
     assert os.getpid() in pids()  # the caller runs at least the last group
     assert len(set(pids()) - {os.getpid()}) <= workers
+
+
+def test_sweep_processes_claim_each_group_once():
+    from finedrop import protocol
+
+    unclaimed = multiprocessing.Array("l", [0, 5])  # workers claim from the front, the caller from the back
+    claims = [protocol._claim(unclaimed, front) for front in (True, False, True, False, False, True)]
+    assert claims == [0, 4, 1, 3, 2, None]
+
+
+def _claim_until_none_is_left(unclaimed, front, out):
+    from finedrop import protocol
+
+    # at most one claim past the 20000 indices, so a broken range cannot claim forever
+    out.put((front, list(itertools.islice(iter(lambda: protocol._claim(unclaimed, front), None), 20001))))
+
+
+def test_concurrent_claims_take_each_group_exactly_once():
+    # more processes than cores claim from both ends at once: a lost update would claim an index twice or never
+    unclaimed, out = multiprocessing.Array("l", [0, 20000]), multiprocessing.Queue()
+    procs = [multiprocessing.Process(target=_claim_until_none_is_left, args=(unclaimed, i % 2 == 0, out))
+             for i in range(4)]
+    for proc in procs:
+        proc.start()
+    shares = [out.get(timeout=60) for _ in procs]  # drained before the joins
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    assert sorted(index for _, claims in shares for index in claims) == list(range(20000))
+    for front, claims in shares:
+        assert claims == sorted(claims, reverse=not front)
+
+
+def test_a_busy_worker_holds_back_no_group(small_task, small_start, monkeypatch, tmp_path):
+    # a process claims its next group only when it is free: while the worker trains a slow group,
+    # the caller trains all the others
+    from finedrop import protocol
+
+    pools, pids = _watch_sweep_processes(monkeypatch, tmp_path)
+    logged, caller = protocol._execute_sweep_group, os.getpid()
+
+    def slow_in_a_worker(*args):
+        if os.getpid() != caller:
+            time.sleep(0.5)
+        return logged(*args)
+
+    monkeypatch.setattr(protocol, "_execute_sweep_group", slow_in_a_worker)
+    run_sweep(small_start, leave_one_out_splits(small_task)[:2], grid=[(0.02, 0.0)], recipes=["erm", "dropout90"],
+              seeds=[1, 2], base_cfg=_small_cfg(total_iterations=40), parallel=2)
+    assert pools == [1] and len(pids()) == 8
+    assert pids().count(caller) >= 7
 
 
 def test_one_group_sweep_forks_no_pool(small_task, small_start, monkeypatch, tmp_path):
