@@ -18,14 +18,15 @@ checkpoints of a hyperparameter grid (multi-run arms). `run_sweep`
 executes the full (split x grid x seed x recipe) product on one process or
 several, the calling one included. The grid points of one (split, recipe,
 seed) train in lockstep as one stacked step (`_finetune_group` over
-`_train`), and each run owns its rng streams, so results are byte-identical
-to training each run alone, whatever the process count. Every run,
+`_train`) on one feed, so each step's batch is drawn and gathered once.
+Each run keeps its own mask stream, tape node and optimizer, so results are
+byte-identical to training each run alone, whatever the process count. Every run,
 standalone or in a sweep group, is scored on the held-out environment by
 `evaluate` at its best checkpoint, in `finetune`; once its single-run arms
 are scored, a sweep record keeps only its best checkpoint. `_train` is the
 one training loop: a generator that yields the steps done at each
 checkpoint, so pretraining and fine-tuning checkpoint in their own loop
-bodies, and a run it steps is plain data (`_Run`).
+bodies, and what it steps is plain data (`_Run`, `_Feed`).
 
 Random streams are split by purpose (holdout / head init / batching /
 dropout masks) and derived only from the run seed and the split, never from
@@ -456,58 +457,72 @@ def _batches(batch_rng, n: int, batch_size: int, iterations: int):
 
 @dataclass
 class _Run:
-    """One run as `_train` steps it: its model and optimizer, its training
-    rows and labels, its batch stream and its dropout-mask stream (never
-    read at rate 0). error is the RunError that took it off the stack, if
-    one did."""
+    """One run as `_train` steps it: its model, its optimizer and its dropout-mask
+    stream (never read at rate 0). error is the RunError that took it off the stack, if one did."""
 
     model: ResidualModel
     opt: SgdOptimizer
-    x: np.ndarray
-    y: np.ndarray
-    batch_rng: np.random.Generator
     mask_rng: np.random.Generator | None = None
     error: RunError | None = None
 
 
-def _train(runs: list, iterations: int, batch_size: int, rate: float, every: int | None):
-    """The one training loop: K runs of one architecture, stepped in lockstep at one dropout rate.
+@dataclass
+class _Feed:
+    """The batches all runs of one `_train` call read: the dataset's feature and
+    label arrays, uncopied, the rows it trains on (None: all) and one batch stream."""
+
+    x: np.ndarray
+    y: np.ndarray
+    rows: np.ndarray | None
+    batch_rng: np.random.Generator
+
+    def load(self, step: StackedStep, draw: np.ndarray) -> None:
+        """Gathers the rows a `_batches` draw picks into the step's first input row, then copies it into the rest."""
+        idx = draw if self.rows is None else self.rows.take(draw)
+        self.x.take(idx, 0, step.x[0], "clip")  # mode "raise" would buffer out
+        self.y.take(idx, None, step.labels[0], "clip")
+        if len(step.x) > 1:  # an empty copy still costs about a microsecond a step
+            step.x[1:], step.labels[1:] = step.x[0], step.labels[0]
+
+
+def _train(runs: list, feed: _Feed, iterations: int, batch_size: int, rate: float, every: int | None):
+    """The one training loop: K runs of one architecture, stepped in lockstep at one dropout rate on one feed.
 
     A generator: it yields the steps done after every `every`-th step and
     after the last one (every=None yields nothing), so its caller takes
     checkpoints in its own loop body, and the caller runs it to the end.
-    Each step gathers every run's batch rows from its own stream (`_batches`,
-    blocks of indices) and draws its dropout mask from its own stream into
-    one `StackedStep`, which computes the K forwards and backwards as
-    [K, ...] arithmetic. Then, run by run, the loss enters the tape as one
-    node whose parents are the run's parameters and whose backward hands
-    back the run's row of the stacked gradients, `ad.backward` fills the
-    `.grad`s, the run's optimizer steps and its gradients are reset. So each
-    run's parameters, streams and checkpoints equal those of training it
-    alone (K = 1), bit for bit. Rows are made float64 and labels intp in
-    place on each run, once their shapes are checked. A run whose loss is
-    not finite leaves the stack with RunError at that iteration in its
-    `error`, and the others go on; the caller raises or records it.
+    Each step draws one batch from the feed (`_batches`, blocks of indices
+    into its rows), loads it into every run's row of one `StackedStep`
+    (`_Feed.load`) and draws each run's dropout mask from its own stream.
+    The step computes the K forwards and backwards as [K, ...] arithmetic.
+    Then, run by run, the loss enters the tape as one node whose parents
+    are the run's parameters and whose backward hands back the run's row of
+    the stacked gradients, `ad.backward` fills the `.grad`s, the run's
+    optimizer steps and its gradients are reset. So each run's parameters,
+    mask stream and checkpoints equal those of training it alone (K = 1) on
+    the same feed, bit for bit. The feed's features are made float64 and
+    its labels intp in place, once their shapes are checked. A run whose
+    loss is not finite leaves the stack with RunError at that iteration in
+    its `error`, and the others go on; the caller raises or records it.
     """
-    for run in runs:
-        run.x = np.ascontiguousarray(run.x, dtype=np.float64)
-        if run.x.ndim != 2 or run.x.shape[1] != run.model.input_dim:
-            raise ValidationError(f"input must be [batch, {run.model.input_dim}], got shape {run.x.shape}")
-        check_labels(np.asarray(run.y), run.x.shape[0], run.model.num_classes)
-        run.y = np.asarray(run.y).astype(np.intp, copy=False)
-    if not runs or iterations == 0:
+    model = runs[0].model
+    feed.x = np.ascontiguousarray(feed.x, dtype=np.float64)
+    if feed.x.ndim != 2 or feed.x.shape[1] != model.input_dim:
+        raise ValidationError(f"input must be [batch, {model.input_dim}], got shape {feed.x.shape}")
+    check_labels(np.asarray(feed.y), feed.x.shape[0], model.num_classes)
+    feed.y = np.asarray(feed.y).astype(np.intp, copy=False)
+    if iterations == 0:
         return
-    batches = [_batches(run.batch_rng, run.x.shape[0], batch_size, iterations) for run in runs]
+    n = feed.x.shape[0] if feed.rows is None else feed.rows.shape[0]
+    draws = _batches(feed.batch_rng, n, batch_size, iterations)
     params = [tuple(run.model.parameters()) for run in runs]
     step = StackedStep([run.model for run in runs], batch_size, rate)
-    width = runs[0].model.width
+    width = model.width
     for it in range(iterations):
-        for k, (run, rows) in enumerate(zip(runs, batches)):
-            idx = next(rows)
-            run.x.take(idx, 0, step.x[k], "clip")  # mode "raise" would buffer out
-            run.y.take(idx, None, step.labels[k], "clip")
-            if rate:
-                batch_dropout_mask(batch_size, width, rate, run.mask_rng, out=step.mask[k])
+        feed.load(step, next(draws))
+        if rate:
+            for run, mask in zip(runs, step.mask):
+                batch_dropout_mask(batch_size, width, rate, run.mask_rng, out=mask)
         losses = step.forward()
         if not np.isfinite(losses).all():
             for run, loss in zip(runs, losses):
@@ -516,7 +531,7 @@ def _train(runs: list, iterations: int, batch_size: int, rate: float, every: int
             keep = [k for k, run in enumerate(runs) if run.error is None]
             if not keep:
                 return
-            runs, batches, params = ([items[k] for k in keep] for items in (runs, batches, params))
+            runs, params = [runs[k] for k in keep], [params[k] for k in keep]
             step = step.rows(keep)
             losses = step.forward()
         step.backward()
@@ -571,8 +586,8 @@ def pretrain_trajectory(
     probe = slice(0, _PROBE_ROWS)
     trace: list[tuple[int, float]] = []
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=[_STREAM_ROOT, int(seed), 0xB00]))
-    run = _Run(model, opt, corpus.features, corpus.labels, batch_rng)
-    for done in _train([run], opt_cfg.iterations, opt_cfg.batch_size, 0.0, snapshot_every):
+    run, feed = _Run(model, opt), _Feed(corpus.features, corpus.labels, None, batch_rng)
+    for done in _train([run], feed, opt_cfg.iterations, opt_cfg.batch_size, 0.0, snapshot_every):
         if done % snapshot_every == 0:  # the last step is not a snapshot point
             trace.append((done, evaluate(model, corpus.features[probe], corpus.labels[probe])))
     if run.error is not None:
@@ -597,33 +612,40 @@ class _FineTune:
 
 def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list) -> list[_FineTune]:
     """Fine-tunes from start on split under configs that differ at most in
-    lr, weight decay and run id, trained in lockstep by one `_train` on the
-    training rows of split_holdout(split, seed) at their common seed and
-    checkpointed at the configs' interval on its validation rows. A run
-    whose loss went non-finite keeps the trail it had and its error; at zero
-    iterations the fresh head is the only checkpoint."""
-    ds, (train_idx, val_idx) = split.dataset, split_holdout(split, cfgs[0].seed)
-    x_train, y_train = ds.features[train_idx], ds.labels[train_idx]
+    lr, weight decay and run id (else ValidationError, naming the field),
+    trained in lockstep by one `_train` on one feed, the training rows and
+    batch stream of split_holdout(split, seed) at their common seed, and
+    checkpointed at their interval on its validation rows. A run whose loss
+    went non-finite keeps the trail it had and its error; at zero iterations
+    the fresh head is the only checkpoint."""
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        for name, value in vars(other).items():
+            if name not in ("lr", "weight_decay", "run_id") and value != getattr(cfg, name):
+                raise ValidationError(f"a fine-tune group's configs must share {name}: got {getattr(cfg, name)!r} "
+                                      f"and {value!r}")
+    ds, (train_idx, val_idx) = split.dataset, split_holdout(split, cfg.seed)
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
+    streams = _streams(cfg.seed, split.test_env)
+    feed = _Feed(ds.features, ds.labels, train_idx, streams["batch"])
     group = []
-    for cfg in cfgs:
+    for member in cfgs:
         model = model_from_checkpoint(start)
         if model.input_dim != ds.n_features:
             raise ValidationError(
                 f"checkpoint expects {model.input_dim} input features, dataset has {ds.n_features}"
             )
-        streams = _streams(cfg.seed, split.test_env)
         model = reinit_head(model, ds.num_classes, streams["head_seed"])
         groups = {"head": model.head_parameters()}
-        multipliers = {"head": cfg.head_lr_mult}
-        if not cfg.freeze_trunk:
+        multipliers = {"head": member.head_lr_mult}
+        if not member.freeze_trunk:
             groups["trunk"] = model.trunk_parameters()
             multipliers["trunk"] = 1.0
-        opt = SgdOptimizer(groups, lr=cfg.lr, total_iterations=cfg.total_iterations,
-                           weight_decay=cfg.weight_decay, group_multipliers=multipliers)
-        run = _Run(model, opt, x_train, y_train, streams["batch"], streams["mask"])
-        group.append(_FineTune(cfg, run, cfg.run_id or f"ft-env{split.test_env}-seed{cfg.seed}", val_idx, [],
-                               np.zeros((y_val.shape[0], model.num_classes))))
+        opt = SgdOptimizer(groups, lr=member.lr, total_iterations=member.total_iterations,
+                           weight_decay=member.weight_decay, group_multipliers=multipliers)
+        run = _Run(model, opt, _streams(member.seed, split.test_env)["mask"])
+        group.append(_FineTune(member, run, member.run_id or f"ft-env{split.test_env}-seed{member.seed}", val_idx,
+                               [], np.zeros((y_val.shape[0], model.num_classes))))
 
     def checkpoint(done: int) -> None:
         for ft in group:
@@ -633,8 +655,7 @@ def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list) -> list[_Fin
                 ft.trail.append(point)
                 np.add(ft.holdout_sum, probs, out=ft.holdout_sum)
 
-    cfg = cfgs[0]
-    for done in _train([ft.run for ft in group], cfg.total_iterations, cfg.batch_size, cfg.dropout_rate,
+    for done in _train([ft.run for ft in group], feed, cfg.total_iterations, cfg.batch_size, cfg.dropout_rate,
                        cfg.effective_interval()):
         checkpoint(done)
     if cfg.total_iterations == 0:

@@ -17,7 +17,8 @@ def test_kernel_timing_prints_every_measurement():
     by_measure = {}
     for line in lines:
         by_measure.setdefault(line.pop("measure"), []).append(line)
-    assert sorted(by_measure) == ["class_max_sum", "load_dataset", "predict_proba", "run_tail", "stacked_step"]
+    assert sorted(by_measure) == ["class_max_sum", "feed", "load_dataset", "predict_proba", "run_tail",
+                                  "stacked_step"]
     assert [(m["classes"], m["rows"]) for m in by_measure["predict_proba"]] == [
         (2, 1200), (2, 2000), (8, 1200), (8, 2000)]
     assert [(m["classes"], m["how"]) for m in by_measure["class_max_sum"]] == [
@@ -25,6 +26,7 @@ def test_kernel_timing_prints_every_measurement():
     assert [(m["k"], m["rate"]) for m in by_measure["stacked_step"]] == [
         (k, rate) for k in (1, 6, 12) for rate in (0.0, 0.9)]
     assert [m["part"] for m in by_measure["run_tail"]] == ["tape_node", "sgd_step", "dropout_mask"]
+    assert [(m["k"], m["rows"]) for m in by_measure["feed"]] == [(6, 4800)]
     [load] = by_measure["load_dataset"]
     assert load["rows"] == 50_000
     assert 7.6 < load["peak_mib"] < 100, load  # at least the returned arrays, 50,000 x 20 float64 and int64

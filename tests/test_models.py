@@ -603,10 +603,9 @@ def test_fused_forward_validates_input_shape():
     detached.head_b.data = np.zeros(2)
     with pytest.raises(UsageError, match="head_b"):
         StackedStep([detached], 3)
-    run = protocol._Run(model, _sgd(model), np.ones((3, 7)), np.zeros(3, dtype=np.int64),
-                        np.random.default_rng(0))
+    feed = protocol._Feed(np.ones((3, 7)), np.zeros(3, dtype=np.int64), None, np.random.default_rng(0))
     with pytest.raises(ValidationError, match=r"input must be \[batch, 4\]"):
-        list(protocol._train([run], 2, 3, 0.0, None))
+        list(protocol._train([protocol._Run(model, _sgd(model))], feed, 2, 3, 0.0, None))
 
 
 @pytest.mark.parametrize("labels", [

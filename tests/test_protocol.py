@@ -236,11 +236,14 @@ def test_train_yields_its_checkpoint_steps():
         model = new_residual_model(4, 6, 1, 2, seed=5)
         opt = SgdOptimizer({"trunk": model.trunk_parameters(), "head": model.head_parameters()}, lr=0.05,
                            total_iterations=10)
-        return protocol._Run(model, opt, x, y, np.random.default_rng(6))
+        return protocol._Run(model, opt)
+
+    def feed():
+        return protocol._Feed(x, y, None, np.random.default_rng(6))
 
     yielded, silent = run(), run()
-    assert list(protocol._train([yielded], 10, 3, 0.0, 4)) == [4, 8, 10]
-    assert list(protocol._train([silent], 10, 3, 0.0, None)) == []
+    assert list(protocol._train([yielded], feed(), 10, 3, 0.0, 4)) == [4, 8, 10]
+    assert list(protocol._train([silent], feed(), 10, 3, 0.0, None)) == []
     assert yielded.opt.iteration == silent.opt.iteration == 10
     assert yielded.model.params.tobytes() == silent.model.params.tobytes()
 
@@ -825,6 +828,50 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
     for i in (0, 2):
         solo = finetune(small_start, split, cfgs[i])
         _assert_grouped_equals_solo(group[i], records[i], solo, split, holdout)
+
+
+@pytest.mark.parametrize("field, values", [("seed", (1, 2)), ("dropout_rate", (0.0, 0.9))])
+def test_finetune_group_refuses_configs_that_differ_beyond_lr_wd_and_run_id(small_task, small_start, field, values):
+    # the group trains every member on one feed at the first config's seed,
+    # rate, batch size and schedule, so a member that differs there is refused
+    from finedrop import protocol
+
+    split = leave_one_out_splits(small_task)[0]
+    cfgs = [_small_cfg(lr=0.01 * (i + 1), weight_decay=1e-4 * i, run_id=f"g{i}", **{field: value})
+            for i, value in enumerate(values)]
+    with pytest.raises(ValidationError, match=f"must share {field}: got {values[0]!r} and {values[1]!r}"):
+        protocol._finetune_group(small_start, split, cfgs)
+
+
+def test_finetune_group_feeds_its_runs_from_the_dataset_rows_uncopied(monkeypatch):
+    # K = 3 runs read the dataset's own arrays through one batch stream: the
+    # group allocates less than one copy of its training rows, and opens one
+    # `_batches` stream for all three
+    import tracemalloc
+
+    from finedrop import protocol
+
+    task = gen_multienv_task(3, 4, 2, 1.0, n_per_env=20_000, seed=7, n_inert=10)
+    split = leave_one_out_splits(task)[2]
+    train_idx, _ = split_holdout(split, 1)
+    start = checkpoint_from_model(new_residual_model(task.n_features, 8, 1, 2, seed=0), 0, "start")
+    cfgs = [_small_cfg(dropout_rate=0.9, lr=lr, run_id=f"g{i}") for i, lr in enumerate((0.02, 0.01, 0.005))]
+    streams, batches = [], protocol._batches
+
+    def counted(*args):
+        streams.append(args[1:])
+        return batches(*args)
+
+    monkeypatch.setattr(protocol, "_batches", counted)
+    tracemalloc.start()
+    try:
+        group = protocol._finetune_group(start, split, cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(ft.trail) for ft in group] == [3, 3, 3]
+    assert streams == [(len(train_idx), cfgs[0].batch_size, cfgs[0].total_iterations)]
+    assert peak < len(train_idx) * task.n_features * 8, (peak, len(train_idx) * task.n_features * 8)
 
 
 @pytest.mark.parametrize("parallel", [1, 2])

@@ -21,6 +21,10 @@ different times compare:
   stacked step at that shape, each run-step: the tape node (`make_node` +
   `backward` + `reset_grads`), the `SgdOptimizer.step` of a fine-tune's
   optimizer, and one `batch_dropout_mask` draw at rate 0.9;
+- `feed`: us per group step for the batch `protocol._Feed.load` hands a
+  K = 6 group at that shape: one index draw (`_batches`, amortized over its
+  blocks), mapped through 4,800 training rows of an 8,000-row dataset (a
+  sweep split's), one row gather, and the copy into the other five rows;
 - `load_dataset`: ms to load the 50,000-row rich pretraining corpus, saved
   once to a temporary directory, and `peak_mib`, tracemalloc's peak during
   one more load.
@@ -46,6 +50,7 @@ import numpy as np  # noqa: E402
 from finedrop import autodiff as ad  # noqa: E402
 from finedrop import datasets  # noqa: E402
 from finedrop import models  # noqa: E402
+from finedrop import protocol  # noqa: E402
 from finedrop.optim import SgdOptimizer  # noqa: E402
 from finedrop.regularizers import batch_dropout_mask  # noqa: E402
 from sysinfo import slowdown  # noqa: E402
@@ -116,6 +121,7 @@ def main(argv=None) -> int:
             seconds, contention = timed(lambda: (step.forward(), step.backward()), 100)
             emit("us", seconds * 1e6, contention, 1, measure="stacked_step", k=k, rate=rate)
     run_tail(rng, timed)
+    feed_timing(rng, timed)
     load_timing(timed)
     return 0
 
@@ -144,6 +150,17 @@ def run_tail(rng, timed: Timer) -> None:
     mask = timed(lambda: batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0]), 1000)
     for part, (seconds, contention) in (("tape_node", tape), ("sgd_step", sgd), ("dropout_mask", mask)):
         emit("us", seconds * 1e6, contention, 2, measure="run_tail", part=part)
+
+
+def feed_timing(rng, timed: Timer) -> None:
+    """The `feed` line: one group step's batch at K = 6, as `_train` loads it."""
+    x, y = rng.normal(size=(8000, INPUT)), rng.integers(0, 2, size=8000)
+    feed = protocol._Feed(x, y, rng.permutation(8000)[:4800], np.random.default_rng(0))
+    group = [models.new_residual_model(INPUT, WIDTH, DEPTH, 2, seed=i) for i in range(6)]
+    step = models.StackedStep(group, BATCH)
+    draws = protocol._batches(feed.batch_rng, len(feed.rows), BATCH, 10**9)  # longer than every timed loop
+    seconds, contention = timed(lambda: feed.load(step, next(draws)), 1000)
+    emit("us", seconds * 1e6, contention, 2, measure="feed", k=len(group), rows=len(feed.rows))
 
 
 def load_timing(timed: Timer) -> None:
