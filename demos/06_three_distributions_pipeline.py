@@ -9,14 +9,7 @@ average and checkpoint ensemble, and very-large-dropout fine-tuning.
 
 from finedrop.datasets import (N_CORE, N_GIVEAWAY, N_SPURIOUS, gen_multienv_task, gen_pretrain_corpus,
                                leave_one_out_splits)
-from finedrop.protocol import (
-    FineTuneConfig,
-    OptimizerSettings,
-    build_variants,
-    evaluate,
-    finetune,
-    pretrain,
-)
+from finedrop.protocol import FineTuneConfig, OptimizerSettings, pretrain, run_sweep
 
 # the corpus's feature layout, its giveaway columns inert here
 task = gen_multienv_task(4, N_CORE, N_SPURIOUS, spurious_flip_per_env=1.0, n_per_env=2000,
@@ -30,17 +23,15 @@ trunk = pretrain({"width": 16, "depth": 2, "block_hidden": 16, "input_dim": corp
                                            iterations=3000, batch_size=64), seed=2)
 print(f"pretrained trunk: {trunk.provenance}, {trunk.params.size} parameters")
 
-x_test, y_test = task.env_arrays(split.test_env)
 rows = []
-for name, rate in (("erm", 0.0), ("dropout90", 0.9)):
-    cfg = FineTuneConfig(dropout_rate=rate, lr=1e-3, weight_decay=1e-4,
-                         total_iterations=1000, batch_size=32, seed=2)
-    rec = finetune(trunk, split, cfg)
+for name in ("erm", "dropout90"):
+    # a one-run sweep: one fine-tune at lr 1e-3, wd 1e-4 and seed 2, with its single-run arms
+    (rec,) = run_sweep(trunk, [split], [(1e-3, 1e-4)], [name], [2],
+                       base_cfg=FineTuneConfig(total_iterations=1000, batch_size=32)).runs
     rows.append((name, rec.best_iid_val_acc, rec.ood_acc))
     if name == "erm":
-        arms = build_variants(p.checkpoint for p in rec.trail)  # the run's single-run arms
-        for arm_name, arm in sorted(arms.items()):
-            rows.append((f"{arm_name}_single", None, evaluate(arm, x_test, y_test)))
+        for arm_name, scores in sorted(rec.variants.items()):
+            rows.append((arm_name, None, scores["ood"]))
 
 print(f"\n{'arm':>16} {'iid':>7} {'ood':>7}")
 for name, iid, ood in rows:

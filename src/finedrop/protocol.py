@@ -8,13 +8,14 @@ multiplier only through a headlrN token, and otherwise the base config's
 multiplier is kept. `Recipe` is the one place that parses and formats
 these names. Fine-tuning always reinitializes the head, trains on the
 union of the split's training environments minus a held-out iid
-validation fraction, collects a checkpoint trail, retains the best-iid
-checkpoint (ties go to the earliest, so training is never silently
+validation fraction, records each checkpoint's iid accuracy, keeps only the
+best-iid checkpoint (ties go to the earliest, so training is never silently
 extended), and reports eval-mode accuracy on the held-out environment.
 
-Each comparison arm is the weight average or the ensemble of a list of
-member checkpoints: one run's trail (single-run arms) or the best
-checkpoints of a hyperparameter grid (multi-run arms). `run_sweep`
+Each comparison arm is the weight average or the ensemble of some member
+checkpoints: one run's trail (single-run arms, scored from sums a sweep
+group adds each checkpoint into as it is taken) or the best checkpoints of
+a hyperparameter grid (multi-run arms). `run_sweep`
 executes the full (split x grid x seed x recipe) product on one process or
 several, the calling one included. The grid points of one (split, recipe,
 seed) train in lockstep as one stacked step (`_finetune_group` over
@@ -22,8 +23,7 @@ seed) train in lockstep as one stacked step (`_finetune_group` over
 Each run keeps its own mask stream, tape node and optimizer, so results are
 byte-identical to training each run alone, whatever the process count. Every run,
 standalone or in a sweep group, is scored on the held-out environment by
-`evaluate` at its best checkpoint, in `finetune`; once its single-run arms
-are scored, a sweep record keeps only its best checkpoint. `_train` is the
+`evaluate` at its best checkpoint, in `finetune`. `_train` is the
 one training loop: a generator that yields the steps done at each
 checkpoint, so pretraining and fine-tuning checkpoint in their own loop
 bodies, and what it steps is plain data (`_Run`, `_Feed`).
@@ -232,7 +232,7 @@ class Recipe:
 
 @dataclass
 class TrailPoint:
-    """One checkpoint of a fine-tune (None, unless best, in a sweep record) and its iid holdout accuracy."""
+    """One checkpoint of a fine-tune (None unless it is the run's best) and its iid holdout accuracy."""
 
     checkpoint: Checkpoint | None
     iteration: int
@@ -241,7 +241,7 @@ class TrailPoint:
 
 @dataclass
 class RunRecord:
-    """One fine-tune's JSON line and trail; a `run_sweep` record keeps only its best checkpoint."""
+    """One fine-tune's JSON line and trail, whose best point holds the record's only checkpoint."""
 
     config: FineTuneConfig
     recipe: str
@@ -410,26 +410,19 @@ def weight_average(checkpoints) -> ResidualModel:
     return model_from_checkpoint(Checkpoint(mean, checkpoints[0].manifest, 0, "weight_average"))
 
 
-def _member_probs(model, checkpoints, features: np.ndarray):
-    """Each member checkpoint's class probabilities for features, one at a
-    time, predicted through `model`, whose vector each member's is copied into in turn."""
-    for ckpt in checkpoints:
-        model.params[...] = ckpt.params
-        yield model.predict_proba(features)
-
-
 def build_variants(checkpoints) -> dict:
     """{"wa", "ensemble"}: the members' weight average and their ensemble, as
     models; `_score_arms` scores the same arms from the same member list.
 
-    The members are a standalone `finetune` record's trail (single-run arms)
-    or a grid's best checkpoints (multi-run arms). A None member is refused
-    by its index: a sweep record keeps only its best checkpoint.
+    The members are, say, a grid's best checkpoints (multi-run arms). A
+    record's trail is not a member list: it keeps only its best checkpoint,
+    so a None member is refused by its index. A run's single-run arms are
+    its sweep record's `variants`.
     """
     checkpoints = list(checkpoints)
     for index, ckpt in enumerate(checkpoints):
         if ckpt is None:
-            raise ValidationError(f"member {index} is None: a sweep record keeps only its best checkpoint")
+            raise ValidationError(f"member {index} is None: a record keeps only its best checkpoint")
     return {
         "wa": weight_average(checkpoints),
         "ensemble": EnsemblePredictor([model_from_checkpoint(c) for c in checkpoints]),
@@ -598,24 +591,30 @@ def pretrain_trajectory(
 @dataclass
 class _FineTune:
     """A fine-tune as `_finetune_group` leaves it: its config, the `_Run`
-    `_train` stepped, its run id, its holdout rows (val_idx), its checkpoint
-    trail and the sum of the trail's holdout class probabilities, summed as
-    `_score_arms` sums its members."""
+    `_train` stepped, its run id, its holdout rows (val_idx), its trail, whose
+    point best_index (the first of highest accuracy) holds its only checkpoint,
+    and zero-started sums over the trail of the holdout class probabilities and,
+    with arms, of the parameter vectors and the held-out environment's probabilities."""
 
     cfg: FineTuneConfig
     run: _Run
     run_id: str
     val_idx: np.ndarray
     trail: list[TrailPoint]
+    best_index: int
     holdout_sum: np.ndarray
+    param_sum: np.ndarray | None
+    test_sum: np.ndarray | None
 
 
-def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list) -> list[_FineTune]:
+def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list, arms: bool = False) -> list[_FineTune]:
     """Fine-tunes from start on split under configs that differ at most in
     lr, weight decay and run id (else ValidationError, naming the field),
     trained in lockstep by one `_train` on one feed, the training rows and
     batch stream of split_holdout(split, seed) at their common seed, and
-    checkpointed at their interval on its validation rows. A run whose loss
+    checkpointed at their interval on its validation rows. A checkpoint's
+    parameters are copied only while it is its run's best; with arms, each
+    is also added into the run's param_sum and test_sum. A run whose loss
     went non-finite keeps the trail it had and its error; at zero iterations
     the fresh head is the only checkpoint."""
     cfg = cfgs[0]
@@ -626,6 +625,7 @@ def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list) -> list[_Fin
                                       f"and {value!r}")
     ds, (train_idx, val_idx) = split.dataset, split_holdout(split, cfg.seed)
     x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
+    x_test = ds.env_arrays(split.test_env)[0] if arms else None
     streams = _streams(cfg.seed, split.test_env)
     feed = _Feed(ds.features, ds.labels, train_idx, streams["batch"])
     group = []
@@ -645,15 +645,25 @@ def _finetune_group(start: Checkpoint, split: EnvSplit, cfgs: list) -> list[_Fin
                            weight_decay=member.weight_decay, group_multipliers=multipliers)
         run = _Run(model, opt, _streams(member.seed, split.test_env)["mask"])
         group.append(_FineTune(member, run, member.run_id or f"ft-env{split.test_env}-seed{member.seed}", val_idx,
-                               [], np.zeros((y_val.shape[0], model.num_classes))))
+                               [], 0, np.zeros((y_val.shape[0], model.num_classes)),
+                               np.zeros_like(model.params) if arms else None,
+                               np.zeros((x_test.shape[0], model.num_classes)) if arms else None))
 
     def checkpoint(done: int) -> None:
         for ft in group:
             if ft.run.error is None:
-                probs = ft.run.model.predict_proba(x_val)
-                point = TrailPoint(checkpoint_from_model(ft.run.model, done, ft.run_id), done, _accuracy(probs, y_val))
+                model = ft.run.model
+                probs = model.predict_proba(x_val)
+                point = TrailPoint(None, done, _accuracy(probs, y_val))
                 ft.trail.append(point)
+                best = ft.trail[ft.best_index]
+                if best.checkpoint is None or point.iid_val_acc > best.iid_val_acc:  # ties keep the earliest
+                    best.checkpoint, ft.best_index = None, len(ft.trail) - 1
+                    point.checkpoint = checkpoint_from_model(model, done, ft.run_id)
                 np.add(ft.holdout_sum, probs, out=ft.holdout_sum)
+                if arms:
+                    np.add(ft.param_sum, model.params, out=ft.param_sum)
+                    np.add(ft.test_sum, model.predict_proba(x_test), out=ft.test_sum)
 
     for done in _train([ft.run for ft in group], feed, cfg.total_iterations, cfg.batch_size, cfg.dropout_rate,
                        cfg.effective_interval()):
@@ -672,6 +682,8 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig,
     cfg.seed), applies inverted dropout to the penultimate representation in
     train mode only, checkpoints at the configured interval, and evaluates
     the best-iid checkpoint on the held out environment with dropout off.
+    Its trail keeps the parameters of the best checkpoint only; a sweep
+    scores single-run arms (`RunRecord.variants`).
 
     trained is this run already trained by `_finetune_group` in lockstep
     with the other grid points of its sweep group (`_execute_sweep_group`):
@@ -685,12 +697,10 @@ def finetune(start: Checkpoint, split: EnvSplit, cfg: FineTuneConfig,
         (ft,) = _finetune_group(start, split, [cfg])
     if ft.run.error is not None:
         raise ft.run.error
-    trail = ft.trail
-    best_index = int(np.argmax([p.iid_val_acc for p in trail]))  # earliest checkpoint wins ties
     model = ft.run.model
-    model.params[...] = trail[best_index].checkpoint.params
+    model.params[...] = ft.trail[ft.best_index].checkpoint.params
     return RunRecord(cfg, recipe="", split_index=-1, test_env=split.test_env, train_envs=split.train_envs,
-                     grid_index=-1, seed=cfg.seed, trail=trail, best_index=best_index,
+                     grid_index=-1, seed=cfg.seed, trail=ft.trail, best_index=ft.best_index,
                      ood_acc=evaluate(model, *split.dataset.env_arrays(split.test_env)), run_id=ft.run_id)
 
 
@@ -755,36 +765,38 @@ def _replacing(path):
         raise
 
 
-def _score_arms(checkpoints: list, val_mean: np.ndarray | None, split: EnvSplit, val_idx: np.ndarray) -> dict:
-    """{"wa", "ensemble"}: {"iid": holdout accuracy, "ood": held-out environment
-    accuracy} of the members' weight average and of their ensemble.
+def _score_arms(checkpoints: list, split: EnvSplit, val_idx: np.ndarray) -> dict:
+    """`_arm_scores` of the members' weight average and ensemble (multi-run arms).
 
-    val_mean is the mean of the members' holdout probabilities, or None to
-    predict it here. One model makes every prediction, holding each member's
-    vector in turn and then their mean. The members' probabilities are
-    summed as they come, from zero and in member order, and divided by
-    their count: the bits of the `np.stack(...).mean(axis=0)` that
-    ensemble_predict takes, which adds the stacked arrays one after another
-    (probabilities are never -0.0, so the zero start changes no bit). So
-    the scores equal those of build_variants' arms.
+    One model makes every prediction, holding each member's vector in turn
+    and then their mean. The members' probabilities are summed as they
+    come, from zero and in member order, and divided by their count: the
+    bits of the `np.stack(...).mean(axis=0)` that ensemble_predict takes,
+    which adds the stacked arrays one after another (probabilities are
+    never -0.0, so the zero start changes no bit). So the scores equal
+    those of build_variants' arms.
     """
     ds = split.dataset
-    x_val, y_val = ds.features[val_idx], ds.labels[val_idx]
-    x_test, y_test = ds.env_arrays(split.test_env)
+    val, test = (ds.features[val_idx], ds.labels[val_idx]), ds.env_arrays(split.test_env)
     mean = _mean_params(checkpoints)  # first: it refuses members of another architecture
     model = model_from_checkpoint(checkpoints[0])
-    if val_mean is None:
-        val_mean = np.zeros((x_val.shape[0], model.num_classes))
-        for probs in _member_probs(model, checkpoints, x_val):
-            val_mean += probs
-        val_mean /= len(checkpoints)
-    test_sum = np.zeros((x_test.shape[0], model.num_classes))
-    for probs in _member_probs(model, checkpoints, x_test):
-        test_sum += probs
+    means = []
+    for x, _ in (val, test):
+        total = np.zeros((x.shape[0], model.num_classes))
+        for ckpt in checkpoints:
+            model.params[...] = ckpt.params
+            total += model.predict_proba(x)
+        means.append(total / len(checkpoints))
     model.params[...] = mean
+    return _arm_scores(model, *means, val, test)
+
+
+def _arm_scores(wa_model, val_mean: np.ndarray, test_mean: np.ndarray, val: tuple, test: tuple) -> dict:
+    """{"wa", "ensemble"}: accuracy on the holdout's (features, labels) val ("iid") and the held-out
+    environment's test ("ood") of wa_model and of the ensemble with those mean probabilities."""
     return {
-        "wa": {"iid": evaluate(model, x_val, y_val), "ood": evaluate(model, x_test, y_test)},
-        "ensemble": {"iid": _accuracy(val_mean, y_val), "ood": _accuracy(test_sum / len(checkpoints), y_test)},
+        "wa": {"iid": evaluate(wa_model, *val), "ood": evaluate(wa_model, *test)},
+        "ensemble": {"iid": _accuracy(val_mean, val[1]), "ood": _accuracy(test_mean, test[1])},
     }
 
 
@@ -794,13 +806,16 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
     seed), trained in lockstep, in grid order.
 
     Each member's record is its `finetune(..., trained=...)`, scored as a
-    standalone run is; its single-run arms are scored from its own trail on
-    its holdout, then it keeps only its best checkpoint. A member whose loss
+    standalone run is. Its single-run arms are scored from the sums its
+    group added its n trail checkpoints into, divided by n: the bits of
+    build_variants' arms over the trail, as `_mean_params`' np.mean adds the
+    stacked vectors one after another from +0.0 too. A member whose loss
     went non-finite gets a failed record with the iteration a solo run
     would have stopped at.
     """
-    records = []
-    for grid_index, (cfg, ft) in enumerate(zip(cfgs, _finetune_group(start, split, cfgs))):
+    ds, records = split.dataset, []
+    test = ds.env_arrays(split.test_env)
+    for grid_index, (cfg, ft) in enumerate(zip(cfgs, _finetune_group(start, split, cfgs, arms=True))):
         try:
             record = finetune(start, split, cfg, trained=ft)
         except RunError as exc:
@@ -810,9 +825,11 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
                                      run_id=cfg.run_id))
             continue
         record.recipe, record.split_index, record.grid_index = recipe, split_index, grid_index
-        arms = _score_arms([p.checkpoint for p in ft.trail], ft.holdout_sum / len(ft.trail), split, ft.val_idx)
+        n, model = len(ft.trail), ft.run.model
+        model.params[...] = ft.param_sum / n
+        arms = _arm_scores(model, ft.holdout_sum / n, ft.test_sum / n,
+                           (ds.features[ft.val_idx], ds.labels[ft.val_idx]), test)
         record.variants = {"wa_single": arms["wa"], "ensemble_single": arms["ensemble"]}
-        record.trail = [p if i == record.best_index else replace(p, checkpoint=None) for i, p in enumerate(ft.trail)]
         records.append(record)
     return records
 
@@ -1012,7 +1029,7 @@ def _summarize(runs, splits, grid, recipes, seeds, start, pool_seeds) -> SweepRe
                     members = [r for r in ok if r.split_index == split_index and r.seed in group]
                     if len(members) < 2:
                         continue
-                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], None, split,
+                    per_split[tag] = _score_arms([r.best.checkpoint for r in members], split,
                                                  split_holdout(split, group[0])[1])
 
     meta = {

@@ -36,11 +36,10 @@ from finedrop.models import (
 from finedrop.protocol import (
     FineTuneConfig,
     OptimizerSettings,
-    build_variants,
     ensemble_predict,
-    evaluate,
     finetune,
     pretrain,
+    run_sweep,
     weight_average,
 )
 from finedrop.regularizers import (
@@ -251,20 +250,17 @@ def test_criterion_06_gradient_starvation_direction():
     for seed in range(10):
         ds = _starvation_dataset(100 + seed, missing)
         split = EnvSplit(ds, (0,), 1)
-        for name, rate in (("erm", 0.0), ("dropout", 0.9)):
-            cfg = FineTuneConfig(dropout_rate=rate, lr=0.01, weight_decay=0.0,
-                                 total_iterations=1000, batch_size=32, seed=seed,
-                                 freeze_trunk=True)
-            record = finetune(start, split, cfg)
+        for name, recipe in (("erm", "erm"), ("dropout", "dropout90")):
+            cfg = FineTuneConfig(total_iterations=1000, batch_size=32, freeze_trunk=True)
+            # a one-run sweep: the fine-tune at lr 0.01, wd 0 and this seed, with its single-run arms
+            (record,) = run_sweep(start, [split], [(0.01, 0.0)], [recipe], [seed], base_cfg=cfg).runs
             best = model_from_checkpoint(record.best.checkpoint)
             w = best.head_w.data
             entropy[name].append(normalized_entropy(np.abs(w[:, 1] - w[:, 0])))
             ood[name].append(record.ood_acc)
             if name == "erm":
-                arms = build_variants([p.checkpoint for p in record.trail])  # single-run arms
-                x_t, y_t = ds.env_arrays(1)
-                ood["wa"].append(evaluate(arms["wa"], x_t, y_t))
-                ood["ensemble"].append(evaluate(arms["ensemble"], x_t, y_t))
+                ood["wa"].append(record.variants["wa_single"]["ood"])
+                ood["ensemble"].append(record.variants["ensemble_single"]["ood"])
 
     wins = sum(d > e for d, e in zip(entropy["dropout"], entropy["erm"]))
     ties = sum(d == e for d, e in zip(entropy["dropout"], entropy["erm"]))

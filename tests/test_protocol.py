@@ -11,6 +11,7 @@ from finedrop import autodiff as ad
 from finedrop.datasets import EnvDataset, EnvSplit, gen_multienv_task, gen_pretrain_corpus, leave_one_out_splits
 from finedrop.errors import RunError, ValidationError
 from finedrop.models import (
+    Checkpoint,
     checkpoint_from_model,
     forward,
     model_from_checkpoint,
@@ -53,6 +54,35 @@ def _small_cfg(**kw):
                 batch_size=16, checkpoint_interval=20, seed=1)
     base.update(kw)
     return FineTuneConfig(**base)
+
+
+@pytest.fixture
+def trail_copies(monkeypatch):
+    """Wraps `protocol._train` to copy every checkpoint it yields: the list
+    holds, per `_train` call, each run's checkpoints in trail order.
+
+    A record keeps only its best checkpoint, so the tests that check whole
+    trails, or build single-run arms from them, read the copies.
+    """
+    from finedrop import protocol
+
+    calls, real = [], protocol._train
+
+    def train(runs, feed, *args):
+        trails = [[] for _ in runs]
+        calls.append(trails)
+        for done in real(runs, feed, *args):
+            for run, trail in zip(runs, trails):
+                if run.error is None:
+                    trail.append(checkpoint_from_model(run.model, done, "copy"))
+            yield done
+
+    monkeypatch.setattr(protocol, "_train", train)
+    return calls
+
+
+def _trail_bytes(checkpoints):
+    return [c.params.tobytes() for c in checkpoints]
 
 
 def test_recipe_parse_variants():
@@ -152,10 +182,11 @@ def test_holdout_refuses_one_row_envs():
         split_holdout(_tiny_split(1), seed=0)
 
 
-def test_finetune_rate_zero_bit_equals_manual_erm_loop(small_task, small_start):
+def test_finetune_rate_zero_bit_equals_manual_erm_loop(small_task, small_start, trail_copies):
     split = leave_one_out_splits(small_task)[0]
     cfg = _small_cfg(dropout_rate=0.0)
     record = finetune(small_start, split, cfg)
+    ((trail,),) = trail_copies
 
     # independent re-implementation with no dropout machinery at all
     streams = _streams(cfg.seed, split.test_env)
@@ -180,7 +211,8 @@ def test_finetune_rate_zero_bit_equals_manual_erm_loop(small_task, small_start):
         opt.step()
         ad.reset_grads(model.parameters())
 
-    np.testing.assert_array_equal(record.trail[-1].checkpoint.params, model.params)
+    np.testing.assert_array_equal(trail[-1].params, model.params)
+    np.testing.assert_array_equal(record.best.checkpoint.params, trail[record.best_index].params)
 
 
 def test_finetune_zero_iterations_evaluates_fresh_head(small_task, small_start):
@@ -191,13 +223,14 @@ def test_finetune_zero_iterations_evaluates_fresh_head(small_task, small_start):
     assert 0.0 <= record.ood_acc <= 1.0
 
 
-def test_finetune_is_deterministic(small_task, small_start):
+def test_finetune_is_deterministic(small_task, small_start, trail_copies):
     split = leave_one_out_splits(small_task)[1]
     r1 = finetune(small_start, split, _small_cfg(dropout_rate=0.9))
     r2 = finetune(small_start, split, _small_cfg(dropout_rate=0.9))
     assert r1.ood_acc == r2.ood_acc
-    for p1, p2 in zip(r1.trail, r2.trail):
-        np.testing.assert_array_equal(p1.checkpoint.params, p2.checkpoint.params)
+    ((t1,), (t2,)) = trail_copies
+    assert len(t1) == 3 and _trail_bytes(t1) == _trail_bytes(t2)
+    np.testing.assert_array_equal(r1.best.checkpoint.params, r2.best.checkpoint.params)
 
 
 def test_finetune_trail_and_early_stop_tie_rule(small_task, small_start):
@@ -206,6 +239,28 @@ def test_finetune_trail_and_early_stop_tie_rule(small_task, small_start):
     assert [p.iteration for p in record.trail] == [20, 40, 60]
     accs = [p.iid_val_acc for p in record.trail]
     assert record.best_index == int(np.argmax(accs))  # earliest max
+
+
+def test_finetune_record_holds_one_checkpoint_and_allocates_less_than_half_its_trail():
+    # a fine-tune copies a checkpoint's parameters only while it is the best
+    # so far: its record holds one checkpoint, and its allocations stay far
+    # below the copies of a whole trail
+    import tracemalloc
+
+    task = gen_multienv_task(3, 4, 2, 1.0, n_per_env=100, seed=7, n_inert=0)
+    split = leave_one_out_splits(task)[0]
+    start = checkpoint_from_model(new_residual_model(task.n_features, 64, 2, 2, seed=0), 0, "start")
+    cfg = _small_cfg(total_iterations=64, checkpoint_interval=2, batch_size=8)
+    tracemalloc.start()
+    try:
+        record = finetune(start, split, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(record.trail) == 32
+    assert [i for i, p in enumerate(record.trail) if p.checkpoint is not None] == [record.best_index]
+    trail_bytes = len(record.trail) * start.params.size * 8
+    assert peak < trail_bytes / 2, (peak, trail_bytes)
 
 
 @pytest.mark.parametrize("block", [None, 7], ids=["default_block", "block_of_7_steps"])
@@ -338,6 +393,33 @@ def test_weight_average_shared_trunk_heads_matches_logit_mean():
     l1, _ = forward(m1, x)
     l2, _ = forward(m2, x)
     np.testing.assert_allclose(logits_avg.data, (l1.data + l2.data) / 2.0, rtol=0, atol=1e-12)
+
+
+def test_mean_params_equals_a_zero_started_running_sum_over_its_count():
+    # a sweep group scores wa_single from param_sum / n, summed from zeros as
+    # each checkpoint is taken: numpy's mean over the stacked vectors adds
+    # them one after another from +0.0, so the bits agree, -0.0, infinities,
+    # NaN and subnormals included; a sum started from the first vector keeps
+    # its -0.0 and does not agree
+    from finedrop import protocol
+
+    rng = np.random.default_rng(26)
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310])
+    manifest = {"arch": {}, "param_shapes": []}
+    for _ in range(300):
+        n, size = int(rng.integers(1, 9)), int(rng.integers(2, 40))
+        vectors = rng.normal(size=(n, size)) * 10.0 ** rng.integers(-320, 300, size=(n, size))
+        special = rng.random((n, size)) < 0.3
+        vectors[special] = rng.choice(specials, size=int(special.sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.zeros(size)
+            for v in vectors:
+                np.add(total, v, out=total)
+            mean = protocol._mean_params([Checkpoint(v, manifest, 0, "") for v in vectors])
+            assert (total / n).tobytes() == mean.tobytes()
+    one = np.array([-0.0, 1.0])
+    mean = protocol._mean_params([Checkpoint(one, manifest, 0, "")])
+    assert mean.tobytes() == (np.zeros(2) + one).tobytes() != one.tobytes()
 
 
 def test_weight_average_rejects_mismatched_manifests():
@@ -660,26 +742,35 @@ def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatc
 
 
 @pytest.mark.parametrize("recipe", ["erm", "dropout90"])
-def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task, small_start, recipe):
+def test_single_run_arms_from_cached_probabilities_equal_rebuilt_arms(small_task, small_start, recipe,
+                                                                      trail_copies):
+    # a group asked for arms sums each run's trail as it is taken; each sum
+    # over n checkpoints, divided by n, has the bits of the mean it stands
+    # for, and the run keeps only its best checkpoint
     from finedrop import protocol
 
     split = leave_one_out_splits(small_task)[0]
     cfg = Recipe.parse(recipe).apply(_small_cfg())
     holdout = split_holdout(split, cfg.seed)
-    record = finetune(small_start, split, cfg)
-    (ft,) = protocol._finetune_group(small_start, split, [cfg])
+    (ft,) = protocol._finetune_group(small_start, split, [cfg], arms=True)
+    ((trail,),) = trail_copies
     assert ft.val_idx.tobytes() == holdout[1].tobytes()
-    assert [p.checkpoint.params.tobytes() for p in ft.trail] == [p.checkpoint.params.tobytes() for p in record.trail]
     x_val, y_val = small_task.features[holdout[1]], small_task.labels[holdout[1]]
-    members = [model_from_checkpoint(point.checkpoint) for point in record.trail]
-    for point, member in zip(record.trail, members):
-        assert point.iid_val_acc == evaluate(member, x_val, y_val)
-    mean = np.stack([member.predict_proba(x_val) for member in members]).mean(axis=0)
-    holdout_mean = ft.holdout_sum / len(ft.trail)  # what a sweep scores the single-run ensemble from
-    assert holdout_mean.tobytes() == mean.tobytes()
-    trail = [p.checkpoint for p in record.trail]
-    assert protocol._score_arms(trail, holdout_mean, split, ft.val_idx) == _scored_arms(
-        build_variants(trail), split, holdout[1])
+    x_test = small_task.env_arrays(split.test_env)[0]
+    members = [model_from_checkpoint(c) for c in trail]
+    assert [(p.iteration, p.iid_val_acc) for p in ft.trail] == [
+        (c.iteration, evaluate(m, x_val, y_val)) for c, m in zip(trail, members)]
+    assert ft.best_index == int(np.argmax([p.iid_val_acc for p in ft.trail]))
+    assert [i for i, p in enumerate(ft.trail) if p.checkpoint is not None] == [ft.best_index]
+    assert ft.trail[ft.best_index].checkpoint.params.tobytes() == trail[ft.best_index].params.tobytes()
+    n = len(trail)
+    assert (ft.param_sum / n).tobytes() == protocol._mean_params(trail).tobytes()
+    assert (ft.holdout_sum / n).tobytes() == ensemble_predict(members, x_val).tobytes()
+    assert (ft.test_sum / n).tobytes() == ensemble_predict(members, x_test).tobytes()
+    (record,) = protocol._execute_sweep_group(small_start, split, [cfg], "r", 0)
+    assert _trail_bytes(trail_copies[1][0]) == _trail_bytes(trail)
+    oracle = _scored_arms(build_variants(trail), split, holdout[1])
+    assert record.variants == {"wa_single": oracle["wa"], "ensemble_single": oracle["ensemble"]}
 
 
 def _scored_arms(arms, split, val_idx):
@@ -691,19 +782,24 @@ def _scored_arms(arms, split, val_idx):
 
 
 @pytest.mark.parametrize("pool_seeds", [False, True], ids=["per-seed", "pooled"])
-def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds):
+def test_sweep_arms_equal_rebuilt_arms(small_task, small_start, pool_seeds, trail_copies):
     splits = leave_one_out_splits(small_task)[:2]
     recipes, seeds = ["erm", "dropout90"], [1, 2]
     result = run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=recipes, seeds=seeds,
                        base_cfg=_small_cfg(), pool_seeds=pool_seeds)
     assert {r.status for r in result.runs} == {"ok"}
+    jobs = [(split_index, recipe, seed) for split_index in range(len(splits)) for recipe in recipes for seed in seeds]
+    assert len(trail_copies) == len(jobs)
     for run in result.runs:
-        # a sweep record keeps only its best checkpoint: the oracle is the solo record of its config
+        # a record keeps only its best checkpoint: the oracle is the trail of the solo run of its config
         split = splits[run.split_index]
         holdout = split_holdout(split, run.seed)
         solo = finetune(small_start, split, run.config)
+        trail = trail_copies[-1][0]
+        grouped = trail_copies[jobs.index((run.split_index, run.recipe, run.seed))][run.grid_index]
+        assert len(trail) == 3 and _trail_bytes(grouped) == _trail_bytes(trail)
         assert run.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
-        oracle = _scored_arms(build_variants(p.checkpoint for p in solo.trail), split, holdout[1])
+        oracle = _scored_arms(build_variants(trail), split, holdout[1])
         assert run.variants == {"wa_single": oracle["wa"], "ensemble_single": oracle["ensemble"]}
     groups = [("pooled", seeds)] if pool_seeds else [(str(s), [s]) for s in seeds]
     for recipe in recipes:
@@ -723,13 +819,12 @@ def test_arm_members_of_another_architecture_are_refused_before_any_copy(small_t
     split = leave_one_out_splits(small_task)[0]
     val_idx = split_holdout(split, 1)[1]
     other = checkpoint_from_model(new_residual_model(small_task.n_features, 6, 1, 2, seed=0))
-    probs = np.full((val_idx.size, 2), 0.5)
     monkeypatch.setattr(protocol, "model_from_checkpoint", lambda ckpt: pytest.fail("a model was built"))
     for members in ([small_start, other], [other, small_start]):
         with pytest.raises(ValidationError, match="checkpoint manifests disagree"):
-            protocol._score_arms(members, probs, split, val_idx)
+            protocol._score_arms(members, split, val_idx)
     with pytest.raises(ValidationError, match="at least one checkpoint"):
-        protocol._score_arms([], probs, split, val_idx)
+        protocol._score_arms([], split, val_idx)
 
 
 def test_sweep_builds_one_member_model_per_arm_scoring(small_task, small_start, monkeypatch):
@@ -742,9 +837,10 @@ def test_sweep_builds_one_member_model_per_arm_scoring(small_task, small_start, 
     splits = [leave_one_out_splits(small_task)[0]]
     run_sweep(small_start, splits, grid=[(0.02, 0.0), (0.01, 0.0)], recipes=["erm"], seeds=[1],
               base_cfg=_small_cfg())
-    # per run: the start and one model for the trail's arms; for the multi-run arms: one model
-    # for the members' holdout and test-environment probabilities and for their weight average
-    assert len(built) == 2 * 2 + 1
+    # per run: the start, whose model also scores the run's single-run arms; for the multi-run
+    # arms: one model for the members' holdout and test-environment probabilities and for their
+    # weight average
+    assert len(built) == 2 + 1
     assert built.count("weight_average") == 0
 
 
@@ -769,24 +865,20 @@ def test_run_sweep_records_failures_without_dying(small_task, small_start):
     assert failed.error_iteration is not None
 
 
-def _trail_bytes(trail):
-    return [p.checkpoint.params.tobytes() for p in trail]
-
-
-def _assert_grouped_equals_solo(trained, grouped, solo, split, holdout):
-    # trained is the member as `_finetune_group` left it, with its whole
-    # trail; grouped is its sweep record, which keeps only its best checkpoint
-    assert _trail_bytes(trained.trail) == _trail_bytes(solo.trail)
+def _assert_grouped_equals_solo(grouped, grouped_trail, solo, solo_trail, split, holdout):
+    # the trails are `trail_copies`' copies of the two runs' checkpoints,
+    # which their records do not keep
+    assert len(solo_trail) == len(solo.trail) and _trail_bytes(grouped_trail) == _trail_bytes(solo_trail)
     assert grouped.status == solo.status == "ok"
     assert [(p.iteration, p.iid_val_acc) for p in grouped.trail] == [(p.iteration, p.iid_val_acc) for p in solo.trail]
     assert grouped.best_index == solo.best_index and grouped.ood_acc == solo.ood_acc
     assert grouped.best.checkpoint.params.tobytes() == solo.best.checkpoint.params.tobytes()
-    oracle = _scored_arms(build_variants(p.checkpoint for p in solo.trail), split, holdout[1])
+    oracle = _scored_arms(build_variants(solo_trail), split, holdout[1])
     assert grouped.variants == {"wa_single": oracle["wa"], "ensemble_single": oracle["ensemble"]}
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.9])
-def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate):
+def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate, trail_copies):
     # three grid points trained in lockstep against three solo fine-tunes
     from finedrop import protocol
 
@@ -795,13 +887,13 @@ def test_sweep_group_equals_solo_finetunes(small_task, small_start, rate):
     cfgs = [_small_cfg(dropout_rate=rate, lr=lr, weight_decay=wd, run_id=f"g{i}") for i, (lr, wd) in enumerate(grid)]
     records = protocol._execute_sweep_group(small_start, split, cfgs, "r", 0)
     holdout = split_holdout(split, cfgs[0].seed)
-    group = protocol._finetune_group(small_start, split, cfgs)
     assert [(r.grid_index, r.run_id, r.recipe) for r in records] == [(i, f"g{i}", "r") for i in range(3)]
-    for cfg, trained, grouped in zip(cfgs, group, records):
-        _assert_grouped_equals_solo(trained, grouped, finetune(small_start, split, cfg), split, holdout)
+    for cfg, grouped, grouped_trail in zip(cfgs, records, trail_copies[0]):
+        solo = finetune(small_start, split, cfg)
+        _assert_grouped_equals_solo(grouped, grouped_trail, solo, trail_copies[-1][0], split, holdout)
 
 
-def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_start):
+def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_start, trail_copies):
     # the diverging member leaves the stack at the iteration its solo run
     # stops at, and the other members go on with no floating-point warning
     # of their own: the group raises exactly the solo run's warnings
@@ -823,11 +915,9 @@ def test_sweep_group_member_that_diverges_fails_as_a_solo_run(small_task, small_
                        error_iteration=solo_error.value.iteration, run_id="g1")
     assert records[1].to_json_dict() == failed.to_json_dict()
     assert records[1].error_iteration is not None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        group = protocol._finetune_group(small_start, split, cfgs)
-    for i in (0, 2):
+    for i in (0, 2):  # trail_copies[0] is the diverging solo run's, [1] the group's
         solo = finetune(small_start, split, cfgs[i])
-        _assert_grouped_equals_solo(group[i], records[i], solo, split, holdout)
+        _assert_grouped_equals_solo(records[i], trail_copies[1][i], solo, trail_copies[-1][0], split, holdout)
 
 
 @pytest.mark.parametrize("field, values", [("seed", (1, 2)), ("dropout_rate", (0.0, 0.9))])
@@ -894,7 +984,7 @@ def test_sweep_records_keep_only_their_best_checkpoint(small_task, small_start, 
     ok = [r for r in result.runs if r.status == "ok"]
     for record in ok:
         missing = 1 if record.best_index == 0 else 0
-        with pytest.raises(ValidationError, match=f"member {missing} is None: a sweep record keeps only its best"):
+        with pytest.raises(ValidationError, match=f"member {missing} is None: a record keeps only its best"):
             build_variants(p.checkpoint for p in record.trail)
     best = np.stack([r.best.checkpoint.params for r in ok])
     np.testing.assert_array_equal(build_variants(r.best.checkpoint for r in ok)["wa"].params, np.mean(best, axis=0))

@@ -6,6 +6,7 @@ under `perfbench/run.py --trace 1`. The module is read, never changed."""
 import importlib
 import importlib.util
 import os
+import time
 
 import pytest
 
@@ -44,10 +45,21 @@ def test_step_element_count_is_the_model_vector():
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
-def test_traced_sweep_and_finetune_reconcile(tmp_path, parallel):
+def test_traced_sweep_and_finetune_reconcile(tmp_path, parallel, monkeypatch):
     # perfbench's reconciliation on a tiny sweep and one standalone
     # fine-tune: one backward, one optimizer step per run-step, one mask
     # draw per dropout run-step and one `protocol.finetune` call per run
+    if parallel > 1:
+        # the caller may claim all four tiny groups before the forked worker
+        # starts, and the check wants worker spans: it claims once the worker has
+        real, deadline = protocol._claim, time.monotonic() + 60
+
+        def claim_after_the_worker(unclaimed, front):
+            while not front and unclaimed[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real(unclaimed, front)
+
+        monkeypatch.setattr(protocol, "_claim", claim_after_the_worker)
     tracing = _tracing()
     task = gen_multienv_task(3, 4, 2, 1.0, n_per_env=60, seed=42, n_inert=0)
     start = checkpoint_from_model(new_residual_model(task.n_features, 8, 1, 2, seed=0), 0, "start")
