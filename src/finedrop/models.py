@@ -17,10 +17,11 @@ inverted dropout, head and softmax cross-entropy for K models of one
 architecture at once, as [K, ...] arithmetic, and its hand-derived
 backward, which repeats the float operations of the autodiff ops one for
 one, so each model's loss and gradients equal the tape's bit for bit. Its
-arrays are allocated once per training call, so a step allocates no
-activation and no dropout mask, and what it leaves there, gradients
-included, holds until the next step. Each model's gradients are views of
-its row of one [K, P] matrix, laid out like its `params`, which its
+arrays, allocated once per training call, keep only what the backward reads
+(relu outputs become their masks and dropout rescales phi, in place), so a
+step allocates no activation and no dropout mask, and what it leaves there,
+gradients included, holds until the next step. Each model's gradients are
+views of its row of one [K, P] matrix, laid out like its `params`, which its
 optimizer reads in place. Evaluation (`ResidualModel.predict_proba`) has a
 kernel of its own: it walks the rows in chunks of EVAL_CHUNK_ROWS through
 buffers allocated once per call, keeps no activations, and equals
@@ -373,7 +374,8 @@ class StackedStep:
     over model k reads them in place. Each step overwrites the last one's.
     A model whose parameters left their offsets in `params` (a rebound
     `.data`, blocks reordered in place) is refused, as `checkpoint_from_model`
-    refuses it.
+    refuses it. `hs` keeps each block's input, then phi dropped out in place;
+    `zs` each relu output, which `backward` turns into its mask in place.
 
     Every float operation is the one the tape ops perform on one model:
     products are `np.matmul` over [K, m, n] views, which numpy runs as one
@@ -408,12 +410,8 @@ class StackedStep:
         self.label_at = np.empty((k, batch), dtype=np.intp)  # flat offset of each row's label
         self.picked = np.empty((k, batch))  # the label entries of log_probs, then of d
         self.sums, self.loss = np.empty(k), np.empty(k)
-        self.hs = [np.empty((k, batch, width)) for _ in range(first.depth + 1)]  # block inputs, then phi
-        self.zs = [np.empty((k, batch, hidden)) for _ in range(first.depth)]  # relu outputs
-        # 1.0 where a relu input is > 0, else 0.0: float64, because numpy
-        # multiplies by a bool mask through a temporary float copy of it
-        self.actives = [np.empty((k, batch, hidden)) for _ in range(first.depth)]
-        self.head_in = np.empty((k, batch, width))  # phi after dropout
+        self.hs = [np.empty((k, batch, width)) for _ in range(first.depth + 1)]  # block inputs, then the head's
+        self.zs = [np.empty((k, batch, hidden)) for _ in range(first.depth)]  # relu outputs, then their masks
         self.logits, self.probs, self.d = (np.empty((k, batch, classes)) for _ in range(3))
         self.top, self.total = np.empty((k, batch, 1)), np.empty((k, batch, 1))  # softmax row max and sum
         self.dh = (np.empty((k, batch, width)), np.empty((k, batch, width)))  # the current one and a spare
@@ -435,21 +433,20 @@ class StackedStep:
         return step
 
     def forward(self) -> np.ndarray:
-        """The K mean cross-entropies of the loaded inputs, with every activation kept for `backward`."""
+        """The K mean cross-entropies of the loaded inputs, keeping what `backward` reads."""
         for row, model in zip(self.w, self.models):
             np.copyto(row, model.params)
         ws, tile_w, tile_hidden, tile_classes = self._w, self.dh[0], self.dz, self.d  # scratch until backward
         h = _affine(self.x, ws[0], ws[1], self.hs[0], tile_w)
-        for i, (z, active, h_next) in enumerate(zip(self.zs, self.actives, self.hs[1:])):
+        for i, (z, h_next) in enumerate(zip(self.zs, self.hs[1:])):
             w1, b1, w2, b2 = ws[2 + 4 * i : 6 + 4 * i]
             _affine(h, w1, b1, z, tile_hidden)
-            np.greater(z, 0.0, out=active)
             _relu_inplace(z)
             _affine(z, w2, b2, h_next, tile_w)
             h_next += h
             h = h_next
-        if self.mask is not None:
-            h = np.multiply(h, self.mask, out=self.head_in)
+        if self.mask is not None:  # in place: no later read wants phi before dropout
+            h *= self.mask
             h *= self.scale
         logits = _affine(h, ws[-2], ws[-1], self.logits, tile_classes)
         log_probs = self.probs
@@ -469,9 +466,10 @@ class StackedStep:
         """Every model's gradients of its loss, into `grad`, from what the last `forward` left.
 
         Repeats the tape's vector-Jacobian products: `g @ w.T` and `a.T @ g`
-        for products, `g.sum(axis=0)` for biases, `g * mask` for relu and
-        dropout. Where the tape adds a block input's two gradients, the sum
-        has two terms, so its order cannot change the bits.
+        for products, `g.sum(axis=0)` for biases, `g * mask` for dropout and
+        `g * (z > 0)` for relu, made in place of the relu output once `dw2`
+        has read it. Where the tape adds a block input's two gradients, the
+        sum has two terms, so its order cannot change the bits.
         """
         ws, gs, d = self._w, self._g, self.d
         np.copyto(d, self.probs)
@@ -479,8 +477,7 @@ class StackedStep:
         picked -= 1.0
         d.put(self.label_at, picked)
         d *= 1.0 / self.batch
-        head_in = self.hs[-1] if self.mask is None else self.head_in
-        np.matmul(head_in.transpose(0, 2, 1), d, out=gs[-2])
+        np.matmul(self.hs[-1].transpose(0, 2, 1), d, out=gs[-2])
         np.add.reduce(d, 1, out=gs[-1])
         dh, spare = self.dh
         np.matmul(d, ws[-2].transpose(0, 2, 1), out=dh)
@@ -494,7 +491,7 @@ class StackedStep:
             np.matmul(dh, w2.transpose(0, 2, 1), out=da)
             np.matmul(self.zs[i].transpose(0, 2, 1), dh, out=dw2)
             np.add.reduce(dh, 1, out=db2)
-            da *= self.actives[i]
+            da *= np.greater(self.zs[i], 0.0, out=self.zs[i])  # relu(z) > 0 iff z > 0, NaN and -0.0 included
             np.matmul(self.hs[i].transpose(0, 2, 1), da, out=dw1)
             np.add.reduce(da, 1, out=db1)
             np.matmul(da, w1.transpose(0, 2, 1), out=spare)  # never into dh: a matmul must not write its input

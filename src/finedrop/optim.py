@@ -12,19 +12,20 @@ head can train 10x faster than the trunk.
 
 The parameters must be views that tile one float64 vector end to end, as a
 model's views of its `params` do (else ValidationError): the optimizer
-adopts the span they cover, next to one momentum vector and one per-element
-learning-rate vector. A step reads the gradients in place when they tile a
-vector the way the weights do, as the views of a `StackedStep`'s gradient row do;
-only other gradients (the tape's, say) are gathered into a vector of the
-optimizer's own. It then updates the weights and momentum in place, through
-one scratch vector, with the same elementwise float operations as a
-per-tensor loop, and never writes a gradient. Rebinding a parameter's
-`.data` after the optimizer is built detaches it, so `step` refuses with a
-UsageError.
+adopts the span they cover, next to one momentum and one scratch vector, and
+steps each run of consecutive parameters that share a multiplier (one, or two
+with a 10x head) at one rate, lr times multiplier. A step reads the gradients
+in place when they tile a vector the way the weights do, as a `StackedStep`'s
+gradient row does; only other gradients (the tape's, say) are gathered, into a
+vector allocated at the first such step. It updates the weights and momentum
+in place with a per-tensor loop's elementwise float operations and never writes
+a gradient. Rebinding a parameter's `.data` after the optimizer is built
+detaches it, so `step` refuses with a UsageError.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -84,10 +85,12 @@ class SgdOptimizer:
         if self._w is None:
             raise ValidationError("optimizer parameters must be views that tile one float64 vector end to end")
         self._v = np.zeros_like(self._w)
-        self._g = np.empty_like(self._w)  # the gathered gradients, when they tile no vector
+        self._g: np.ndarray | None = None  # the gathered gradients, allocated when they first tile no vector
         self._scratch = np.empty_like(self._w)
-        self._lr_mult = np.repeat([self.multipliers[name] for name, _ in owned], [t.data.size for _, t in owned])
-        self._rate, self._rate_base = np.empty_like(self._w), None  # base lr * _lr_mult, for base _rate_base
+        self._runs, stop = [], 0  # (weights, momentum, scratch, multiplier) per run of slots sharing a multiplier
+        for mult, run in itertools.groupby(owned, key=lambda slot: self.multipliers[slot[0]]):
+            start, stop = stop, stop + sum(t.data.size for _, t in run)
+            self._runs.append((self._w[start:stop], self._v[start:stop], self._scratch[start:stop], mult))
         self._slots = [(name, t, t.data) for name, t in owned]  # (group, tensor, the view its .data must still be)
         self._grads_seen: tuple = ()  # the gradient arrays last validated
         self._grad_span: np.ndarray | None = None  # the span they tile, None if they tile none
@@ -122,9 +125,6 @@ class SgdOptimizer:
                 raise UsageError(f"parameter in group {name!r} has no gradient; run backward first")
             grads.append(t.grad)
         base = self.lr_at(self.iteration)
-        if base != self._rate_base:  # a new lr phase
-            np.multiply(base, self._lr_mult, out=self._rate)
-            self._rate_base = base
         w, v, g, tmp = self._w, self._v, self._gradients(grads), self._scratch
         if self.weight_decay != 0.0:
             np.multiply(self.weight_decay, w, out=tmp)
@@ -132,7 +132,8 @@ class SgdOptimizer:
             g = tmp
         v *= self.momentum
         v += g
-        w -= np.multiply(self._rate, v, out=tmp)
+        for w_run, v_run, tmp_run, mult in self._runs:  # v * fl(base * mult): a per-tensor loop's rate * v
+            w_run -= np.multiply(v_run, base * mult, out=tmp_run)
         self.iteration += 1
 
     def _gradients(self, grads: list) -> np.ndarray:
@@ -148,6 +149,7 @@ class SgdOptimizer:
             self._grads_seen = tuple(grads)
         if self._grad_span is not None:
             return self._grad_span
+        self._g = np.empty_like(self._w) if self._g is None else self._g
         if grads:
             np.concatenate([gr.reshape(-1) for gr in grads], out=self._g)
         return self._g

@@ -25,7 +25,8 @@ def test_kernel_timing_prints_every_measurement():
         (2, "reduce"), (2, "models"), (8, "reduce"), (8, "models")]
     assert [(m["k"], m["rate"]) for m in by_measure["stacked_step"]] == [
         (k, rate) for k in (1, 6, 12) for rate in (0.0, 0.9)]
-    assert [m["part"] for m in by_measure["run_tail"]] == ["tape_node", "sgd_step", "dropout_mask"]
+    assert [m["part"] for m in by_measure["run_tail"]] == ["tape_node", "sgd_step", "sgd_step_headlr10",
+                                                           "dropout_mask"]
     assert [(m["k"], m["rows"]) for m in by_measure["feed"]] == [(6, 4800)]
     [load] = by_measure["load_dataset"]
     assert load["rows"] == 50_000

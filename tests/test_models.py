@@ -462,13 +462,21 @@ def _assert_fused_steps_match_tape(model, x, labels, rate, seed, batch, steps=3,
             assert _bits(m.predict_proba(x)) == _bits(_eval_oracle(m, x))
 
 
-@pytest.mark.parametrize("case", range(24))
+@pytest.mark.parametrize("case", range(26))
 def test_fused_step_matches_tape_bitwise(case):
     # every depth 0-3 at every rate 0 / 0.5 / 0.9, block_hidden on both
     # sides of width, batch 1 in a third of the cases; w2 and the biases are
-    # random because a fresh model's zero w2 makes block gradients trivial
+    # random because a fresh model's zero w2 makes block gradients trivial.
+    # Cases 8 and 20 are depth 0 at rate 0.9, where dropout rescales the
+    # projection's output in place. Cases 24 and 25, depth 2 at rates 0 and
+    # 0.9, zero two w1 columns of every block and set those b1 entries to
+    # +0.0 and -0.0, so those relu inputs are exactly 0 and their relu
+    # gradients must be masked to 0, as the tape's `a > 0` masks them
     rng = np.random.default_rng(900 + case)
     depth, rate = case % 4, (0.0, 0.5, 0.9)[case // 4 % 3]
+    zero_units = case >= 24
+    if zero_units:
+        depth, rate = 2, (0.0, 0.9)[case % 2]
     width = int(rng.integers(2, 9))
     hidden = width - 1 if case % 2 else width + int(rng.integers(1, 5))
     model = new_residual_model(int(rng.integers(1, 7)), width, depth, int(rng.integers(2, 5)),
@@ -479,9 +487,16 @@ def test_fused_step_matches_tape_bitwise(case):
         blk.b2.data[...] = rng.normal(size=blk.b2.shape)
     model.proj_b.data[...] = rng.normal(size=model.proj_b.shape)
     model.head_b.data[...] = rng.normal(size=model.head_b.shape)
+    if zero_units:
+        for blk in model.blocks:
+            blk.w1.data[:, :2] = 0.0
+            blk.b1.data[:2] = (0.0, -0.0)
     batch = 1 if case % 3 == 0 else int(rng.integers(2, 33))
     x = rng.normal(size=(40, model.input_dim))
     labels = rng.integers(0, model.num_classes, size=40)
+    if zero_units:
+        pre = (x @ model.proj_w.data + model.proj_b.data) @ model.blocks[0].w1.data + model.blocks[0].b1.data
+        assert (pre[:, :2] == 0.0).all() and (pre[:, 2:] != 0.0).all()
     _assert_fused_steps_match_tape(model, x, labels, rate, case, batch)
 
 
@@ -559,6 +574,35 @@ def test_fused_step_allocates_no_activation():
         finally:
             tracemalloc.stop()
         assert peak < batch * width * 8, (k_models, rate, peak)
+
+
+def test_stacked_step_keeps_only_what_its_backward_reads():
+    # at finetune-wide's shape, building the step allocates the buffers its
+    # forward and backward need and no more: no per-block relu masks (the
+    # backward makes each from its relu output in place) and no copy of phi
+    # after dropout (dropout rescales phi in place), 640 KiB at this shape
+    k, batch, width, depth, classes, inputs = 1, 256, 64, 4, 2, 18
+    model = new_residual_model(inputs, width, depth, classes, seed=48)
+    StackedStep([model], batch, 0.9)  # warm up numpy's lazily built state
+    tracemalloc.start()
+    try:
+        step = StackedStep([model], batch, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = k * batch
+    floats = (rows * inputs  # x
+              + rows * width  # the dropout mask
+              + (depth + 1) * rows * width  # hs: each block's input, then the head's
+              + depth * rows * width  # zs: each block's relu output, then its mask
+              + 3 * rows * classes  # logits, probs, d
+              + 2 * rows  # softmax row max and sum
+              + 2 * rows * width + rows * width  # dh and its spare, dz
+              + 2 * k * model.params.size  # w and grad
+              + 2 * k)  # sums, loss
+    indices = 4 * rows  # labels, row_starts, label_at, and picked's floats
+    assert step.zs[0].shape == (k, batch, width)
+    assert peak < (floats + indices) * 8 + 32 * 1024, peak - (floats + indices) * 8
 
 
 def test_fused_step_frees_its_activations_without_gc():

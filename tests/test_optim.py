@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,26 @@ def test_flat_update_equals_per_tensor_loop_bitwise(head_only):
         if head_only:
             for t, a in zip(tensors["trunk"], init["trunk"]):
                 assert t.data.tobytes() == a.tobytes()
+
+
+def test_building_allocates_only_momentum_and_scratch():
+    # two vectors the size of the span, whatever the group multipliers: no
+    # per-element rate vectors, and the gather buffer waits for a step that
+    # has to gather; at finetune-wide's parameter count (P = 34,626)
+    tensors = _views(np.ones((18, 64)), np.ones(64), *[np.ones(s) for s in [(64, 64), (64,)] * 8],
+                     np.ones((64, 2)), np.ones(2))
+    span = sum(t.data.size for t in tensors)
+    groups = {"trunk": tensors[:-2], "head": tensors[-2:]}
+    SgdOptimizer(groups, lr=0.1, total_iterations=10)  # warm up
+    for multipliers in (None, {"head": 10.0}):
+        tracemalloc.start()
+        try:
+            opt = SgdOptimizer(groups, lr=0.1, total_iterations=10, group_multipliers=multipliers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert span == 34_626 and len(opt._runs) == (1 if multipliers is None else 2)
+        assert peak < 2 * span * 8 + 16 * 1024, (multipliers, peak - 2 * span * 8)
 
 
 def test_rebinding_data_after_construction_is_usage_error():

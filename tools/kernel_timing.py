@@ -20,7 +20,9 @@ different times compare:
 - `run_tail`: us for the per-run work `protocol._train` does around the
   stacked step at that shape, each run-step: the tape node (`make_node` +
   `backward` + `reset_grads`), the `SgdOptimizer.step` of a fine-tune's
-  optimizer, and one `batch_dropout_mask` draw at rate 0.9;
+  optimizer (`sgd_step`: one multiplier run over the parameters) and of a
+  `headlr10` fine-tune's (`sgd_step_headlr10`: two runs, trunk and 10x
+  head), and one `batch_dropout_mask` draw at rate 0.9;
 - `feed`: us per group step for the batch `protocol._Feed.load` hands a
   K = 6 group at that shape: one index draw (`_batches`, amortized over its
   blocks), mapped through 4,800 training rows of an 8,000-row dataset (a
@@ -136,8 +138,9 @@ def run_tail(rng, timed: Timer) -> None:
     step.backward()
     grads, leaves = step.grads[0], tuple(model.parameters())
     # a fine-tune's optimizer (`protocol._finetune_group`), its schedule longer than every timed loop
-    opt = SgdOptimizer({"head": model.head_parameters(), "trunk": model.trunk_parameters()}, lr=1e-3,
-                       total_iterations=10**9, weight_decay=1e-4)
+    opts = [SgdOptimizer({"head": model.head_parameters(), "trunk": model.trunk_parameters()}, lr=1e-3,
+                         total_iterations=10**9, weight_decay=1e-4, group_multipliers={"head": mult})
+            for mult in (1.0, 10.0)]
 
     def tape_node():
         ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g: grads))
@@ -145,10 +148,11 @@ def run_tail(rng, timed: Timer) -> None:
 
     tape = timed(tape_node, 1000)
     ad.backward(ad.make_node(loss, "fused_step", leaves, lambda g: grads))  # the .grads the step reads
-    sgd = timed(opt.step, 1000)
+    sgd, sgd_headlr10 = (timed(opt.step, 1000) for opt in opts)
     ad.reset_grads(leaves)
     mask = timed(lambda: batch_dropout_mask(BATCH, WIDTH, 0.9, rng, out=step.mask[0]), 1000)
-    for part, (seconds, contention) in (("tape_node", tape), ("sgd_step", sgd), ("dropout_mask", mask)):
+    for part, (seconds, contention) in (("tape_node", tape), ("sgd_step", sgd), ("sgd_step_headlr10", sgd_headlr10),
+                                        ("dropout_mask", mask)):
         emit("us", seconds * 1e6, contention, 2, measure="run_tail", part=part)
 
 
