@@ -57,11 +57,12 @@ import json
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, RunError, ValidationError
 
 __all__ = [
     "N_CORE",
@@ -530,6 +531,7 @@ def save_dataset(dataset: EnvDataset, directory) -> None:
     dataset of more than _POOL_MIN_ROWS rows has its blocks formatted by a
     process pool with one worker per CPU the process may use, and the text
     is written in block order, so the bytes do not depend on the CPU count.
+    A pool worker that dies raises RunError.
     """
     os.makedirs(directory, exist_ok=True)
     manifest_path = os.path.join(directory, "manifest.json")
@@ -544,9 +546,12 @@ def save_dataset(dataset: EnvDataset, directory) -> None:
               for _, idx in envs for start in range(0, idx.size, _BLOCK_ROWS)]
     workers = min(_cpus(), len(blocks))
     if dataset.labels.size > _POOL_MIN_ROWS and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_save_worker,
-                                 initargs=(dataset, row)) as pool:
-            _write_env_files(directory, header, envs, pool.map(_format_pooled_block, blocks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_save_worker,
+                                     initargs=(dataset, row)) as pool:
+                _write_env_files(directory, header, envs, pool.map(_format_pooled_block, blocks))
+        except BrokenProcessPool as exc:
+            raise RunError(f"a save pool worker died: {exc}") from exc
     else:
         _write_env_files(directory, header, envs, (_format_block(dataset, row, block) for block in blocks))
 

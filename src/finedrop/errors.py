@@ -33,9 +33,10 @@ class CapacityError(FinedropError, ValueError):
 
 
 class RunError(FinedropError, RuntimeError):
-    """A training run failed (e.g. the loss became non-finite).
+    """A run failed: a training run (e.g. the loss became non-finite), or a
+    worker process of a sweep or save pool.
 
-    Carries ``iteration``, the step index at which the failure was detected.
+    Carries ``iteration``, the step index at which a training failure was detected.
     """
 
     def __init__(self, message, iteration=None):

@@ -45,6 +45,7 @@ import multiprocessing
 import os
 from decimal import Decimal, InvalidOperation
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -883,12 +884,15 @@ def _execute_jobs(start: Checkpoint, splits: list, jobs: list, parallel: int) ->
     it has finished the last one, so no group is held for a busy process
     while another one idles. One group, or parallel 1, forks no worker. A
     group that raises, in either process, raises here; of several, the
-    first in job order.
+    first in job order. A worker that dies raises RunError.
     """
     workers = min(parallel - 1, len(jobs) - 1)
     if not workers:
         return [_execute_sweep_group(start, splits[split_index], cfgs, label, split_index)
                 for cfgs, label, split_index in jobs]
+    # a group's random streams need numpy.random: loaded before the fork, it is shared with the
+    # workers instead of loaded again by each of them (16 modules, about 1.8 MiB per worker)
+    import numpy.random  # noqa: F401
     unclaimed = multiprocessing.Array("l", [0, len(jobs)])
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
                                initargs=(start, splits, jobs, unclaimed))
@@ -897,6 +901,8 @@ def _execute_jobs(start: Checkpoint, splits: list, jobs: list, parallel: int) ->
         done = _execute_claimed(start, splits, jobs, unclaimed, front=False)
         for share in shares:
             done.update(share.result())
+    except BrokenProcessPool as exc:
+        raise RunError(f"a sweep pool worker died: {exc}") from exc
     finally:
         with unclaimed.get_lock():  # on an interrupt, no process claims another group
             unclaimed[0] = unclaimed[1]

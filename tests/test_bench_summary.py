@@ -33,11 +33,11 @@ CHANGE = {0: (11, 0.5, 15, 2), 1: (12, 1.5, 25, 2), 2: (13, 2.5, 35, 2), 3: (14,
 NAMES = ("setup_s", "wall_s", "steps_per_s", "peak_rss_mb")
 
 
-def _write(directory, workload, seed, values, attempted=12, failed=0, trace=0, python="3.11"):
+def _write(directory, workload, seed, values, attempted=12, failed=0, trace=0, python="3.11", tree=None):
     result = {
         "attempted": attempted,
         "failed": failed,
-        "environment": {"python": python, "cpus": 2},
+        "environment": {"python": python, "cpus": 2, **(tree or {})},
         "metrics": {name: {"value": v, "unit": "u"} for name, v in zip(NAMES, values)},
     }
     directory.mkdir(exist_ok=True)
@@ -108,3 +108,22 @@ def test_no_common_pair_is_an_error(tmp_path):
     _write(change, "sweep-ref", 1, CHANGE[1])
     with pytest.raises(SystemExit, match="no \\(workload, seed\\)"):
         _bench_summary().main([str(parent), str(change)])
+
+
+@pytest.mark.parametrize("change_tree, revision", [
+    ({"git_revision": "aaa", "source_sha256": "2"}, None),  # uncommitted on top of its parent
+    ({"git_revision": "bbb", "source_sha256": "2"}, "bbb"),  # committed
+    ({"git_revision": "aaa", "source_sha256": "1"}, "aaa"),  # the parent's own tree
+])
+def test_change_that_reports_its_parents_revision_on_other_source_reads_null(tmp_path, capsys,
+                                                                               change_tree, revision):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "sweep-ref", 0, PARENT[0], tree={"git_revision": "aaa", "source_sha256": "1"})
+    _write(change, "sweep-ref", 0, CHANGE[0], tree=change_tree)
+    environment = _summary((parent, change), capsys)["environment"]
+    assert environment["parent"]["git_revision"] == "aaa"
+    assert environment["change"]["git_revision"] == revision
+    assert environment["change"]["source_sha256"] == change_tree["source_sha256"]
+    assert ("git_revision_note" in environment["change"]) == (revision is None)
+    if revision is None:
+        assert "uncommitted" in environment["change"]["git_revision_note"]

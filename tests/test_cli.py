@@ -6,9 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
+from finedrop import protocol
 from finedrop.cli import build_parser, main, parse_config_file
 from finedrop.datasets import HOLDOUT_FRACTION, N_CORE, N_GIVEAWAY, N_SPURIOUS, load_dataset
 from finedrop.errors import ValidationError
+from helpers import pool_worker_imports
 
 
 def _checksum_tree(root):
@@ -163,6 +165,29 @@ def test_sweep_rerun_and_parallel_are_byte_identical(pipeline_dirs, tmp_path):
     assert main(_sweep_args(pipeline_dirs, out2, ["--parallel", "1"])) == 0
     assert main(_sweep_args(pipeline_dirs, out3, ["--parallel", "4"])) == 0
     assert _checksum_tree(out1) == _checksum_tree(out2) == _checksum_tree(out3)
+
+
+def test_sweep_pool_workers_import_no_module(pipeline_dirs, tmp_path):
+    # a fresh `finedrop sweep --parallel 2`: its workers inherit every module their groups use
+    args = _sweep_args(pipeline_dirs, tmp_path / "out", ["--parallel", "2", "--seeds", "1,2,3"])
+    calls = pool_worker_imports("finedrop.protocol", "_execute_pooled_groups",
+                                f"from finedrop.cli import main; sys.exit(main({args!r}))", tmp_path / "log")
+    assert any(ran for ran, _ in calls), "no worker ran a group"
+    assert [imported for _, imported in calls] == [[]] * len(calls)
+
+
+def test_sweep_worker_that_dies_exits_3(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    caller, execute = os.getpid(), protocol._execute_sweep_group
+
+    def dies_in_a_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_execute_sweep_group", dies_in_a_worker)
+    assert main(_sweep_args(pipeline_dirs, tmp_path / "out", ["--parallel", "2", "--seeds", "1,2,3"])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: a sweep pool worker died: ")
 
 
 def test_sweep_config_file_with_flag_override(pipeline_dirs, tmp_path):

@@ -22,7 +22,8 @@ from finedrop.datasets import (
     make_missing_feature_env,
     save_dataset,
 )
-from finedrop.errors import FormatError, ValidationError
+from finedrop.errors import FormatError, RunError, ValidationError
+from helpers import pool_worker_imports
 
 
 def _dir_checksum(path):
@@ -386,6 +387,31 @@ def test_save_pool_has_one_worker_per_usable_cpu(tmp_path, monkeypatch):
         save_dataset(ds, tmp_path / str(cpus))
     assert started == [3]  # one CPU formats inline
     assert _dir_checksum(tmp_path / "3") == _dir_checksum(tmp_path / "1")
+
+
+def test_save_pool_workers_import_no_module(tmp_path):
+    # a fresh interpreter loads a dataset above the pool threshold and saves it through its pool
+    save_dataset(_SAVE_CASES["pooled-multienv"](), tmp_path / "ds")
+    code = ("datasets = sys.modules['finedrop.datasets']; datasets._cpus = lambda: 2; "
+            f"datasets.save_dataset(datasets.load_dataset({str(tmp_path / 'ds')!r}), {str(tmp_path / 'new')!r})")
+    calls = pool_worker_imports("finedrop.datasets", "_format_pooled_block", code, tmp_path / "log")
+    assert len(calls) == 3 * 2  # three environments of 4500 rows, two blocks each
+    assert all(ran for ran, _ in calls)
+    assert [imported for _, imported in calls] == [[]] * len(calls)
+
+
+def test_save_pool_worker_that_dies_raises_run_error(tmp_path, monkeypatch):
+    caller, format_block = os.getpid(), datasets._format_block
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return format_block(*args)
+
+    monkeypatch.setattr(datasets, "_format_block", dies_in_a_worker)
+    monkeypatch.setattr(datasets, "_cpus", lambda: 2)
+    with pytest.raises(RunError, match="^a save pool worker died: "):
+        save_dataset(_SAVE_CASES["pooled-multienv"](), tmp_path / "ds")
 
 
 def test_header_only_env_file_loads_as_empty_environment(tmp_path):

@@ -12,7 +12,11 @@ metric's direction in BENCHMARK.json), the relative change of the medians,
 and whether the gap between the medians exceeds the parent's interquartile
 range. Each workload also sums both sides' attempted and failed operations
 over the paired runs, so their failure shares can be compared. The environment block of each side holds the fields its result files
-agree on. Every number is read from the result files, none is typed in.
+agree on. A run records its checkout's HEAD as `git_revision`, so a change
+run uncommitted on top of its parent reports the parent's revision with
+another `source_sha256`; the summary then writes the change side's revision
+as null, with a note. Every number is read from the result files, none is
+typed in.
 """
 
 from __future__ import annotations
@@ -86,13 +90,26 @@ def summarize(parent: dict, change: dict, better: dict) -> dict:
                        "change": sum(c["failed"] for _, c in pairs)},
             "metrics": metrics,
         }
-    return {
-        "workloads": workloads,
-        "environment": {
-            "parent": common_environment([parent[k] for k in keys]),
-            "change": common_environment([change[k] for k in keys]),
-        },
+    environment = {
+        "parent": common_environment([parent[k] for k in keys]),
+        "change": common_environment([change[k] for k in keys]),
     }
+    return {"workloads": workloads, "environment": uncommitted_change(environment)}
+
+
+def uncommitted_change(environment: dict) -> dict:
+    """environment, with the change side's git_revision null and a note if it
+    names the parent side's revision but another source tree: a run records
+    the checkout's HEAD, so that change ran uncommitted on top of its parent."""
+    parent, change = environment["parent"], environment["change"]
+    revision = change.get("git_revision")
+    sources = change.get("source_sha256"), parent.get("source_sha256")
+    if revision is not None and revision == parent.get("git_revision") and None not in sources \
+            and sources[0] != sources[1]:
+        change["git_revision"] = None
+        change["git_revision_note"] = ("null: the change side ran on an uncommitted tree and reported "
+                                       f"its parent's revision {revision}; source_sha256 names its tree")
+    return environment
 
 
 def main(argv=None) -> int:
