@@ -56,8 +56,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -546,11 +544,12 @@ def save_dataset(dataset: EnvDataset, directory) -> None:
               for _, idx in envs for start in range(0, idx.size, _BLOCK_ROWS)]
     workers = min(_cpus(), len(blocks))
     if dataset.labels.size > _POOL_MIN_ROWS and workers > 1:
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_save_worker,
                                      initargs=(dataset, row)) as pool:
                 _write_env_files(directory, header, envs, pool.map(_format_pooled_block, blocks))
-        except BrokenProcessPool as exc:
+        except BrokenExecutor as exc:
             raise RunError(f"a save pool worker died: {exc}") from exc
     else:
         _write_env_files(directory, header, envs, (_format_block(dataset, row, block) for block in blocks))

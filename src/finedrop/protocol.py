@@ -15,11 +15,13 @@ extended), and reports eval-mode accuracy on the held-out environment.
 Each comparison arm is the weight average or the ensemble of some member
 checkpoints: one run's trail (single-run arms, scored from sums a sweep
 group adds each checkpoint into as it is taken) or the best checkpoints of
-a hyperparameter grid (multi-run arms). `run_sweep`
-executes the full (split x grid x seed x recipe) product on one process or
-several, the calling one included. The grid points of one (split, recipe,
-seed) train in lockstep as one stacked step (`_finetune_group` over
-`_train`) on one feed, so each step's batch is drawn and gathered once.
+a hyperparameter grid (multi-run arms). `run_sweep` executes the full
+(split x grid x seed x recipe) product on one process or several, the calling
+one included: plain forked workers that get their inputs as they start and
+send one dict each back over a pipe. A call that forks none loads no process
+machinery. The grid points of one (split, recipe, seed) train in lockstep as
+one stacked step (`_finetune_group` over `_train`) on one feed, so each
+step's batch is drawn and gathered once.
 Each run keeps its own mask stream, tape node and optimizer, so results are
 byte-identical to training each run alone, whatever the process count. Every run,
 standalone or in a sweep group, is scored on the held-out environment by
@@ -41,11 +43,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import multiprocessing
 import os
 from decimal import Decimal, InvalidOperation
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -835,14 +834,6 @@ def _execute_sweep_group(start: Checkpoint, split: EnvSplit, cfgs: list, recipe:
     return records
 
 
-_POOL_INPUTS: dict = {}  # in a sweep pool worker: `_execute_claimed`'s arguments but `front`
-
-
-def _init_pool_worker(start: Checkpoint, splits: list, jobs: list, unclaimed) -> None:
-    """Hand a sweep pool worker the start, the splits, the jobs and the shared unclaimed range once."""
-    _POOL_INPUTS.update(start=start, splits=splits, jobs=jobs, unclaimed=unclaimed)
-
-
 def _claim(unclaimed, front: bool) -> int | None:
     """Claim the first (front) or last job of the shared [first, stop) range of
     unclaimed job indices; None once every job is claimed."""
@@ -870,43 +861,53 @@ def _execute_claimed(start: Checkpoint, splits: list, jobs: list, unclaimed, fro
     return done
 
 
-def _execute_pooled_groups() -> dict:
-    """A pool worker's groups, claimed from the front of the job list."""
-    return _execute_claimed(front=True, **_POOL_INPUTS)
+def _execute_pooled_groups(start: Checkpoint, splits: list, jobs: list, unclaimed, out) -> None:
+    """A worker's groups, claimed from the front of the job list, sent over out as one dict."""
+    out.send(_execute_claimed(start, splits, jobs, unclaimed, front=True))
 
 
 def _execute_jobs(start: Checkpoint, splits: list, jobs: list, parallel: int) -> list[list[RunRecord]]:
     """Each sweep group's records, in job order, on `parallel` processes, this one included.
 
-    Beside this process, a pool of min(parallel - 1, len(jobs) - 1) forked
-    workers claims groups from the front of the job list while this process
-    claims them from the back. Each process claims its next group only when
-    it has finished the last one, so no group is held for a busy process
-    while another one idles. One group, or parallel 1, forks no worker. A
-    group that raises, in either process, raises here; of several, the
-    first in job order. A worker that dies raises RunError.
+    Beside this process, min(parallel - 1, len(jobs) - 1) plain forked workers,
+    given the inputs as they start, claim groups from the front of the job list
+    while this process claims them from the back; each sends its groups back as
+    one dict over its own pipe. A process claims its next group only when it has
+    finished the last one, so no group is held for a busy process while another
+    one idles. One group, or parallel 1, forks nothing and loads no process
+    machinery. A group that raises, in any process, raises here; of several, the
+    first in job order. A worker that dies raises RunError. Whatever ends the
+    call, every worker is joined.
     """
     workers = min(parallel - 1, len(jobs) - 1)
     if not workers:
         return [_execute_sweep_group(start, splits[split_index], cfgs, label, split_index)
                 for cfgs, label, split_index in jobs]
-    # a group's random streams need numpy.random: loaded before the fork, it is shared with the
-    # workers instead of loaded again by each of them (16 modules, about 1.8 MiB per worker)
+    # numpy.random, which every group draws from, is loaded before the fork, so the workers share it
+    import multiprocessing
     import numpy.random  # noqa: F401
-    unclaimed = multiprocessing.Array("l", [0, len(jobs)])
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
-                               initargs=(start, splits, jobs, unclaimed))
+    unclaimed, started, done, died = multiprocessing.Array("l", [0, len(jobs)]), [], {}, []
     try:
-        shares = [pool.submit(_execute_pooled_groups) for _ in range(workers)]
-        done = _execute_claimed(start, splits, jobs, unclaimed, front=False)
-        for share in shares:
-            done.update(share.result())
-    except BrokenProcessPool as exc:
-        raise RunError(f"a sweep pool worker died: {exc}") from exc
+        for _ in range(workers):
+            end, out = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_execute_pooled_groups,
+                                             args=(start, splits, jobs, unclaimed, out))
+            worker.start()
+            out.close()  # the worker holds the only sending end, so the pipe ends when it does
+            started.append((worker, end))
+        done.update(_execute_claimed(start, splits, jobs, unclaimed, front=False))
     finally:
         with unclaimed.get_lock():  # on an interrupt, no process claims another group
             unclaimed[0] = unclaimed[1]
-        pool.shutdown()
+        for worker, end in started:
+            with end:
+                try:
+                    done.update(end.recv())  # before the join, so that no worker is left blocked in its send
+                except EOFError:
+                    died.append(worker)
+            worker.join()
+    if died:
+        raise RunError(f"a sweep pool worker died: exit code {died[0].exitcode}")
     groups = [done[index] for index in range(len(jobs))]
     for group in groups:
         if isinstance(group, Exception):

@@ -45,16 +45,21 @@ setattr(module, {name!r}, watched)
 """
 
 
-def pool_worker_imports(module: str, name: str, code: str, log) -> list:
-    """Run code in a fresh interpreter with module.name wrapped, and return one
-    [returned something, modules imported during the call] pair per call of it
-    in a process forked from that interpreter. The test process has imported
-    much more than code needs, so only a fresh interpreter shows what a forked
-    worker still has to import."""
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports finedrop from this checkout,
+    and return its stdout. The test process has imported much more than code
+    needs, so only a fresh interpreter shows what code itself loads."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = _WATCH.format(module=module, name=name, log=str(log)) + code
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def pool_worker_imports(module: str, name: str, code: str, log) -> list:
+    """Run code in a fresh interpreter (`run_fresh`) with module.name wrapped,
+    and return one [returned something, modules imported during the call]
+    pair per call of it in a process forked from that interpreter."""
+    run_fresh(_WATCH.format(module=module, name=name, log=str(log)) + code)
     log = pathlib.Path(log)
     return [json.loads(line) for line in log.read_text().splitlines()] if log.exists() else []

@@ -10,7 +10,7 @@ from finedrop import protocol
 from finedrop.cli import build_parser, main, parse_config_file
 from finedrop.datasets import HOLDOUT_FRACTION, N_CORE, N_GIVEAWAY, N_SPURIOUS, load_dataset
 from finedrop.errors import ValidationError
-from helpers import pool_worker_imports
+from helpers import pool_worker_imports, run_fresh
 
 
 def _checksum_tree(root):
@@ -170,7 +170,7 @@ def test_sweep_rerun_and_parallel_are_byte_identical(pipeline_dirs, tmp_path):
 def test_sweep_pool_workers_import_no_module(pipeline_dirs, tmp_path):
     # a fresh `finedrop sweep --parallel 2`: its workers inherit every module their groups use
     args = _sweep_args(pipeline_dirs, tmp_path / "out", ["--parallel", "2", "--seeds", "1,2,3"])
-    calls = pool_worker_imports("finedrop.protocol", "_execute_pooled_groups",
+    calls = pool_worker_imports("finedrop.protocol", "_execute_claimed",
                                 f"from finedrop.cli import main; sys.exit(main({args!r}))", tmp_path / "log")
     assert any(ran for ran, _ in calls), "no worker ran a group"
     assert [imported for _, imported in calls] == [[]] * len(calls)
@@ -187,7 +187,28 @@ def test_sweep_worker_that_dies_exits_3(pipeline_dirs, tmp_path, monkeypatch, ca
     monkeypatch.setattr(protocol, "_execute_sweep_group", dies_in_a_worker)
     assert main(_sweep_args(pipeline_dirs, tmp_path / "out", ["--parallel", "2", "--seeds", "1,2,3"])) == 3
     err = capsys.readouterr().err
-    assert err.startswith("run failed: a sweep pool worker died: ")
+    assert err.splitlines()[0] == "run failed: a sweep pool worker died: exit code 1"
+
+
+def test_commands_that_fork_no_pool_load_no_process_machinery(pipeline_dirs, tmp_path):
+    # a fresh interpreter runs a small gen-data, pretrain, finetune, a --parallel 1 sweep and report
+    corpus, trunk, out = tmp_path / "corpus", tmp_path / "trunk.ckpt", tmp_path / "sweep"
+    commands = [
+        ["gen-data", "--task", "redundant", "--n-features", "6", "--n-samples", "300", "--out", str(corpus)],
+        ["pretrain", "--data", str(corpus), "--out", str(trunk), "--width", "8", "--depth", "1",
+         "--iterations", "40", "--batch-size", "16"],
+        ["finetune", "--data", str(pipeline_dirs["data"]), "--scratch", "--width", "8", "--depth", "1",
+         "--test-env", "2", "--iterations", "40", "--batch-size", "16", "--out", str(tmp_path / "ft")],
+        _sweep_args(pipeline_dirs, out, ["--parallel", "1", "--seeds", "1,2"]),
+        ["report", "--results", str(out), "--out", str(tmp_path / "report")],
+    ]
+    loaded = run_fresh(
+        "import contextlib, io, sys\nfrom finedrop.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'multiprocessing') if m in sys.modules))\n")
+    assert loaded == "[]\n"
 
 
 def test_sweep_config_file_with_flag_override(pipeline_dirs, tmp_path):

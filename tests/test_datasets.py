@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -357,7 +358,7 @@ def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, m
         monkeypatch.setattr(datasets, "_cpus", lambda: 2)  # workers format the blocks on a 1-CPU host too
     else:  # formatted inline: no process starts
         assert ds.labels.size <= datasets._POOL_MIN_ROWS
-        monkeypatch.setattr(datasets, "ProcessPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     save_dataset(ds, tmp_path / "new")
     _per_value_save(ds, tmp_path / "oracle")
     names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
@@ -374,13 +375,13 @@ def test_save_matches_per_value_writer_bytes_and_round_trips_bitwise(tmp_path, m
 
 def test_save_pool_has_one_worker_per_usable_cpu(tmp_path, monkeypatch):
     started = []
-    real = datasets.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def recording(max_workers, **kwargs):
         started.append(max_workers)
         return real(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(datasets, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)  # save_dataset imports it when it forks
     ds = _SAVE_CASES["pooled-multienv"]()
     for cpus in (3, 1):
         monkeypatch.setattr(datasets, "_cpus", lambda cpus=cpus: cpus)

@@ -597,15 +597,15 @@ def test_run_sweep_parallel_matches_serial(small_task, small_start):
 
 
 def _watch_sweep_processes(monkeypatch, tmp_path):
-    """Record each sweep pool's worker count, and which process runs each group (worker or caller)."""
+    """Record each worker process a sweep starts, and which process runs each group (worker or caller)."""
     from finedrop import protocol
 
-    pools, log = [], tmp_path / "group-pids"
+    forked, log = [], tmp_path / "group-pids"
 
-    class RecordedPool(protocol.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    class RecordedProcess(multiprocessing.Process):
+        def start(self):
+            forked.append(self)
+            super().start()
 
     real = protocol._execute_sweep_group
 
@@ -614,21 +614,22 @@ def _watch_sweep_processes(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()}\n")
         return real(start, split, cfgs, recipe, split_index)
 
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(multiprocessing, "Process", RecordedProcess)  # `_execute_jobs` looks it up when it forks
     monkeypatch.setattr(protocol, "_execute_sweep_group", logged)
-    return pools, lambda: [int(pid) for pid in log.read_text().split()]
+    return forked, lambda: [int(pid) for pid in log.read_text().split()]
 
 
 @pytest.mark.parametrize("n_splits, parallel, workers", [(2, 2, 1), (1, 3, 1), (2, 4, 3)])
 def test_sweep_caller_is_one_of_its_parallel_processes(small_task, small_start, monkeypatch, tmp_path,
                                                         n_splits, parallel, workers):
     # parallel N runs groups on N processes, this one included: min(N - 1, groups - 1) workers
-    pools, pids = _watch_sweep_processes(monkeypatch, tmp_path)
+    forked, pids = _watch_sweep_processes(monkeypatch, tmp_path)
     splits = leave_one_out_splits(small_task)[:n_splits]
     result = run_sweep(small_start, splits, grid=[(0.02, 0.0)], recipes=["erm", "dropout90"], seeds=[1],
                        base_cfg=_small_cfg(total_iterations=40), parallel=parallel)
     assert len(result.runs) == 2 * n_splits
-    assert pools == [workers]
+    assert len(forked) == workers
+    assert [worker.exitcode for worker in forked] == [0] * workers  # each joined, after it sent its groups
     assert len(pids()) == 2 * n_splits
     assert os.getpid() in pids()  # the caller runs at least the last group
     assert len(set(pids()) - {os.getpid()}) <= workers
@@ -670,7 +671,7 @@ def test_a_busy_worker_holds_back_no_group(small_task, small_start, monkeypatch,
     # the caller trains all the others
     from finedrop import protocol
 
-    pools, pids = _watch_sweep_processes(monkeypatch, tmp_path)
+    forked, pids = _watch_sweep_processes(monkeypatch, tmp_path)
     logged, caller = protocol._execute_sweep_group, os.getpid()
 
     def slow_in_a_worker(*args):
@@ -681,16 +682,16 @@ def test_a_busy_worker_holds_back_no_group(small_task, small_start, monkeypatch,
     monkeypatch.setattr(protocol, "_execute_sweep_group", slow_in_a_worker)
     run_sweep(small_start, leave_one_out_splits(small_task)[:2], grid=[(0.02, 0.0)], recipes=["erm", "dropout90"],
               seeds=[1, 2], base_cfg=_small_cfg(total_iterations=40), parallel=2)
-    assert pools == [1] and len(pids()) == 8
+    assert len(forked) == 1 and len(pids()) == 8
     assert pids().count(caller) >= 7
 
 
 def test_one_group_sweep_forks_no_pool(small_task, small_start, monkeypatch, tmp_path):
-    pools, pids = _watch_sweep_processes(monkeypatch, tmp_path)
+    forked, pids = _watch_sweep_processes(monkeypatch, tmp_path)
     result = run_sweep(small_start, [leave_one_out_splits(small_task)[0]], grid=[(0.02, 0.0), (0.01, 0.0)],
                        recipes=["erm"], seeds=[1], base_cfg=_small_cfg(total_iterations=40), parallel=2)
     assert [r.status for r in result.runs] == ["ok", "ok"]
-    assert pools == [] and pids() == [os.getpid()]
+    assert forked == [] and pids() == [os.getpid()]
 
 
 def test_sweep_group_error_is_the_same_at_any_parallel(small_task):
@@ -725,6 +726,26 @@ def test_sweep_raises_the_first_failing_group_in_job_order(small_task, small_sta
     with pytest.raises(RunError, match=f"^group {raised} failed$"):
         run_sweep(small_start, leave_one_out_splits(small_task)[:2], grid=[(0.02, 0.0)],
                   recipes=["erm", "dropout90"], seeds=[1], base_cfg=_small_cfg(total_iterations=40), parallel=2)
+
+
+@pytest.mark.parametrize("error", [RunError, KeyboardInterrupt])
+def test_sweep_whose_caller_side_group_raises_leaves_no_process(small_task, small_start, monkeypatch, error):
+    # a group error is raised once every worker has sent its groups; an interrupt at once, with the
+    # range emptied: either way, every worker is joined before run_sweep returns
+    from finedrop import protocol
+
+    real, caller = protocol._execute_sweep_group, os.getpid()
+
+    def raises_in_the_caller(*args):
+        if os.getpid() == caller:
+            raise error("a caller-side group failed")
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "_execute_sweep_group", raises_in_the_caller)
+    with pytest.raises(error, match="^a caller-side group failed$"):
+        run_sweep(small_start, leave_one_out_splits(small_task)[:2], grid=[(0.02, 0.0)],
+                  recipes=["erm", "dropout90"], seeds=[1, 2], base_cfg=_small_cfg(total_iterations=40), parallel=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_run_computes_its_holdout_once(small_task, small_start, monkeypatch):
